@@ -18,7 +18,7 @@ from .domatic import (Family, VertexPartition, d_k_exact, d_rk_exact,
                       d_rk_oracle, family_from_lines, family_to_lines,
                       validate_family, validate_partition)
 from .graphs import (FamilySpec, Graph, GuardError, ParseError, complement,
-                     complete_bipartite_parts, degree_stats, encode_graph6,
+                     complete_bipartite_parts, encode_graph6,
                      generate, parse_edge_list, parse_graph6)
 from .roman import (EnumerationResult, Labeling, SolveResult, Violation,
                     enumerate_rkdfs, gamma_k_exact, gamma_kr_exact,
@@ -34,7 +34,7 @@ __all__ = [
     "VertexPartition", "Violation", "check_graph", "check_nordhaus_gaddum",
     "closed_form_d_rk", "closed_form_gamma_kr", "complement",
     "complete_bipartite_parts", "d_k_exact", "d_rk_exact", "d_rk_oracle",
-    "degree_stats", "encode_graph6", "enumerate_rkdfs",
+    "encode_graph6", "enumerate_rkdfs",
     "family_balanced_bipartite", "family_complete",
     "family_from_balanced_subgraphs", "family_from_lines",
     "family_kdelta_sharpness", "family_near_order", "family_nontrivial",

@@ -7,7 +7,6 @@ largest number of blocks in a partition of V into k-dominating sets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -196,7 +195,6 @@ def d_rk_exact(g: Graph, k: int,
     if n > max_n or k > max_k:
         raise GuardError(f"d_rk solver guards are n <= {max_n}, k <= {max_k}; "
                          f"got n={n}, k={k}")
-    start = time.perf_counter()
 
     pool = enumerate_rkdfs(g, k, max_n=max(max_n, 10),
                            max_n_restricted=max(max_n, 20)).labelings
@@ -213,18 +211,24 @@ def d_rk_exact(g: Graph, k: int,
              (2 * k * n) // gkr,
              npool)
 
-    nodes = 0
-    best = _seed_value(g, k)
-    assert best <= ub, "construction seed above proven upper bound"
+    seed = _seed_value(g, k)
+    assert seed <= ub, "construction seed above proven upper bound"
 
-    # Phase 1: exact value.  Branches that cannot strictly beat the
-    # incumbent are cut; reaching the upper bound ends the search.
-    def search_value(idx: int, rescap: int, count: int,
-                     captotal: int) -> bool:
-        nonlocal best, nodes
+    # One search from just below the seed: each strict improvement records
+    # its family, so the last one recorded is the first optimal family in
+    # search order.  Branches that cannot beat the incumbent are cut;
+    # reaching the upper bound ends the search.
+    nodes = 0
+    best = seed - 1
+    chosen: list[int] = []
+    found: tuple[Labeling, ...] | None = None
+
+    def search(idx: int, rescap: int, count: int, captotal: int) -> bool:
+        nonlocal best, nodes, found
         nodes += 1
         if count > best:
             best = count
+            found = tuple(cands[i] for i in chosen)
             if best == ub:
                 return True
         base = rescap | high
@@ -236,46 +240,15 @@ def d_rk_exact(g: Graph, k: int,
             left = base - packed[i]
             if left & high != high:
                 continue
-            if search_value(i + 1, left ^ high, count + 1,
-                            captotal - weights[i]):
-                return True
-        return False
-
-    if best < ub:
-        search_value(0, _pack([2 * k] * n), 0, 2 * k * n)
-    target = best
-
-    # Phase 2: recover the first family of optimal size in search order.
-    chosen: list[int] = []
-    found: list[Labeling] | None = None
-
-    def recover(idx: int, rescap: int, count: int, captotal: int) -> bool:
-        nonlocal nodes, found
-        nodes += 1
-        if count == target:
-            found = [cands[i] for i in chosen]
-            return True
-        base = rescap | high
-        for i in range(idx, npool):
-            if count + (npool - i) < target:
-                break
-            if count + captotal // weights[i] < target:
-                break
-            left = base - packed[i]
-            if left & high != high:
-                continue
             chosen.append(i)
-            if recover(i + 1, left ^ high, count + 1,
-                       captotal - weights[i]):
+            if search(i + 1, left ^ high, count + 1, captotal - weights[i]):
                 return True
             chosen.pop()
         return False
 
-    recover(0, _pack([2 * k] * n), 0, 2 * k * n)
+    search(0, _pack([2 * k] * n), 0, 2 * k * n)
     assert found is not None
-    witness = Family(tuple(found), k)
-    return SolveResult("d_rk", target, witness, nodes,
-                       time.perf_counter() - start)
+    return SolveResult("d_rk", best, Family(found, k), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +268,6 @@ def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
     n = g.n
     if n > max_n:
         raise GuardError(f"d_k solver guard is n <= {max_n}, got {n}")
-    start = time.perf_counter()
     adj = g.adj
 
     ub = min(n, g.min_degree() // k + 1)
@@ -368,11 +340,9 @@ def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
         blocks = try_partition(d)
         if blocks is not None:
             witness: VertexPartition = tuple(tuple(b) for b in blocks)
-            return SolveResult("d_k", d, witness, nodes,
-                               time.perf_counter() - start)
+            return SolveResult("d_k", d, witness, nodes)
     witness = (tuple(range(n)),)
-    return SolveResult("d_k", 1, witness, nodes,
-                       time.perf_counter() - start)
+    return SolveResult("d_k", 1, witness, nodes)
 
 
 def validate_partition(g: Graph, k: int,
@@ -386,13 +356,13 @@ def validate_partition(g: Graph, k: int,
         for v in block:
             bmask |= 1 << v
         if bmask & seen:
-            violations.append(Violation("capacity-exceeded", member=i,
+            violations.append(Violation("block-overlap", member=i,
                                         detail=f"block {i} overlaps earlier blocks"))
         seen |= bmask
         if not is_k_dominating(g, k, block):
             violations.append(Violation("zero-vertex-undercovered", member=i,
                                         detail=f"block {i} is not {k}-dominating"))
     if seen != (1 << g.n) - 1:
-        violations.append(Violation("length-mismatch",
+        violations.append(Violation("vertex-uncovered",
                                     detail="blocks do not cover every vertex"))
     return violations

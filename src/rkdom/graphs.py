@@ -118,13 +118,6 @@ def complement(g: Graph) -> Graph:
     return Graph.from_rows(rows)
 
 
-def degree_stats(g: Graph) -> tuple[int, int, bool]:
-    """Return (min degree, max degree, regular?) of a graph."""
-    degs = g.degrees()
-    lo, hi = min(degs), max(degs)
-    return lo, hi, lo == hi
-
-
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     """Detect whether g is a complete bipartite graph K_{p,q}.
 

@@ -7,7 +7,6 @@ neighbors labeled 2.  Labelings are plain tuples of ints throughout.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, NamedTuple
@@ -21,9 +20,6 @@ DEFAULT_GAMMA_K_LIMIT = 20
 DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_ENUM_LIMIT = 10
 DEFAULT_ENUM_RESTRICTED_LIMIT = 20
-
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -48,7 +44,6 @@ class SolveResult:
     value: int
     witness: Any
     nodes_explored: int
-    elapsed: float
 
 
 def weight(f: Iterable[int]) -> int:
@@ -245,19 +240,32 @@ def gamma_kr_exact(g: Graph, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if g.n > max_n:
+        raise GuardError(f"gamma_kr solver guard is n <= {max_n}, got {g.n}")
+    # the all-1 labeling guarantees a solution of weight n
+    best, witness, nodes = _roman_bb(g, k, (0, 1, 2), g.n + 1)
+    return SolveResult("gamma_kr", best, witness, nodes)
+
+
+def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
+              best: int) -> tuple[int, Labeling, int]:
+    """Minimum-weight RkDF with labels from alphabet, below weight best.
+
+    Returns (weight, first optimal labeling in search order, nodes).  The
+    search assigns vertices in index order and tries the labels in the
+    order given, so the witness is the least optimal labeling in that
+    order.  Some labeling of weight below best must exist.
+    """
     n = g.n
-    if n > max_n:
-        raise GuardError(f"gamma_kr solver guard is n <= {max_n}, got {n}")
-    start = time.perf_counter()
     adj = g.adj
+    cut = best            # bound when no completion exists; >= any incumbent
 
     values = [0] * n
     count2 = [0] * n
-    best = n + 1          # all-1 labeling guarantees a solution of weight n
     witness: Labeling | None = None
     nodes = 0
 
-    def extra_weight_bound(pos: int, unassigned: int) -> float:
+    def extra_weight_bound(pos: int, unassigned: int) -> int:
         """Lower bound on weight still to be added for assigned zeros."""
         deficient = []
         dmask = 0
@@ -265,7 +273,7 @@ def gamma_kr_exact(g: Graph, k: int,
             if values[v] == 0 and count2[v] < k:
                 need = k - count2[v]
                 if (adj[v] & unassigned).bit_count() < need:
-                    return _INF
+                    return cut
                 deficient.append(need)
                 dmask |= 1 << v
         if not deficient:
@@ -279,7 +287,7 @@ def gamma_kr_exact(g: Graph, k: int,
                 maxcover = c
             rest ^= low
         if maxcover == 0:
-            return _INF
+            return cut
         total = sum(deficient)
         need2 = max(max(deficient), -(-total // maxcover))
         return 2 * need2
@@ -296,10 +304,10 @@ def gamma_kr_exact(g: Graph, k: int,
                 witness = tuple(values)
             return
         rest = unassigned & ~(1 << pos)
-        for val in (0, 1, 2):
+        for val in alphabet:
             new_wt = wt + val
             if new_wt >= best:
-                break  # values are tried in increasing order
+                continue  # a later label may be lighter
             values[pos] = val
             if val == 2:
                 row = adj[pos]
@@ -316,8 +324,7 @@ def gamma_kr_exact(g: Graph, k: int,
 
     rec(0, (1 << n) - 1, 0)
     assert witness is not None
-    return SolveResult("gamma_kr", best, witness, nodes,
-                       time.perf_counter() - start)
+    return best, witness, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -332,82 +339,15 @@ def gamma_k_exact(g: Graph, k: int,
     first optimum found is the lexicographically least optimal set; it is
     returned as a 0/1 membership mask tuple.  V itself always k-dominates
     (the condition quantifies over V minus the set), so a solution exists.
+
+    A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
+    this is the gamma_kR search over the labels (2, 0) at half the weight.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = g.n
-    if n > max_n:
-        raise GuardError(f"gamma_k solver guard is n <= {max_n}, got {n}")
-    start = time.perf_counter()
-    adj = g.adj
-
-    in_set = [False] * n
-    cov = [0] * n        # |N(v) & S| over currently included vertices
-    best = n + 1
-    witness_mask: tuple[int, ...] | None = None
-    nodes = 0
-
-    def additions_bound(pos: int, unassigned: int) -> float:
-        deficient = []
-        dmask = 0
-        for v in range(pos):
-            if not in_set[v] and cov[v] < k:
-                need = k - cov[v]
-                if (adj[v] & unassigned).bit_count() < need:
-                    return _INF
-                deficient.append(need)
-                dmask |= 1 << v
-        if not deficient:
-            return 0
-        maxcover = 0
-        rest = unassigned
-        while rest:
-            low = rest & -rest
-            c = (adj[low.bit_length() - 1] & dmask).bit_count()
-            if c > maxcover:
-                maxcover = c
-            rest ^= low
-        if maxcover == 0:
-            return _INF
-        total = sum(deficient)
-        return max(max(deficient), -(-total // maxcover))
-
-    def rec(pos: int, unassigned: int, size: int) -> None:
-        nonlocal best, witness_mask, nodes
-        nodes += 1
-        if pos == n:
-            for v in range(n):
-                if not in_set[v] and cov[v] < k:
-                    return
-            if size < best:
-                best = size
-                witness_mask = tuple(1 if b else 0 for b in in_set)
-            return
-        rest = unassigned & ~(1 << pos)
-        for include in (True, False):
-            new_size = size + include
-            if new_size >= best:
-                continue
-            in_set[pos] = include
-            if include:
-                row = adj[pos]
-                v = row
-                while v:
-                    low = v & -v
-                    cov[low.bit_length() - 1] += 1
-                    v ^= low
-            bound = additions_bound(pos + 1, rest)
-            if new_size + bound < best:
-                rec(pos + 1, rest, new_size)
-            if include:
-                v = adj[pos]
-                while v:
-                    low = v & -v
-                    cov[low.bit_length() - 1] -= 1
-                    v ^= low
-        in_set[pos] = False
-
-    rec(0, (1 << n) - 1, 0)
-    assert witness_mask is not None
-    return SolveResult("gamma_k", best, witness_mask, nodes,
-                       time.perf_counter() - start)
+    if g.n > max_n:
+        raise GuardError(f"gamma_k solver guard is n <= {max_n}, got {g.n}")
+    # the all-2 labeling (S = V) guarantees a solution of weight 2n
+    best, labels, nodes = _roman_bb(g, k, (2, 0), 2 * g.n + 1)
+    return SolveResult("gamma_k", best // 2,
+                       tuple(val // 2 for val in labels), nodes)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (Family, GuardError, d_k_exact, d_rk_exact, d_rk_oracle,
-                   gamma_kr_exact, validate_family, validate_partition,
-                   weight)
+                   family_to_lines, gamma_kr_exact, validate_family,
+                   validate_partition, weight)
 
 
 class TestValidateFamily:
@@ -175,6 +175,31 @@ class TestDrkExact:
                 assert res.witness.members == members, (g.label, k)
 
 
+class TestDrkPinned:
+    """Values and witnesses recorded from the earlier two-pass search
+    (value pass, then a witness pass), with its node counts as ceilings."""
+
+    @pytest.mark.parametrize("g,k,members,nodes_before", [
+        # construction seed = upper bound: the search stops at once
+        (complete(5), 1, ("00002", "00020", "00200", "02000", "20000"), 6),
+        # seed < value = upper bound
+        (cycle(6), 1, ("002002", "020020", "200200"), 8),
+        # seed < value < upper bound
+        (bipartite(2, 3), 1, ("12000", "00112"), 7),
+        # seed = value < upper bound
+        (cycle(5), 2, ("11111", "02022", "11211"), 6),
+        (gnp(7, 0.5, 8), 2, ("1002012", "1220010", "1000222", "1022200"), 10),
+        (gnp(8, 0.6, 5), 1, ("00021000", "02000010", "00101201"), 169),
+        (gnp(8, 0.6, 5), 2, ("12000020", "02020020", "10022101",
+                             "10201102", "10201201"), 60),
+    ])
+    def test_witness_and_node_ceiling(self, g, k, members, nodes_before):
+        res = d_rk_exact(g, k)
+        assert res.value == len(members)
+        assert tuple(family_to_lines(res.witness).split()) == members
+        assert res.nodes_explored <= nodes_before
+
+
 class TestDkExact:
     @pytest.mark.parametrize("g,k,expect", [
         (complete(4), 1, 4),
@@ -228,8 +253,10 @@ class TestDkExact:
 class TestPartitionValidator:
     def test_detects_overlap_and_gap(self):
         g = complete(3)
-        assert validate_partition(g, 1, [(0, 1), (1, 2)]) != []
-        assert validate_partition(g, 1, [(0, 1)]) != []
+        vs = validate_partition(g, 1, [(0, 1), (1, 2)])
+        assert [(v.kind, v.member) for v in vs] == [("block-overlap", 1)]
+        vs = validate_partition(g, 1, [(0, 1)])
+        assert [v.kind for v in vs] == ["vertex-uncovered"]
         assert validate_partition(g, 1, [(0, 1), (2,)]) == []
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
 from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
-                   complete_bipartite_parts, degree_stats, encode_graph6,
+                   complete_bipartite_parts, encode_graph6,
                    generate, parse_edge_list, parse_graph6)
 from rkdom.graphs import kdelta_copy_order, kdelta_order
 
@@ -36,13 +36,15 @@ class TestGraphBasics:
         assert g.edge_count() == 1
 
     def test_degree_stats_examples(self):
-        assert degree_stats(complete(5)) == (4, 4, True)
-        assert degree_stats(star(3)) == (1, 3, False)
+        for g, stats in ((complete(5), (4, 4, True)),
+                         (star(3), (1, 3, False))):
+            assert (g.min_degree(), g.max_degree(), g.is_regular()) == stats
 
     def test_degree_stats_kdelta_sharpness_2(self):
         g = generate(FamilySpec("kdelta-sharpness", k=2))
         # interior copy vertices: 17; the k attachment vertices per copy: 18
-        assert degree_stats(g) == (4, 18, False)
+        assert (g.min_degree(), g.max_degree(), g.is_regular()) == \
+            (4, 18, False)
 
 
 class TestGraph6:
@@ -140,11 +142,12 @@ class TestGenerate:
     def test_complete(self):
         g = complete(3)
         assert (g.n, g.edge_count()) == (3, 3)
-        assert degree_stats(g) == (2, 2, True)
+        assert (g.min_degree(), g.max_degree(), g.is_regular()) == (2, 2, True)
 
     def test_cycle_and_refusal(self):
         g = cycle(5)
-        assert g.edge_count() == 5 and degree_stats(g) == (2, 2, True)
+        assert g.edge_count() == 5
+        assert (g.min_degree(), g.max_degree(), g.is_regular()) == (2, 2, True)
         with pytest.raises(ValueError):
             generate(FamilySpec("cycle", n=2))
 

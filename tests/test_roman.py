@@ -192,6 +192,31 @@ class TestGammaKrExact:
                (b.value, b.witness, b.nodes_explored)
 
 
+# (n, p, seed, k) -> (gamma_k value, set mask, nodes), (gamma_kR value,
+# labeling, nodes), recorded when the two solvers were separate searches.
+PINNED_SOLVES = [
+    ((12, 0.3, 1, 1), (3, "010000110000", 91), (5, "010000220000", 38)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 92), (11, "012101221100", 737)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 192),
+     (8, "0100101002012", 494)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 239),
+     (12, "0102101202012", 1908)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 238),
+     (8, "00002020000220", 840)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 138), (7, "000012020002", 197)),
+]
+
+
+@pytest.mark.parametrize("case,gk,gkr", PINNED_SOLVES)
+def test_pinned_value_witness_and_nodes(case, gk, gkr):
+    n, prob, seed, k = case
+    g = gnp(n, prob, seed)
+    for res, (value, witness, nodes) in ((gamma_k_exact(g, k), gk),
+                                         (gamma_kr_exact(g, k), gkr)):
+        assert (res.value, labeling_to_string(res.witness),
+                res.nodes_explored) == (value, witness, nodes)
+
+
 def _gamma_k_brute(g, k):
     """Independent minimum k-dominating set size by subset enumeration."""
     for size in range(0, g.n + 1):
