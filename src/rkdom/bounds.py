@@ -290,22 +290,26 @@ def check_graph(g: Graph, k: int, vals: SolvedValues | Mapping[str, int],
     return sorted(records, key=lambda r: r.theorem_id)
 
 
-def check_nordhaus_gaddum(g: Graph, k: int, max_n: int | None = None,
+def check_nordhaus_gaddum(g: Graph, k: int,
+                          vals: SolvedValues | Mapping[str, int],
+                          max_n: int | None = None,
                           max_k: int | None = None) -> list[BoundRecord]:
-    """Complement-sum bounds: solve d_rk on the graph and its complement.
+    """Complement-sum bounds for one solved (graph, k) pair.
 
-    Both solves must fit the d_rk guards (GuardError otherwise).
+    d_rk of the graph comes from vals; d_rk is solved only on the
+    complement, which must fit the d_rk guards (GuardError otherwise).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not isinstance(vals, SolvedValues):
+        vals = SolvedValues.from_mapping(vals)
     kw = {} if max_n is None else {"max_n": max_n}
     if max_k is not None:
         kw["max_k"] = max_k
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
-    drk = d_rk_exact(g, k, **kw).value
     drk_co = d_rk_exact(complement(g), k, **kw).value
-    total = drk + drk_co
+    total = vals.d_rk + drk_co
     records = []
 
     records.append(_rec("knord", True, total, n + 4 * k - 2))

@@ -223,7 +223,7 @@ def _verify_records(g: Graph, k: int, max_n: int | None, nordhaus: bool):
     vals = solve_all(g, k, max_n=max_n)
     records = check_graph(g, k, vals)
     if nordhaus:
-        records = records + check_nordhaus_gaddum(g, k, max_n=max_n)
+        records = records + check_nordhaus_gaddum(g, k, vals, max_n=max_n)
     return vals, records
 
 

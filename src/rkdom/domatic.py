@@ -182,12 +182,17 @@ def d_rk_exact(g: Graph, k: int,
                max_k: int = DEFAULT_DRK_K_LIMIT) -> SolveResult:
     """Exact Roman (k,k)-domatic number with an optimal Family witness.
 
-    The candidate pool is every valid RkDF, sorted by (weight, values);
-    the search branches on inclusion with per-vertex residual capacities.
-    Depth is cut by the proven upper bounds min-degree+2k,
-    max(Delta,k-1)+k and 2kn/gamma_kR, by construction-seeded lower
-    bounds, and by the remaining-capacity/weight quotient.  The witness is
-    the first optimal family in the include-first search order.
+    The candidates are the valid RkDFs in (weight, values) order; the
+    search branches on inclusion with per-vertex residual capacities.
+    They are generated lazily, one weight level at a time from gamma_kR
+    (no RkDF is lighter) up to 2n, and a level is built only when a node
+    runs past the end of the list and the remaining-capacity/weight
+    quotient at that level's weight could still beat the incumbent, so
+    heavy levels that no family can use are never enumerated.  Depth is
+    cut by the proven upper bounds min-degree+2k, max(Delta,k-1)+k and
+    2kn/gamma_kR, by construction-seeded lower bounds, and by the
+    quotient.  The witness is the first optimal family in the
+    include-first search order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -196,23 +201,39 @@ def d_rk_exact(g: Graph, k: int,
         raise GuardError(f"d_rk solver guards are n <= {max_n}, k <= {max_k}; "
                          f"got n={n}, k={k}")
 
-    pool = enumerate_rkdfs(g, k, max_n=max(max_n, 10),
-                           max_n_restricted=max(max_n, 20)).labelings
-    cands = sorted(pool, key=lambda f: (sum(f), f))
-    packed = [_pack(f) for f in cands]
-    weights = [sum(c) for c in cands]
-    high = _high_mask(n)
-    npool = len(cands)
-
     gkr = gamma_kr_exact(g, k, max_n=max(max_n, 16)).value
     delta, Delta = g.min_degree(), g.max_degree()
     ub = min(delta + 2 * k,
              max(Delta, k - 1) + k,
-             (2 * k * n) // gkr,
-             npool)
+             (2 * k * n) // gkr)
 
     seed = _seed_value(g, k)
-    assert seed <= ub, "construction seed above proven upper bound"
+    if seed > ub:
+        raise RuntimeError(f"construction seed {seed} exceeds the proven "
+                           f"upper bound {ub} on d_rk")
+
+    high = _high_mask(n)
+    cands: list[Labeling] = []
+    packed: list[int] = []
+    weights: list[int] = []
+    next_w = gkr
+
+    def grow(count: int, captotal: int) -> bool:
+        """Append weight levels until the list gets longer; False once the
+        quotient cut closes the next level or every level is built."""
+        nonlocal next_w
+        end = len(cands)
+        while len(cands) == end:
+            if next_w > 2 * n or count + captotal // next_w <= best:
+                return False
+            level = enumerate_rkdfs(g, k, max_n=max(max_n, 10),
+                                    max_n_restricted=max(max_n, 20),
+                                    weight=next_w).labelings
+            cands.extend(level)
+            packed.extend(_pack(f) for f in level)
+            weights.extend([next_w] * len(level))
+            next_w += 1
+        return True
 
     # One search from just below the seed: each strict improvement records
     # its family, so the last one recorded is the first optimal family in
@@ -232,18 +253,18 @@ def d_rk_exact(g: Graph, k: int,
             if best == ub:
                 return True
         base = rescap | high
-        for i in range(idx, npool):
-            if count + (npool - i) <= best:
-                break
+        i = idx
+        while i < len(cands) or grow(count, captotal):
             if count + captotal // weights[i] <= best:
                 break
             left = base - packed[i]
-            if left & high != high:
-                continue
-            chosen.append(i)
-            if search(i + 1, left ^ high, count + 1, captotal - weights[i]):
-                return True
-            chosen.pop()
+            if left & high == high:
+                chosen.append(i)
+                if search(i + 1, left ^ high, count + 1,
+                          captotal - weights[i]):
+                    return True
+                chosen.pop()
+            i += 1
         return False
 
     search(0, _pack([2 * k] * n), 0, 2 * k * n)

@@ -118,23 +118,28 @@ class EnumerationResult(NamedTuple):
 def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
                     max_n: int = DEFAULT_ENUM_LIMIT,
                     max_n_restricted: int = DEFAULT_ENUM_RESTRICTED_LIMIT,
-                    ) -> EnumerationResult:
+                    weight: int | None = None) -> EnumerationResult:
     """All distinct valid RkDFs in lexicographic order of value sequences.
 
     When k exceeds the maximum degree no vertex can be labeled 0, so the
     valid labelings are exactly {1,2}^n and the enumeration switches to
     that restricted space (larger guard applies).  A cap stops the listing
-    early and sets the truncated flag.
+    early and sets the truncated flag.  With weight set, only the RkDFs of
+    exactly that weight are listed, still in lexicographic order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n
+    # bounds on the labeling weight; the defaults admit every labeling
+    lo, hi = (0, 2 * n) if weight is None else (weight, weight)
     if k > g.max_degree():
         if n > max_n_restricted:
             raise GuardError(f"restricted enumeration guard is n <= "
                              f"{max_n_restricted}, got {n}")
         out: list[Labeling] = []
         for values in product((1, 2), repeat=n):
+            if not lo <= sum(values) <= hi:
+                continue
             if cap is not None and len(out) >= cap:
                 return EnumerationResult(out, True)
             out.append(values)
@@ -152,7 +157,7 @@ def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
     def feasible_zero(v: int, unassigned: int) -> bool:
         return count2[v] + (adj[v] & unassigned).bit_count() >= k
 
-    def rec(pos: int, unassigned: int) -> bool:
+    def rec(pos: int, unassigned: int, wt: int) -> bool:
         nonlocal truncated
         if pos == n:
             if cap is not None and len(out) >= cap:
@@ -161,7 +166,12 @@ def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
             out.append(tuple(values))
             return True
         rest = unassigned & ~(1 << pos)
+        headroom = 2 * (n - pos - 1)   # most weight the later vertices add
         for val in (0, 1, 2):
+            if wt + val > hi:
+                break      # labels are tried lightest first
+            if wt + val + headroom < lo:
+                continue
             values[pos] = val
             if val == 2:
                 row = adj[pos]
@@ -186,7 +196,7 @@ def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
                     v ^= low
                 if ok and val == 0:
                     ok = feasible_zero(pos, rest)
-            if ok and not rec(pos + 1, rest):
+            if ok and not rec(pos + 1, rest, wt + val):
                 if val == 2:
                     _dec_count2(adj[pos], count2)
                 return False
@@ -194,7 +204,7 @@ def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
                 _dec_count2(adj[pos], count2)
         return True
 
-    rec(0, (1 << n) - 1)
+    rec(0, (1 << n) - 1, 0)
     return EnumerationResult(out, truncated)
 
 

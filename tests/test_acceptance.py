@@ -191,7 +191,7 @@ def test_criterion_4_theorem_sweep():
         instances += 1
         vals = solve_all(g, k)
         records = check_graph(g, k, vals)
-        records += check_nordhaus_gaddum(g, k)
+        records += check_nordhaus_gaddum(g, k, vals)
         applicable += sum(1 for r in records if r.applicable)
         for r in violations(records):
             failures.append(f"{g.label} k={k} {r.theorem_id}: "

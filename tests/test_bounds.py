@@ -139,14 +139,16 @@ class TestSurplusWitness:
 
 class TestNordhausGaddum:
     def test_c5_self_complementary_sum(self):
-        recs = _by_id(check_nordhaus_gaddum(cycle(5), 1))
+        g = cycle(5)
+        recs = _by_id(check_nordhaus_gaddum(g, 1, solve_all(g, 1)))
         expected = 2 * d_rk_oracle(cycle(5), 1)
         assert recs["knord"].lhs == expected == 4
         assert recs["knord"].holds
         assert recs["knord-k1"].applicable and recs["knord-k1"].holds
 
     def test_k4_regular_bound_arithmetic(self):
-        recs = _by_id(check_nordhaus_gaddum(complete(4), 2))
+        g = complete(4)
+        recs = _by_id(check_nordhaus_gaddum(g, 2, solve_all(g, 2)))
         reg = recs["regnord"]
         assert reg.applicable
         # n=4, delta=3, k=2: max(6, 7, 5, 8) = 8
@@ -155,7 +157,8 @@ class TestNordhausGaddum:
         assert fc.applicable and fc.rhs == 4 + 8 - 4 and fc.holds
 
     def test_trivial_graph(self):
-        recs = _by_id(check_nordhaus_gaddum(complete(1), 1))
+        g = complete(1)
+        recs = _by_id(check_nordhaus_gaddum(g, 1, solve_all(g, 1)))
         assert recs["knord"].lhs == 2 and recs["knord"].rhs == 3
         assert recs["knord"].holds and not recs["knord"].equality
         assert not recs["knord-eq"].applicable
@@ -164,12 +167,29 @@ class TestNordhausGaddum:
         for n in (2, 3, 4):
             for g in all_graphs(n):
                 for k in (1, 2):
-                    recs = check_nordhaus_gaddum(g, k)
+                    recs = check_nordhaus_gaddum(g, k, solve_all(g, k))
                     assert violations(recs) == [], (g.label, k)
 
     def test_guard_propagates(self):
+        # G fits a raised guard; its complement K_9 hits the default one
+        g = empty(9)
+        vals = solve_all(g, 1, max_n=9)
         with pytest.raises(GuardError):
-            check_nordhaus_gaddum(empty(9), 1)
+            check_nordhaus_gaddum(g, 1, vals)
+
+    def test_graph_solved_once(self, monkeypatch):
+        import rkdom.bounds
+        from rkdom import cli
+        solved = []
+        real = rkdom.bounds.d_rk_exact
+
+        def counting(g, k, **kw):
+            solved.append(g.adj)
+            return real(g, k, **kw)
+
+        monkeypatch.setattr(rkdom.bounds, "d_rk_exact", counting)
+        cli._verify_records(cycle(6), 2, None, True)
+        assert len(solved) == 2 and solved[0] != solved[1]
 
 
 class TestReports:

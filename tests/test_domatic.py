@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
-from rkdom import (Family, GuardError, d_k_exact, d_rk_exact, d_rk_oracle,
-                   family_to_lines, gamma_kr_exact, validate_family,
-                   validate_partition, weight)
+from rkdom import (Family, GuardError, complement, d_k_exact, d_rk_exact,
+                   d_rk_oracle, family_to_lines, gamma_kr_exact,
+                   validate_family, validate_partition, weight)
 
 
 class TestValidateFamily:
@@ -198,6 +198,47 @@ class TestDrkPinned:
         assert res.value == len(members)
         assert tuple(family_to_lines(res.witness).split()) == members
         assert res.nodes_explored <= nodes_before
+
+    # Recorded from the search over the fully enumerated, sorted pool,
+    # with its node counts as ceilings: (n, p, seed, k, graph witness,
+    # graph nodes, complement witness, complement nodes).
+    @pytest.mark.parametrize("n,p,seed,k,members,nodes,co_members,co_nodes", [
+        (7, 0.3, 11, 1, ("2002000", "0210102"), 7,
+         ("1000200", "1020000", "0002002", "0200020"), 17),
+        (7, 0.5, 12, 2, ("1111111", "0102212", "1111121"), 4,
+         ("2000102", "0002022", "0012120", "2210200"), 5),
+        (7, 0.7, 13, 3,
+         ("1111111", "0022220", "0102122", "1211111", "2120102"), 9,
+         ("1111111", "1111112", "1111121", "1111211", "1112111"), 6),
+        (8, 0.4, 21, 1, ("02002010", "10010112"), 9,
+         ("00000120", "01020000", "21000000", "00201001"), 9),
+        (8, 0.5, 22, 2, ("00210221", "02012120", "21110102", "21112001"), 13,
+         ("02200010", "00021012", "00220200", "20001210", "02002012"), 6),
+        (8, 0.6, 23, 3, ("10002122", "10202102", "11111111", "12020120",
+                         "12220100"), 97,
+         ("11111111", "02121021", "11111112", "11111211", "11112111"), 7),
+        (8, 0.7, 24, 1, ("00200000", "00000120", "00010002", "02011000",
+                         "20001100"), 6,
+         ("00102011", "00120200"), 3),
+        (7, 0.6, 25, 2, ("2120000", "0100122", "0102102", "0102120"), 5,
+         ("1011022", "1111111", "1211200"), 8),
+    ])
+    def test_graph_and_complement(self, n, p, seed, k, members, nodes,
+                                  co_members, co_nodes):
+        g = gnp(n, p, seed)
+        for h, fam, ceiling in ((g, members, nodes),
+                                (complement(g), co_members, co_nodes)):
+            res = d_rk_exact(h, k)
+            assert res.value == len(fam)
+            assert tuple(family_to_lines(res.witness).split()) == fam
+            assert res.nodes_explored <= ceiling
+
+    def test_seed_above_upper_bound_raises(self, monkeypatch):
+        import rkdom.domatic
+        # C_5 at k=1: min(delta + 2k, Delta + k, 2kn // gamma_kR) = 2
+        monkeypatch.setattr(rkdom.domatic, "_seed_value", lambda g, k: 3)
+        with pytest.raises(RuntimeError, match="seed 3 .* bound 2"):
+            d_rk_exact(cycle(5), 1)
 
 
 class TestDkExact:

@@ -101,6 +101,22 @@ class TestEnumerate:
         got = enumerate_rkdfs(cycle(5), 1).labelings
         assert got == sorted(got)
 
+    def test_weight_levels_concatenate_to_sorted_pool(self):
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [gnp(6, 0.5, 3), gnp(7, 0.3, 4), gnp(7, 0.7, 5)]
+        for g in graphs:
+            for k in (1, 2, 3):   # k > Delta takes the restricted branch
+                levels = []
+                for w in range(2 * g.n + 1):
+                    level = enumerate_rkdfs(g, k, weight=w)
+                    assert not level.truncated
+                    levels += level.labelings
+                expect = sorted(enumerate_rkdfs(g, k).labelings,
+                                key=lambda f: (sum(f), f))
+                assert levels == expect, (g.label, k)
+                for w in (-1, 2 * g.n + 1):
+                    assert enumerate_rkdfs(g, k, weight=w).labelings == []
+
     def test_cap_truncates(self):
         res = enumerate_rkdfs(cycle(4), 1, cap=3)
         assert len(res.labelings) == 3 and res.truncated
