@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -289,7 +290,9 @@ def _cmd_sweep(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for every call."""
     parser = argparse.ArgumentParser(
         prog="rkdom",
         description="Exact Roman k-domination and Roman (k,k)-domatic "

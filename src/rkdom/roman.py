@@ -242,11 +242,14 @@ def gamma_kr_exact(g: Graph, k: int,
                    max_n: int = DEFAULT_GAMMA_KR_LIMIT) -> SolveResult:
     """Exact Roman k-domination number with a minimum-weight witness.
 
-    Branch and bound over labelings: vertices are assigned in index order,
-    values tried 0,1,2, and a branch is cut when its weight plus a
-    covering-deficiency lower bound cannot beat the incumbent.  The
-    returned witness is the lexicographically least optimal labeling
-    (first optimum reached in this order).
+    Branch and bound over labelings (`_roman_bb`): vertices are assigned
+    in index order, values tried 0,1,2, and a branch is cut when its weight
+    plus a covering-deficiency lower bound cannot beat the incumbent.  The
+    deficiency state (which assigned zeros are still short of k
+    2-neighbours, and by how much) is updated incrementally as labels are
+    placed, so no node rescans the assigned vertices.  The returned witness
+    is the lexicographically least optimal labeling (first optimum reached
+    in this order).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -265,74 +268,118 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     search assigns vertices in index order and tries the labels in the
     order given, so the witness is the least optimal labeling in that
     order.  Some labeling of weight below best must exist.
+
+    The recursion carries the deficiency state and restores it on
+    backtrack: v2mask (vertices labeled 2), dmask (assigned zeros with
+    fewer than k 2-neighbours), their total need, their largest need, and
+    per vertex need[v] plus a count of dmask vertices at each need level.
+    Every dmask vertex keeps at least need[v] unassigned neighbours.  A
+    label 2 lowers the need of its dmask neighbours and their unassigned
+    count alike, so only labels 0 and 1 recheck them.  A child is cut when
+    a deficient vertex can no longer be covered, or when its weight plus
+    2 * max(largest need, ceil(total need / most deficient vertices one
+    unassigned vertex covers)) reaches the incumbent.  The scan of the
+    unassigned vertices for that cover is skipped when the largest need
+    alone cuts, and stops at the first vertex that covers enough.
     """
     n = g.n
     adj = g.adj
-    cut = best            # bound when no completion exists; >= any incumbent
 
     values = [0] * n
-    count2 = [0] * n
+    need = [0] * n        # k minus the 2-neighbours of a dmask vertex
+    # level[q]: dmask vertices with need q; a need above n is never kept,
+    # because such a zero cannot be covered
+    level = [0] * (min(k, n) + 1)
     witness: Labeling | None = None
     nodes = 0
 
-    def extra_weight_bound(pos: int, unassigned: int) -> int:
-        """Lower bound on weight still to be added for assigned zeros."""
-        deficient = []
-        dmask = 0
-        for v in range(pos):
-            if values[v] == 0 and count2[v] < k:
-                need = k - count2[v]
-                if (adj[v] & unassigned).bit_count() < need:
-                    return cut
-                deficient.append(need)
-                dmask |= 1 << v
-        if not deficient:
-            return 0
-        maxcover = 0
-        rest = unassigned
-        while rest:
-            low = rest & -rest
-            c = (adj[low.bit_length() - 1] & dmask).bit_count()
-            if c > maxcover:
-                maxcover = c
-            rest ^= low
-        if maxcover == 0:
-            return cut
-        total = sum(deficient)
-        need2 = max(max(deficient), -(-total // maxcover))
-        return 2 * need2
-
-    def rec(pos: int, unassigned: int, wt: int) -> None:
+    def rec(pos: int, unassigned: int, wt: int, v2mask: int, dmask: int,
+            total: int, maxneed: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if pos == n:
-            for v in range(n):
-                if values[v] == 0 and count2[v] < k:
-                    return
-            if wt < best:
-                best = wt
-                witness = tuple(values)
+            # the child test below admits a leaf only with dmask empty
+            # and weight below best
+            best = wt
+            witness = tuple(values)
             return
         rest = unassigned & ~(1 << pos)
+        row = adj[pos]
+        hit = row & dmask
         for val in alphabet:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
             values[pos] = val
+            v2, d, t, m = v2mask, dmask, total, maxneed
+            ok = True
             if val == 2:
-                row = adj[pos]
-                v = row
-                while v:
-                    low = v & -v
-                    count2[low.bit_length() - 1] += 1
-                    v ^= low
-            bound = extra_weight_bound(pos + 1, rest)
-            if new_wt + bound < best:
-                rec(pos + 1, rest, new_wt)
+                v2 |= 1 << pos
+                h = hit
+                while h:
+                    low = h & -h
+                    v = low.bit_length() - 1
+                    r = need[v]
+                    level[r] -= 1
+                    need[v] = r - 1
+                    if r == 1:
+                        d ^= low
+                    else:
+                        level[r - 1] += 1
+                    h ^= low
+                t -= hit.bit_count()
+                while m and not level[m]:
+                    m -= 1
+            else:
+                # the dmask neighbours of pos lose a potential 2-neighbour
+                h = hit
+                while h:
+                    low = h & -h
+                    v = low.bit_length() - 1
+                    if (adj[v] & rest).bit_count() < need[v]:
+                        ok = False
+                        break
+                    h ^= low
+                if ok and val == 0:
+                    q = k - (row & v2mask).bit_count()
+                    if q > (row & rest).bit_count():
+                        ok = False
+                    elif q > 0:
+                        need[pos] = q
+                        level[q] += 1
+                        d |= 1 << pos
+                        t += q
+                        if q > m:
+                            m = q
+            if ok:
+                if not d:
+                    rec(pos + 1, rest, new_wt, v2, d, t, m)
+                elif new_wt + 2 * m < best:
+                    # 2 * ceil(t / cover) < best - new_wt holds iff some
+                    # unassigned vertex covers at least want of dmask
+                    want = -(-t // ((best - new_wt - 1) // 2))
+                    u = rest
+                    while u:
+                        low = u & -u
+                        if (adj[low.bit_length() - 1] & d).bit_count() >= want:
+                            rec(pos + 1, rest, new_wt, v2, d, t, m)
+                            break
+                        u ^= low
             if val == 2:
-                _dec_count2(adj[pos], count2)
+                h = hit
+                while h:
+                    low = h & -h
+                    v = low.bit_length() - 1
+                    r = need[v] + 1
+                    need[v] = r
+                    level[r] += 1
+                    if r > 1:
+                        level[r - 1] -= 1
+                    h ^= low
+            elif d >> pos & 1:
+                level[need[pos]] -= 1
 
-    rec(0, (1 << n) - 1, 0)
+    rec(0, (1 << n) - 1, 0, 0, 0, 0, 0)
     assert witness is not None
     return best, witness, nodes
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import rkdom
 from rkdom.cli import main
 
 K3 = "Bw\n"
@@ -267,3 +271,52 @@ class TestArgumentValidation:
                                     "--quantity", "gamma-kr"],
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "RKDOM_MAX_N" in err
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser; a call must not depend on earlier ones."""
+
+    def test_mixed_calls_match_fresh_processes(self, capsys, tmp_path,
+                                               monkeypatch):
+        k3 = tmp_path / "k3.g6"
+        k3.write_text(K3)
+        e9 = tmp_path / "e9.g6"
+        e9.write_text("H" + "?" * 6 + "\n")   # empty graph on 9 vertices
+        # (argv, RKDOM_MAX_N or None)
+        calls = [
+            (["compute", "--graph", str(k3), "--k", "1", "--quantity", "all"],
+             None),
+            (["compute", "--graph", str(k3), "--k", "1", "--bogus"], None),
+            (["compute", "--graph", str(e9), "--k", "1", "--quantity", "d-rk"],
+             None),
+            (["verify", "--graph", str(k3), "--k", "2", "--nordhaus-gaddum"],
+             None),
+            (["compute", "--graph", str(k3), "--k", "1",
+              "--quantity", "gamma-kr"], "2"),
+            (["gen", "--family", "complete"], None),
+            (["compute", "--graph", str(e9), "--k", "2",
+              "--quantity", "gamma-kr"], None),
+            (["verify", "--graph", str(k3), "--k", "1", "--output", "csv"],
+             None),
+            (["sweep"], None),
+        ]
+        src = os.path.dirname(os.path.dirname(rkdom.__file__))
+        alone = []
+        for argv, max_n in calls:
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("RKDOM_MAX_N", None)
+            if max_n is not None:
+                env["RKDOM_MAX_N"] = max_n
+            alone.append(subprocess.run(
+                [sys.executable, "-m", "rkdom.cli", *argv],
+                capture_output=True, text=True, env=env))
+        assert sorted({r.returncode for r in alone}) == [0, 2, 3]
+        for _ in range(2):
+            for (argv, max_n), ref in zip(calls, alone):
+                if max_n is None:
+                    monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+                else:
+                    monkeypatch.setenv("RKDOM_MAX_N", max_n)
+                code = main(argv)
+                out = capsys.readouterr().out
+                assert (code, out) == (ref.returncode, ref.stdout), argv

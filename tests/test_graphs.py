@@ -108,6 +108,44 @@ class TestGraph6:
         assert parse_graph6(encode_graph6(g)) == g
 
 
+class TestGraph6AgainstNetworkx:
+    """networkx's graph6 codec as an independent oracle (optional)."""
+
+    @staticmethod
+    def _corpus():
+        for n in range(1, 6):
+            yield from all_graphs(n)
+        for n in (6, 7, 8, 12, 13, 30, 62, 63, 64):
+            for prob in (0.1, 0.5, 0.9):
+                for seed in range(3):
+                    yield gnp(n, prob, seed)
+
+    def test_codec_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in self._corpus():
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n))
+            ref.add_edges_from(g.edges())
+            text = encode_graph6(g)
+            expect = nx.to_graph6_bytes(ref, header=False)
+            assert text == expect.decode("ascii").rstrip("\n"), g.label
+            parsed = nx.from_graph6_bytes(text.encode("ascii"))
+            ours = parse_graph6(text)
+            assert ours.n == parsed.number_of_nodes() == g.n
+            assert set(ours.edges()) == {tuple(sorted(e))
+                                         for e in parsed.edges()}
+
+    def test_order_zero_and_one(self):
+        nx = pytest.importorskip("networkx")
+        zero = nx.to_graph6_bytes(nx.empty_graph(0), header=False)
+        assert zero == b"?\n"
+        with pytest.raises(ParseError):   # rkdom graphs have n >= 1
+            parse_graph6(zero.decode("ascii"))
+        one = nx.to_graph6_bytes(nx.empty_graph(1), header=False)
+        assert encode_graph6(Graph(1)) == one.decode("ascii").rstrip("\n")
+        assert parse_graph6(one.decode("ascii")) == Graph(1)
+
+
 class TestEdgeList:
     def test_k2(self):
         assert parse_edge_list("n 2\n0 1") == complete(2)

@@ -220,17 +220,59 @@ PINNED_SOLVES = [
     ((14, 0.2, 3, 1), (4, "10100000000011", 238),
      (8, "00002020000220", 840)),
     ((12, 0.5, 2, 2), (4, "101100001000", 138), (7, "000012020002", 197)),
+    # recorded before the deficiency bound became incremental: k = 3 and 4
+    # give more than one need level, n = 15 and 16 reach the solver guard,
+    # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
+    ((12, 0.4, 5, 3), (6, "010110101100", 112), (12, "020210202201", 1203)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 240),
+     (13, "0002002202221", 1864)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 208),
+     (14, "00110021121221", 2499)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 311),
+     (9, "000001222000002", 511)),
+    ((15, 0.15, 4, 3), (13, "111111101111110", 37),
+     (15, "111111111111111", 1665)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 253),
+     (8, "000000200002202", 1082)),
+    ((15, 0.5, 6, 3), (6, "111110001000000", 450),
+     (10, "002120002000102", 1279)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 847),
+     (15, "0120010220102211", 9664)),
+    ((16, 0.5, 11, 3), (7, "1101101100010000", 468),
+     (12, "0001202100022020", 2986)),
+    ((16, 0.5, 11, 4), (8, "1101101100011000", 354),
+     (14, "2001202100022020", 4758)),
+    ((10, 0.2, 3, 4), (10, "1111111111", 11), (10, "1111111111", 144)),
 ]
+
+# (family, n, k) -> the same pins as above, on the edgeless and complete
+# graphs, recorded before the deficiency bound became incremental.
+PINNED_FAMILY_SOLVES = [
+    (("empty", 9, 1), (9, "111111111", 10), (9, "111111111", 89)),
+    (("empty", 6, 2), (6, "111111", 7), (6, "111111", 21)),
+    (("complete", 8, 3), (3, "11100000", 24), (6, "00000222", 28)),
+    (("complete", 7, 8), (7, "1111111", 8), (7, "1111111", 34)),
+]
+
+
+def _assert_pinned(g, k, gk, gkr):
+    for res, (value, witness, nodes) in ((gamma_k_exact(g, k), gk),
+                                         (gamma_kr_exact(g, k), gkr)):
+        assert (res.value, labeling_to_string(res.witness),
+                res.nodes_explored) == (value, witness, nodes)
 
 
 @pytest.mark.parametrize("case,gk,gkr", PINNED_SOLVES)
 def test_pinned_value_witness_and_nodes(case, gk, gkr):
     n, prob, seed, k = case
-    g = gnp(n, prob, seed)
-    for res, (value, witness, nodes) in ((gamma_k_exact(g, k), gk),
-                                         (gamma_kr_exact(g, k), gkr)):
-        assert (res.value, labeling_to_string(res.witness),
-                res.nodes_explored) == (value, witness, nodes)
+    _assert_pinned(gnp(n, prob, seed), k, gk, gkr)
+
+
+@pytest.mark.parametrize("case,gk,gkr", PINNED_FAMILY_SOLVES)
+def test_pinned_family_solves(case, gk, gkr):
+    family, n, k = case
+    _assert_pinned({"empty": empty, "complete": complete}[family](n), k,
+                   gk, gkr)
 
 
 def _gamma_k_brute(g, k):
@@ -280,6 +322,13 @@ class TestGammaK:
         for seed in range(6):
             g = gnp(6, 0.5, seed)
             assert gamma_k_exact(g, 2).value == _gamma_k_brute(g, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 8), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 3), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_agrees_with_brute_force_random(self, n, seed, k, prob):
+        g = gnp(n, prob, seed)
+        assert gamma_k_exact(g, k).value == _gamma_k_brute(g, k)
 
     def test_guard(self):
         with pytest.raises(GuardError):
