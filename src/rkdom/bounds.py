@@ -11,7 +11,6 @@ exact integer arithmetic; rational bounds are cross-multiplied or floored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
@@ -86,15 +85,6 @@ class SolvedValues:
     d_rk: int
     d_rk_family: Family | None = None
 
-    @classmethod
-    def from_mapping(cls, vals: Mapping[str, int]) -> "SolvedValues":
-        missing = [q for q in ("gamma_k", "gamma_kr", "d_k", "d_rk")
-                   if q not in vals]
-        if missing:
-            raise ValueError(f"missing solved values: {', '.join(missing)}")
-        return cls(vals["gamma_k"], vals["gamma_kr"], vals["d_k"],
-                   vals["d_rk"])
-
 
 def solve_all(g: Graph, k: int, max_n: int | None = None,
               max_k: int | None = None) -> SolvedValues:
@@ -156,7 +146,7 @@ def _rec(theorem_id: str, applicable: bool, lhs: int, rhs: int,
                        lhs == rhs, notes)
 
 
-def check_graph(g: Graph, k: int, vals: SolvedValues | Mapping[str, int],
+def check_graph(g: Graph, k: int, vals: SolvedValues,
                 witness_max_n: int = DEFAULT_WITNESS_LIMIT,
                 ) -> list[BoundRecord]:
     """Evaluate every per-graph bound for one solved (graph, k) pair.
@@ -166,8 +156,6 @@ def check_graph(g: Graph, k: int, vals: SolvedValues | Mapping[str, int],
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not isinstance(vals, SolvedValues):
-        vals = SolvedValues.from_mapping(vals)
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
     gk, gkr, dk, drk = vals.gamma_k, vals.gamma_kr, vals.d_k, vals.d_rk
@@ -291,7 +279,7 @@ def check_graph(g: Graph, k: int, vals: SolvedValues | Mapping[str, int],
 
 
 def check_nordhaus_gaddum(g: Graph, k: int,
-                          vals: SolvedValues | Mapping[str, int],
+                          vals: SolvedValues,
                           max_n: int | None = None,
                           max_k: int | None = None) -> list[BoundRecord]:
     """Complement-sum bounds for one solved (graph, k) pair.
@@ -301,8 +289,6 @@ def check_nordhaus_gaddum(g: Graph, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not isinstance(vals, SolvedValues):
-        vals = SolvedValues.from_mapping(vals)
     kw = {} if max_n is None else {"max_n": max_n}
     if max_k is not None:
         kw["max_k"] = max_k

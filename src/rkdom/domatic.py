@@ -227,7 +227,6 @@ def d_rk_exact(g: Graph, k: int,
             if next_w > 2 * n or count + captotal // next_w <= best:
                 return False
             level = enumerate_rkdfs(g, k, max_n=max(max_n, 10),
-                                    max_n_restricted=max(max_n, 20),
                                     weight=next_w).labelings
             cands.extend(level)
             packed.extend(_pack(f) for f in level)
@@ -298,19 +297,20 @@ def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
         """First partition of V into exactly d k-dominating sets, in
         canonical restricted-growth order, or None."""
         nonlocal nodes
-        color = [-1] * n
-        cnt = [[0] * d for _ in range(n)]  # cnt[v][c] = |N(v) & block c|
+        block = [0] * d    # vertex mask of each block
 
         def feasible(v: int, unassigned: int) -> bool:
-            headroom = (adj[v] & unassigned).bit_count()
+            """v can still get k neighbours in every block but its own."""
+            row = adj[v]
+            headroom = (row & unassigned).bit_count()
             short = 0
-            row = cnt[v]
-            cv = color[v]
-            for c in range(d):
-                if c != cv and row[c] < k:
-                    short += k - row[c]
-                    if short > headroom:
-                        return False
+            for b in block:
+                if not b >> v & 1:
+                    have = (row & b).bit_count()
+                    if have < k:
+                        short += k - have
+                        if short > headroom:
+                            return False
             return True
 
         def rec(pos: int, used: int, unassigned: int) -> bool:
@@ -320,41 +320,24 @@ def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
                 return False
             if pos == n:
                 return used == d
-            rest = unassigned & ~(1 << pos)
-            limit = min(used + 1, d)
-            for c in range(limit):
-                color[pos] = c
-                row = adj[pos]
-                v = row
-                while v:
-                    low = v & -v
-                    cnt[low.bit_length() - 1][c] += 1
-                    v ^= low
+            bit = 1 << pos
+            rest = unassigned ^ bit
+            for c in range(min(used + 1, d)):
+                block[c] |= bit
                 ok = feasible(pos, rest)
-                if ok:
-                    v = row & ~rest
-                    while v:
-                        low = v & -v
-                        u = low.bit_length() - 1
-                        if u < pos and not feasible(u, rest):
-                            ok = False
-                            break
-                        v ^= low
+                # pos is no longer unassigned for its assigned neighbours
+                u = adj[pos] & ~rest
+                while ok and u:
+                    low = u & -u
+                    ok = feasible(low.bit_length() - 1, rest)
+                    u ^= low
                 if ok and rec(pos + 1, max(used, c + 1), rest):
                     return True
-                v = row
-                while v:
-                    low = v & -v
-                    cnt[low.bit_length() - 1][c] -= 1
-                    v ^= low
-            color[pos] = -1
+                block[c] ^= bit
             return False
 
         if rec(0, 0, (1 << n) - 1):
-            blocks: list[list[int]] = [[] for _ in range(d)]
-            for v in range(n):
-                blocks[color[v]].append(v)
-            return blocks
+            return [[v for v in range(n) if b >> v & 1] for b in block]
         return None
 
     for d in range(ub, 1, -1):

@@ -52,10 +52,28 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int], label: str | None = None) -> "Graph":
-        """Build a graph directly from adjacency bitmask rows (trusted input)."""
+        """Build a graph directly from adjacency bitmask rows.
+
+        Raises ValueError, as the constructor does, unless the rows are
+        those of a simple undirected graph of order >= 1: no bit at or
+        above n, no self-loop, and u in row v iff v in row u.
+        """
+        adj = tuple(rows)
+        n = len(adj)
+        if n < 1:
+            raise ValueError(f"graph order must be >= 1, got {n}")
+        for v, row in enumerate(adj):
+            if row >> n:    # also true for a negative row
+                raise ValueError(f"row {v} has a vertex outside 0..{n - 1}")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            for u in range(v):
+                if (row >> u ^ adj[u] >> v) & 1:
+                    raise ValueError(f"rows {u} and {v} disagree on "
+                                     f"edge ({u},{v})")
         g = object.__new__(cls)
-        g.adj = tuple(rows)
-        g.n = len(g.adj)
+        g.adj = adj
+        g.n = n
         g.label = label
         return g
 
@@ -121,39 +139,17 @@ def complement(g: Graph) -> Graph:
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     """Detect whether g is a complete bipartite graph K_{p,q}.
 
-    Returns (p, q) with p <= q, or None.  A graph is complete bipartite
-    exactly when its complement is the disjoint union of two cliques.
+    Returns (p, q) with p <= q, or None.  The neighbourhood b of vertex 0
+    must be one side and the rest a the other: g is K_{p,q} exactly when b
+    is nonempty, every vertex of a is adjacent to exactly b, and every
+    vertex of b to exactly a.
     """
-    co = complement(g)
-    seen = 0
-    comps: list[int] = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        mask = 1 << start
-        frontier = mask
-        while frontier:
-            grow = 0
-            v = frontier
-            while v:
-                low = v & -v
-                grow |= co.adj[low.bit_length() - 1]
-                v ^= low
-            frontier = grow & ~mask
-            mask |= grow
-        comps.append(mask)
-        seen |= mask
-    if len(comps) != 2:
+    b = g.adj[0]
+    a = ((1 << g.n) - 1) ^ b
+    if not b or any(row != (a if b >> v & 1 else b)
+                    for v, row in enumerate(g.adj)):
         return None
-    for mask in comps:
-        v = mask
-        while v:
-            low = v & -v
-            u = low.bit_length() - 1
-            if co.adj[u] & mask != mask & ~low:
-                return None
-            v ^= low
-    p, q = sorted(m.bit_count() for m in comps)
+    p, q = sorted((a.bit_count(), b.bit_count()))
     return p, q
 
 

@@ -19,7 +19,6 @@ DEFAULT_GAMMA_KR_LIMIT = 16
 DEFAULT_GAMMA_K_LIMIT = 20
 DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_ENUM_LIMIT = 10
-DEFAULT_ENUM_RESTRICTED_LIMIT = 20
 
 @dataclass(frozen=True)
 class Violation:
@@ -112,60 +111,46 @@ def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
 
 class EnumerationResult(NamedTuple):
     labelings: list[Labeling]
-    truncated: bool
 
 
-def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
-                    max_n: int = DEFAULT_ENUM_LIMIT,
-                    max_n_restricted: int = DEFAULT_ENUM_RESTRICTED_LIMIT,
+def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
                     weight: int | None = None) -> EnumerationResult:
     """All distinct valid RkDFs in lexicographic order of value sequences.
 
-    When k exceeds the maximum degree no vertex can be labeled 0, so the
-    valid labelings are exactly {1,2}^n and the enumeration switches to
-    that restricted space (larger guard applies).  A cap stops the listing
-    early and sets the truncated flag.  With weight set, only the RkDFs of
-    exactly that weight are listed, still in lexicographic order.
+    With weight set, only the RkDFs of exactly that weight are listed,
+    still in lexicographic order.  The recursion carries v2 (vertices
+    labeled 2) and zeros (vertices labeled 0): a zero stays feasible while
+    its neighbours in v2 or still unassigned number at least k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n
-    # bounds on the labeling weight; the defaults admit every labeling
-    lo, hi = (0, 2 * n) if weight is None else (weight, weight)
-    if k > g.max_degree():
-        if n > max_n_restricted:
-            raise GuardError(f"restricted enumeration guard is n <= "
-                             f"{max_n_restricted}, got {n}")
-        out: list[Labeling] = []
-        for values in product((1, 2), repeat=n):
-            if not lo <= sum(values) <= hi:
-                continue
-            if cap is not None and len(out) >= cap:
-                return EnumerationResult(out, True)
-            out.append(values)
-        return EnumerationResult(out, False)
-
     if n > max_n:
         raise GuardError(f"enumeration guard is n <= {max_n}, got {n}")
-
+    # bounds on the labeling weight; the defaults admit every labeling
+    lo, hi = (0, 2 * n) if weight is None else (weight, weight)
     adj = g.adj
     values = [0] * n
-    count2 = [0] * n
-    out = []
-    truncated = False
+    out: list[Labeling] = []
 
-    def feasible_zero(v: int, unassigned: int) -> bool:
-        return count2[v] + (adj[v] & unassigned).bit_count() >= k
-
-    def rec(pos: int, unassigned: int, wt: int) -> bool:
-        nonlocal truncated
+    def rec(pos: int, unassigned: int, wt: int, v2: int, zeros: int) -> None:
         if pos == n:
-            if cap is not None and len(out) >= cap:
-                truncated = True
-                return False
             out.append(tuple(values))
-            return True
-        rest = unassigned & ~(1 << pos)
+            return
+        bit = 1 << pos
+        rest = unassigned ^ bit
+        row = adj[pos]
+        cover = v2 | rest     # possible 2-neighbours unless pos gets a 2
+        # a label 0 or 1 at pos takes one possible 2-neighbour from each
+        # zero next to it
+        ok = True
+        u = row & zeros
+        while u:
+            low = u & -u
+            if (adj[low.bit_length() - 1] & cover).bit_count() < k:
+                ok = False
+                break
+            u ^= low
         headroom = 2 * (n - pos - 1)   # most weight the later vertices add
         for val in (0, 1, 2):
             if wt + val > hi:
@@ -174,46 +159,12 @@ def enumerate_rkdfs(g: Graph, k: int, cap: int | None = None,
                 continue
             values[pos] = val
             if val == 2:
-                row = adj[pos]
-                v = row
-                while v:
-                    low = v & -v
-                    count2[low.bit_length() - 1] += 1
-                    v ^= low
-                ok = True
-            else:
-                # Zero-labeled assigned vertices adjacent to pos lose one
-                # potential 2-neighbor; recheck their coverage headroom.
-                ok = True
-                row = adj[pos] & ~rest
-                v = row
-                while v:
-                    low = v & -v
-                    u = low.bit_length() - 1
-                    if u < pos and values[u] == 0 and not feasible_zero(u, rest):
-                        ok = False
-                        break
-                    v ^= low
-                if ok and val == 0:
-                    ok = feasible_zero(pos, rest)
-            if ok and not rec(pos + 1, rest, wt + val):
-                if val == 2:
-                    _dec_count2(adj[pos], count2)
-                return False
-            if val == 2:
-                _dec_count2(adj[pos], count2)
-        return True
+                rec(pos + 1, rest, wt + 2, v2 | bit, zeros)
+            elif ok and (val or (row & cover).bit_count() >= k):
+                rec(pos + 1, rest, wt + val, v2, zeros if val else zeros | bit)
 
-    rec(0, (1 << n) - 1, 0)
-    return EnumerationResult(out, truncated)
-
-
-def _dec_count2(row: int, count2: list[int]) -> None:
-    v = row
-    while v:
-        low = v & -v
-        count2[low.bit_length() - 1] -= 1
-        v ^= low
+    rec(0, (1 << n) - 1, 0, 0, 0)
+    return EnumerationResult(out)
 
 
 # ---------------------------------------------------------------------------

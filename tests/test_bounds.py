@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
-from rkdom import (GuardError, SolvedValues, check_graph,
-                   check_nordhaus_gaddum, d_rk_oracle, gamma_kr_exact,
-                   report_csv_rows, report_dict, solve_all,
-                   surplus_bipartite_witness, violations)
+from rkdom import (GuardError, check_graph, check_nordhaus_gaddum,
+                   d_rk_oracle, gamma_kr_exact, report_csv_rows, report_dict,
+                   solve_all, surplus_bipartite_witness, violations)
 
 
 def _by_id(records):
@@ -21,10 +20,6 @@ class TestSolveAll:
         assert (vals.gamma_k, vals.gamma_kr, vals.d_k, vals.d_rk) == (1, 2, 3, 3)
         assert vals.d_rk_family is not None
         assert len(vals.d_rk_family) == 3
-
-    def test_from_mapping_refuses_missing(self):
-        with pytest.raises(ValueError, match="d_rk"):
-            SolvedValues.from_mapping({"gamma_k": 1, "gamma_kr": 2, "d_k": 1})
 
 
 class TestCheckGraph:

@@ -291,6 +291,32 @@ class TestDkExact:
             d_k_exact(empty(11), 1)
 
 
+class TestDkPinned:
+    """Value, witness and node count recorded from the search that kept a
+    per-vertex count of neighbours in each block; the block masks that
+    replaced it visit the same nodes."""
+
+    @pytest.mark.parametrize("n,p,seed,k,blocks,nodes", [
+        # the first block count tried (min-degree // k + 1) succeeds
+        (6, 0.5, 1, 1, ((0, 1, 2, 4), (3, 5)), 7),
+        (7, 0.9, 10, 3, ((0, 1, 5), (2, 3, 4, 6)), 11),
+        (9, 0.8, 6, 3, ((0, 1, 2, 4, 8), (3, 5, 6, 7)), 10),
+        (10, 0.7, 7, 2, ((0, 1, 6), (2, 3, 4, 5), (7, 8, 9)), 34),
+        (10, 0.8, 12, 1, ((0, 2), (1, 3), (4,), (5, 6), (7, 8), (9,)), 36),
+        # the first block count fails and a smaller one succeeds
+        (8, 0.6, 100, 1, ((0, 3), (1, 4), (2, 5), (6, 7)), 208),
+        (10, 0.6, 100, 1, ((0, 1, 3), (2, 9), (4, 7, 8), (5, 6)), 355),
+        (10, 0.8, 102, 2, ((0, 1, 2, 5), (3, 4, 6), (7, 8, 9)), 75),
+        (10, 0.9, 102, 3, ((0, 1, 2, 3, 4, 5, 9), (6, 7, 8)), 346),
+        (10, 0.9, 104, 3, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9)), 274),
+    ])
+    def test_value_witness_and_nodes(self, n, p, seed, k, blocks, nodes):
+        res = d_k_exact(gnp(n, p, seed), k)
+        assert res.value == len(blocks)
+        assert res.witness == blocks
+        assert res.nodes_explored == nodes
+
+
 class TestPartitionValidator:
     def test_detects_overlap_and_gap(self):
         g = complete(3)

@@ -31,6 +31,25 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(0)
 
+    def test_from_rows_accepts_simple_graph(self):
+        assert Graph.from_rows([0b110, 0b101, 0b011]) == complete(3)
+
+    def test_from_rows_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph.from_rows([1])
+
+    def test_from_rows_rejects_asymmetric_rows(self):
+        with pytest.raises(ValueError, match="disagree"):
+            Graph.from_rows([0b10, 0])
+
+    def test_from_rows_rejects_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_rows([1 << 5])
+
+    def test_from_rows_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="order"):
+            Graph.from_rows([])
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
@@ -292,3 +311,17 @@ class TestCompleteBipartiteDetection:
         assert complete_bipartite_parts(Graph(1)) is None
         # C_4 is K_{2,2} under relabeling
         assert complete_bipartite_parts(cycle(4)) == (2, 2)
+
+    def test_matches_brute_force_bipartition(self):
+        # K_{X,Y}: u~v exactly when u and v lie on different sides
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            for g in all_graphs(n):
+                expect = None
+                for x in range(1, full):
+                    if all(g.has_edge(u, v) == (x >> u & 1 != x >> v & 1)
+                           for v in range(n) for u in range(v)):
+                        expect = tuple(sorted((x.bit_count(),
+                                               (full ^ x).bit_count())))
+                        break
+                assert complete_bipartite_parts(g) == expect, g.label

@@ -81,7 +81,6 @@ class TestEnumerate:
     def test_restricted_space_when_k_exceeds_degree(self):
         res = enumerate_rkdfs(empty(2), 3)
         assert res.labelings == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert not res.truncated
         res8 = enumerate_rkdfs(empty(8), 9)
         assert len(res8.labelings) == 2 ** 8
 
@@ -91,11 +90,16 @@ class TestEnumerate:
             (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
     def test_matches_naive_filter(self):
-        for g in (cycle(4), path(4), complete(4), empty(3)):
-            for k in (1, 2):
+        # every labelled graph with n <= 4, so k > Delta is covered too
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        for g in graphs:
+            for k in (1, 2, 3):
                 expect = [f for f in product((0, 1, 2), repeat=g.n)
                           if not validate_rkdf(g, k, f)]
-                assert enumerate_rkdfs(g, k).labelings == expect
+                assert enumerate_rkdfs(g, k).labelings == expect, (g.label, k)
+                for w in range(2 * g.n + 1):
+                    level = [f for f in expect if sum(f) == w]
+                    assert enumerate_rkdfs(g, k, weight=w).labelings == level
 
     def test_lexicographic_order(self):
         got = enumerate_rkdfs(cycle(5), 1).labelings
@@ -105,27 +109,24 @@ class TestEnumerate:
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         graphs += [gnp(6, 0.5, 3), gnp(7, 0.3, 4), gnp(7, 0.7, 5)]
         for g in graphs:
-            for k in (1, 2, 3):   # k > Delta takes the restricted branch
+            for k in (1, 2, 3):   # includes k > Delta, where no 0 fits
                 levels = []
                 for w in range(2 * g.n + 1):
-                    level = enumerate_rkdfs(g, k, weight=w)
-                    assert not level.truncated
-                    levels += level.labelings
+                    levels += enumerate_rkdfs(g, k, weight=w).labelings
                 expect = sorted(enumerate_rkdfs(g, k).labelings,
                                 key=lambda f: (sum(f), f))
                 assert levels == expect, (g.label, k)
                 for w in (-1, 2 * g.n + 1):
                     assert enumerate_rkdfs(g, k, weight=w).labelings == []
 
-    def test_cap_truncates(self):
-        res = enumerate_rkdfs(cycle(4), 1, cap=3)
-        assert len(res.labelings) == 3 and res.truncated
-
     def test_guards(self):
         with pytest.raises(GuardError):
             enumerate_rkdfs(cycle(11), 1)
         with pytest.raises(GuardError):
             enumerate_rkdfs(empty(21), 25)
+        # k > Delta has no larger guard of its own
+        with pytest.raises(GuardError):
+            enumerate_rkdfs(empty(11), 1)
 
 
 class TestGammaKrOracle:
