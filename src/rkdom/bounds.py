@@ -86,22 +86,18 @@ class SolvedValues:
     d_rk_family: Family | None = None
 
 
-def solve_all(g: Graph, k: int, max_n: int | None = None,
-              max_k: int | None = None) -> SolvedValues:
+def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     """Run all four exact solvers on one (graph, k) pair.
 
-    max_n/max_k raise or lower every solver guard at once (the CLI's
-    MAX_N knob); defaults keep each solver's own limit.
+    max_n raises or lowers every solver's n guard at once (the CLI's
+    MAX_N knob); None keeps each solver's own limit.
     """
-    kw_n = {} if max_n is None else {"max_n": max_n}
-    kw_nk = dict(kw_n)
-    if max_k is not None:
-        kw_nk["max_k"] = max_k
-    drk = d_rk_exact(g, k, **kw_nk)
+    kw = {} if max_n is None else {"max_n": max_n}
+    drk = d_rk_exact(g, k, **kw)
     return SolvedValues(
-        gamma_k=gamma_k_exact(g, k, **kw_n).value,
-        gamma_kr=gamma_kr_exact(g, k, **kw_n).value,
-        d_k=d_k_exact(g, k, **kw_n).value,
+        gamma_k=gamma_k_exact(g, k, **kw).value,
+        gamma_kr=gamma_kr_exact(g, k, **kw).value,
+        d_k=d_k_exact(g, k, **kw).value,
         d_rk=drk.value,
         d_rk_family=drk.witness,
     )
@@ -146,9 +142,7 @@ def _rec(theorem_id: str, applicable: bool, lhs: int, rhs: int,
                        lhs == rhs, notes)
 
 
-def check_graph(g: Graph, k: int, vals: SolvedValues,
-                witness_max_n: int = DEFAULT_WITNESS_LIMIT,
-                ) -> list[BoundRecord]:
+def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
     """Evaluate every per-graph bound for one solved (graph, k) pair.
 
     Returns records sorted by theorem_id; complement-sum bounds live in
@@ -258,8 +252,8 @@ def check_graph(g: Graph, k: int, vals: SolvedValues,
         records.append(_rec("Kpq", True, drk, bound,
                             notes="cases: " + ", ".join(c for c, _ in cases)))
 
-    if n <= witness_max_n:
-        witness = surplus_bipartite_witness(g, k, max_n=witness_max_n)
+    if n <= DEFAULT_WITNESS_LIMIT:
+        witness = surplus_bipartite_witness(g, k)
         records.append(_rec("V1", True, int(gkr < n), int(witness is not None),
                             relation="==",
                             notes="biconditional as 0/1 indicators"))
@@ -270,18 +264,16 @@ def check_graph(g: Graph, k: int, vals: SolvedValues,
                                   "surplus witness" if th2_app
                             else "hypotheses gamma_kr = n, d_rk = 2k not met"))
     else:
-        records.append(BoundRecord("V1", False, 0, 0, True, True,
-                                   f"witness search guard is n <= {witness_max_n}"))
-        records.append(BoundRecord("Th2", False, 0, 0, True, True,
-                                   f"witness search guard is n <= {witness_max_n}"))
+        guard = f"witness search guard is n <= {DEFAULT_WITNESS_LIMIT}"
+        records.append(BoundRecord("V1", False, 0, 0, True, True, guard))
+        records.append(BoundRecord("Th2", False, 0, 0, True, True, guard))
 
     return sorted(records, key=lambda r: r.theorem_id)
 
 
 def check_nordhaus_gaddum(g: Graph, k: int,
                           vals: SolvedValues,
-                          max_n: int | None = None,
-                          max_k: int | None = None) -> list[BoundRecord]:
+                          max_n: int | None = None) -> list[BoundRecord]:
     """Complement-sum bounds for one solved (graph, k) pair.
 
     d_rk of the graph comes from vals; d_rk is solved only on the
@@ -290,8 +282,6 @@ def check_nordhaus_gaddum(g: Graph, k: int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kw = {} if max_n is None else {"max_n": max_n}
-    if max_k is not None:
-        kw["max_k"] = max_k
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
     drk_co = d_rk_exact(complement(g), k, **kw).value

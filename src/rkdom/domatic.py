@@ -8,11 +8,12 @@ largest number of blocks in a partition of V into k-dominating sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
-from .graphs import Graph, GuardError, complete_bipartite_parts
+from .graphs import Graph, GuardError
 from .roman import (Labeling, SolveResult, Violation, enumerate_rkdfs,
-                    gamma_kr_exact, is_k_dominating, labeling_from_string,
+                    is_k_dominating, labeling_from_string,
                     labeling_to_string, validate_rkdf)
 
 DEFAULT_DRK_N_LIMIT = 8
@@ -121,18 +122,20 @@ def _high_mask(n: int) -> int:
 
 
 def d_rk_oracle(g: Graph, k: int,
-                max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT,
-                max_k: int = DEFAULT_DRK_ORACLE_K_LIMIT) -> int:
+                max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT) -> int:
     """Maximum family size by exhaustive subset search.
 
-    Enumerates every valid RkDF, then walks all subsets depth-first in
-    lexicographic order with per-vertex residual capacity 2k as the only
-    pruning.  Independent check for d_rk_exact.
+    Filters all 3^n labelings through validate_rkdf (lexicographic order),
+    then walks all subsets depth-first in that order with per-vertex
+    residual capacity 2k as the only pruning.  Independent check for
+    d_rk_exact: it shares no enumeration with the solver.
     """
-    if g.n > max_n or k > max_k:
-        raise GuardError(f"d_rk oracle guards are n <= {max_n}, k <= {max_k}; "
+    if g.n > max_n or k > DEFAULT_DRK_ORACLE_K_LIMIT:
+        raise GuardError(f"d_rk oracle guards are n <= {max_n}, "
+                         f"k <= {DEFAULT_DRK_ORACLE_K_LIMIT}; "
                          f"got n={g.n}, k={k}")
-    pool = [_pack(f) for f in enumerate_rkdfs(g, k).labelings]
+    pool = [_pack(f) for f in product((0, 1, 2), repeat=g.n)
+            if not validate_rkdf(g, k, f)]
     high = _high_mask(g.n)
     npool = len(pool)
     best = 0
@@ -151,72 +154,47 @@ def d_rk_oracle(g: Graph, k: int,
     return best
 
 
-def _seed_value(g: Graph, k: int) -> int:
-    """Largest family size guaranteed by the explicit constructions.
-
-    Sound lower bound used to start the branch-and-bound; every case below
-    corresponds to a family the constructions module can materialize.
-    """
-    n = g.n
-    best = 1  # any single RkDF, e.g. the all-1 labeling
-    if k >= 2:
-        best = max(best, 2)                     # the two constant labelings
-        if n >= 2:
-            best = max(best, 3)                 # one distinguished vertex
-        if n >= 2 * k - 2:
-            best = max(best, 2 * k - 1)         # near-order family
-    if k >= 2 ** n:
-        best = max(best, 2 ** n)                # all of {1,2}^n
-    if g.is_complete() and n >= 2 * k:
-        best = max(best, n)                     # cyclic blocks of k twos
-    parts = complete_bipartite_parts(g)
-    if parts is not None:
-        p, q = parts
-        if p == q and p % k == 0 and p // k >= 3:
-            best = max(best, p)                 # paired cyclic blocks
-    return best
-
-
 def d_rk_exact(g: Graph, k: int,
-               max_n: int = DEFAULT_DRK_N_LIMIT,
-               max_k: int = DEFAULT_DRK_K_LIMIT) -> SolveResult:
+               max_n: int = DEFAULT_DRK_N_LIMIT) -> SolveResult:
     """Exact Roman (k,k)-domatic number with an optimal Family witness.
 
     The candidates are the valid RkDFs in (weight, values) order; the
     search branches on inclusion with per-vertex residual capacities.
-    They are generated lazily, one weight level at a time from gamma_kR
-    (no RkDF is lighter) up to 2n, and a level is built only when a node
-    runs past the end of the list and the remaining-capacity/weight
-    quotient at that level's weight could still beat the incumbent, so
-    heavy levels that no family can use are never enumerated.  Depth is
-    cut by the proven upper bounds min-degree+2k, max(Delta,k-1)+k and
-    2kn/gamma_kR, by construction-seeded lower bounds, and by the
-    quotient.  The witness is the first optimal family in the
+    They are generated lazily, one weight level at a time.  The first
+    non-empty level gives gamma_kR (no RkDF is lighter) and the first
+    candidates; a heavier level, up to 2n, is built only when a node runs
+    past the end of the list and the remaining-capacity/weight quotient at
+    that level's weight could still beat the incumbent, so heavy levels
+    that no family can use are never enumerated.  Depth is cut by the
+    proven upper bounds min-degree+2k, max(Delta,k-1)+k and 2kn/gamma_kR,
+    and by the quotient.  The witness is the first optimal family in the
     include-first search order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n
-    if n > max_n or k > max_k:
-        raise GuardError(f"d_rk solver guards are n <= {max_n}, k <= {max_k}; "
-                         f"got n={n}, k={k}")
+    if n > max_n or k > DEFAULT_DRK_K_LIMIT:
+        raise GuardError(f"d_rk solver guards are n <= {max_n}, "
+                         f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
-    gkr = gamma_kr_exact(g, k, max_n=max(max_n, 16)).value
+    # No RkDF weighs less than min(n, 2k): one that labels a vertex 0
+    # gives k of its neighbours a 2, and one without zeros weighs at least
+    # n.  The all-1 labeling ends the loop at weight n at the latest.
+    enum_n = max(max_n, 10)
+    gkr = min(n, 2 * k) - 1
+    cands: list[Labeling] = []
+    while not cands:
+        gkr += 1
+        cands = enumerate_rkdfs(g, k, max_n=enum_n, weight=gkr).labelings
     delta, Delta = g.min_degree(), g.max_degree()
     ub = min(delta + 2 * k,
              max(Delta, k - 1) + k,
              (2 * k * n) // gkr)
 
-    seed = _seed_value(g, k)
-    if seed > ub:
-        raise RuntimeError(f"construction seed {seed} exceeds the proven "
-                           f"upper bound {ub} on d_rk")
-
     high = _high_mask(n)
-    cands: list[Labeling] = []
-    packed: list[int] = []
-    weights: list[int] = []
-    next_w = gkr
+    packed = [_pack(f) for f in cands]
+    weights = [gkr] * len(cands)
+    next_w = gkr + 1
 
     def grow(count: int, captotal: int) -> bool:
         """Append weight levels until the list gets longer; False once the
@@ -226,7 +204,7 @@ def d_rk_exact(g: Graph, k: int,
         while len(cands) == end:
             if next_w > 2 * n or count + captotal // next_w <= best:
                 return False
-            level = enumerate_rkdfs(g, k, max_n=max(max_n, 10),
+            level = enumerate_rkdfs(g, k, max_n=enum_n,
                                     weight=next_w).labelings
             cands.extend(level)
             packed.extend(_pack(f) for f in level)
@@ -234,12 +212,12 @@ def d_rk_exact(g: Graph, k: int,
             next_w += 1
         return True
 
-    # One search from just below the seed: each strict improvement records
-    # its family, so the last one recorded is the first optimal family in
-    # search order.  Branches that cannot beat the incumbent are cut;
-    # reaching the upper bound ends the search.
+    # One search: each strict improvement records its family, so the last
+    # one recorded is the first optimal family in search order.  Branches
+    # that cannot beat the incumbent are cut; reaching the upper bound
+    # ends the search.
     nodes = 0
-    best = seed - 1
+    best = 0
     chosen: list[int] = []
     found: tuple[Labeling, ...] | None = None
 

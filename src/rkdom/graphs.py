@@ -80,10 +80,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        row = self.adj[v]
-        return [u for u in range(self.n) if row >> u & 1]
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

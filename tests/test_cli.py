@@ -220,6 +220,25 @@ class TestVerify:
         assert lines[0].startswith("name,graph6,n,delta,Delta,regular,k,")
         assert len(lines) > 10
 
+    def test_one_gamma_kr_search_per_nordhaus_gaddum_op(self, monkeypatch):
+        # solve_all solves gamma_kR; d_rk_exact on the graph and on its
+        # complement reads it off the RkDF weight levels instead
+        import rkdom.cli as cli
+        import rkdom.roman as roman
+        from conftest import complete, cycle, gnp
+        inner = roman._roman_bb
+        alphabets = []
+
+        def counting(g, k, alphabet, best):
+            alphabets.append(alphabet)
+            return inner(g, k, alphabet, best)
+
+        monkeypatch.setattr(roman, "_roman_bb", counting)
+        for g, k in ((complete(3), 1), (cycle(5), 2), (gnp(7, 0.5, 3), 3)):
+            alphabets.clear()
+            cli._verify_records(g, k, None, True)
+            assert alphabets.count((0, 1, 2)) == 1, (g.label, k)
+
     def test_verify_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "--graph", "-", "--k", "2", "--nordhaus-gaddum"]
         code1, out1, _ = run(capsys, argv, stdin=K3, monkeypatch=monkeypatch)

@@ -66,6 +66,15 @@ class TestDrkOracle:
         with pytest.raises(GuardError):
             d_rk_oracle(empty(2), 4)
 
+    def test_independent_of_the_solver_enumerator(self, monkeypatch):
+        import rkdom.domatic
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle must not use enumerate_rkdfs")
+
+        monkeypatch.setattr(rkdom.domatic, "enumerate_rkdfs", broken)
+        assert d_rk_oracle(complete(3), 1) == 3
+
 
 class TestDrkExact:
     @pytest.mark.parametrize("g,k,expect", [
@@ -180,13 +189,13 @@ class TestDrkPinned:
     (value pass, then a witness pass), with its node counts as ceilings."""
 
     @pytest.mark.parametrize("g,k,members,nodes_before", [
-        # construction seed = upper bound: the search stops at once
+        # value = upper bound: the search stops when it reaches it
         (complete(5), 1, ("00002", "00020", "00200", "02000", "20000"), 6),
-        # seed < value = upper bound
+        # value = upper bound
         (cycle(6), 1, ("002002", "020020", "200200"), 8),
-        # seed < value < upper bound
+        # value < upper bound: the cuts close the search
         (bipartite(2, 3), 1, ("12000", "00112"), 7),
-        # seed = value < upper bound
+        # value < upper bound
         (cycle(5), 2, ("11111", "02022", "11211"), 6),
         (gnp(7, 0.5, 8), 2, ("1002012", "1220010", "1000222", "1022200"), 10),
         (gnp(8, 0.6, 5), 1, ("00021000", "02000010", "00101201"), 169),
@@ -232,13 +241,6 @@ class TestDrkPinned:
             assert res.value == len(fam)
             assert tuple(family_to_lines(res.witness).split()) == fam
             assert res.nodes_explored <= ceiling
-
-    def test_seed_above_upper_bound_raises(self, monkeypatch):
-        import rkdom.domatic
-        # C_5 at k=1: min(delta + 2k, Delta + k, 2kn // gamma_kR) = 2
-        monkeypatch.setattr(rkdom.domatic, "_seed_value", lambda g, k: 3)
-        with pytest.raises(RuntimeError, match="seed 3 .* bound 2"):
-            d_rk_exact(cycle(5), 1)
 
 
 class TestDkExact:

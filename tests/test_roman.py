@@ -119,6 +119,21 @@ class TestEnumerate:
                 for w in (-1, 2 * g.n + 1):
                     assert enumerate_rkdfs(g, k, weight=w).labelings == []
 
+    def test_lightest_level_is_gamma_kr(self):
+        # d_rk_exact builds levels from min(n, 2k) up and takes the first
+        # non-empty one as gamma_kR; k 1-3 puts n on both sides of 2k
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [gnp(n, p, seed) for n in (6, 7, 8) for p in (0.3, 0.6)
+                   for seed in (1, 2)]
+        for g in graphs:
+            for k in (1, 2, 3):
+                start = min(g.n, 2 * k)
+                for w in range(start):
+                    assert enumerate_rkdfs(g, k, weight=w).labelings == []
+                lightest = next(w for w in range(start, 2 * g.n + 1)
+                                if enumerate_rkdfs(g, k, weight=w).labelings)
+                assert lightest == gamma_kr_exact(g, k).value, (g.label, k)
+
     def test_guards(self):
         with pytest.raises(GuardError):
             enumerate_rkdfs(cycle(11), 1)
