@@ -15,8 +15,7 @@ from .constructions import (ConstructionError, closed_form_d_rk,
                             family_kdelta_sharpness, family_near_order,
                             family_nontrivial)
 from .domatic import (Family, VertexPartition, d_k_exact, d_rk_exact,
-                      d_rk_oracle, family_from_lines, family_to_lines,
-                      validate_family, validate_partition)
+                      d_rk_oracle, validate_family, validate_partition)
 from .graphs import (FamilySpec, Graph, GuardError, ParseError, complement,
                      complete_bipartite_parts, encode_graph6,
                      generate, parse_edge_list, parse_graph6)
@@ -36,9 +35,8 @@ __all__ = [
     "complete_bipartite_parts", "d_k_exact", "d_rk_exact", "d_rk_oracle",
     "encode_graph6", "enumerate_rkdfs",
     "family_balanced_bipartite", "family_complete",
-    "family_from_balanced_subgraphs", "family_from_lines",
-    "family_kdelta_sharpness", "family_near_order", "family_nontrivial",
-    "family_to_lines", "gamma_k_exact",
+    "family_from_balanced_subgraphs", "family_kdelta_sharpness",
+    "family_near_order", "family_nontrivial", "gamma_k_exact",
     "gamma_kr_exact", "gamma_kr_oracle", "generate", "is_k_dominating",
     "labeling_from_string", "labeling_to_string", "parse_edge_list",
     "parse_graph6", "report_csv_rows", "report_dict", "solve_all",

@@ -19,37 +19,6 @@ from .roman import gamma_k_exact, gamma_kr_exact, weight
 
 DEFAULT_WITNESS_LIMIT = 10
 
-THEOREM_DESCRIPTIONS = {
-    "1d=n": "k=1 biconditional: d_rk equals n iff the graph is complete",
-    "Delta": "gamma_kr >= ceil(2nk/(Delta+k)) when Delta >= k",
-    "Delta1": "d_rk <= max(Delta, k-1) + k",
-    "Kpq": "complete bipartite ceiling on d_rk (three cases by p vs k)",
-    "SV": "k=1 biconditional: d_rk equals 1 iff the graph is empty",
-    "Th2": "gamma_kr = n and d_rk = 2k force no surplus bipartite witness",
-    "V0": "gamma_kr = n when n <= 2k, else gamma_kr >= 2k",
-    "V1": "biconditional: gamma_kr < n iff a surplus bipartite witness exists",
-    "c1": "gamma_kr + d_rk <= n + 2k",
-    "c1-eq": "sum equality iff (gamma_kr,d_rk) is (n,2k) or (2k,n)",
-    "cor1-lo": "d_k <= d_rk",
-    "cor1-hi": "d_rk * min(n, gamma_k + k) <= 2kn (cross-multiplied)",
-    "eq1-lo": "gamma_k <= gamma_kr",
-    "eq1-hi": "gamma_kr <= 2 * gamma_k",
-    "eq23": "d_rk >= 1 always; d_rk >= 2 once k >= 2",
-    "gammast": "gamma_kr * d_rk <= 2kn",
-    "gammast-eq": "at product equality every optimal member has weight "
-                  "gamma_kr and every vertex sums to exactly 2k",
-    "kdelta": "d_rk <= min_degree + 2k",
-    "mapping": "d_rk = 2^n once k >= 2^n",
-    "obs": "d_rk <= 2k-1 when k >= Delta+1",
-    "obs2": "d_rk >= 2k-1 when k >= 2 and n >= 2k-2",
-    "obs2-cor": "d_rk = 2k-1 when k >= 2, n >= 2k-2 and k >= Delta+1",
-    "knord": "d_rk(G) + d_rk(complement) <= n + 4k - 2",
-    "knord-eq": "complement-sum equality requires Delta - delta = 1",
-    "knord-k1": "k=1 complement sum <= n + 2",
-    "regnord": "regular-graph complement-sum ceiling (four-case maximum)",
-    "final-cor": "regular, k >= 2, n >= 2: complement sum <= n + 4k - 4",
-}
-
 
 @dataclass(frozen=True)
 class BoundRecord:

@@ -78,7 +78,10 @@ def _read_graph(args) -> Graph:
         text = sys.stdin.read()
     else:
         with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"byte {exc.start}: not ASCII") from None
     limit = _max_n(args) or MAX_VERTICES
     if args.format == "edgelist":
         return parse_edge_list(text, max_n=limit)
@@ -188,8 +191,7 @@ def _cmd_construct(args) -> int:
     if name == "complete":
         if args.n is None:
             raise _UsageError("construct complete needs --n")
-        fam = family_complete(args.n, k)
-        g = generate(FamilySpec("complete", n=args.n))
+        g, fam = family_complete(args.n, k)
     elif name == "balanced-bipartite":
         if args.t is None:
             raise _UsageError("construct balanced-bipartite needs --t")
@@ -268,6 +270,10 @@ def _sweep_instances(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.k_max < 1:
+        raise _UsageError("k-max must be >= 1")
+    if args.count < 0:
+        raise _UsageError("count must be >= 0")
     max_n = _max_n(args)
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):

@@ -72,24 +72,26 @@ def closed_form_d_rk(spec: FamilySpec, k: int) -> int | None:
 # Families
 # ---------------------------------------------------------------------------
 
-def family_complete(n: int, k: int) -> Family:
-    """The n rotations of k consecutive 2s (indices mod n) on K_n.
+def family_complete(n: int, k: int) -> tuple[Graph, Family]:
+    """K_n together with the n rotations of k consecutive 2s (indices mod n).
 
     Requires n >= 2k; every vertex then sums to exactly 2k across the
-    family, so the product bound gamma_kR * d_R^k = 2kn is attained.
+    family, so the product bound gamma_kR * d_R^k = 2kn is attained.  The
+    graph is built first, so its order guard fires before any member is.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 2 * k:
         raise ConstructionError(f"cyclic complete-graph family needs n >= 2k, "
                                 f"got n={n}, k={k}")
+    g = generate(FamilySpec("complete", n=n))
     members = []
     for i in range(n):
         vals = [0] * n
         for t in range(k):
             vals[(i + t) % n] = 2
         members.append(tuple(vals))
-    return Family(tuple(members), k)
+    return g, tuple(members)
 
 
 def family_balanced_bipartite(t: int, k: int) -> tuple[Graph, Family]:
@@ -113,7 +115,7 @@ def family_balanced_bipartite(t: int, k: int) -> tuple[Graph, Family]:
             vals[j] = 2
             vals[p + j] = 2
         members.append(tuple(vals))
-    return g, Family(tuple(members), k)
+    return g, tuple(members)
 
 
 def family_near_order(g: Graph, k: int) -> Family:
@@ -135,7 +137,7 @@ def family_near_order(g: Graph, k: int) -> Family:
         vals[j] = 2
         members.append(tuple(vals))
     members.append((1,) * g.n)
-    return Family(tuple(members), k)
+    return tuple(members)
 
 
 def family_nontrivial(g: Graph, k: int) -> Family:
@@ -151,7 +153,7 @@ def family_nontrivial(g: Graph, k: int) -> Family:
     f = tuple(1 if v == 0 else 2 for v in range(g.n))
     h = tuple(2 if v == 0 else 1 for v in range(g.n))
     ones = (1,) * g.n
-    return Family((f, h, ones), k)
+    return f, h, ones
 
 
 def family_kdelta_sharpness(k: int,
@@ -196,7 +198,7 @@ def family_kdelta_sharpness(k: int,
                 assert idx <= m, "block index escapes the clique copy"
                 vals[(i - 1) * m + (idx - 1)] = 2
         members.append(tuple(vals))
-    return g, Family(tuple(members), k)
+    return g, tuple(members)
 
 
 def family_from_balanced_subgraphs(
@@ -260,4 +262,4 @@ def family_from_balanced_subgraphs(
     labels = set(members)
     if len(labels) != len(members):
         raise ConstructionError("subgraphs induce duplicate functions")
-    return Family(tuple(members), k)
+    return tuple(members)

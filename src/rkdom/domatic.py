@@ -1,20 +1,18 @@
 """Roman (k,k)-dominating families and exact domatic numbers.
 
-A family is an ordered set of pairwise-distinct RkDFs whose labels sum to
-at most 2k at every vertex; d_R^k is the largest family size.  d_k is the
+A family is a tuple of pairwise-distinct RkDFs whose labels sum to at
+most 2k at every vertex; d_R^k is the largest family size.  d_k is the
 largest number of blocks in a partition of V into k-dominating sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 from .graphs import Graph, GuardError
 from .roman import (Labeling, SolveResult, Violation, enumerate_rkdfs,
-                    is_k_dominating, labeling_from_string,
-                    labeling_to_string, validate_rkdf)
+                    is_k_dominating, validate_rkdf)
 
 DEFAULT_DRK_N_LIMIT = 8
 DEFAULT_DRK_K_LIMIT = 4
@@ -23,52 +21,17 @@ DEFAULT_DRK_ORACLE_K_LIMIT = 3
 DEFAULT_DK_LIMIT = 10
 
 VertexPartition = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Family:
-    """Ordered family of labelings targeting parameter k."""
-
-    members: tuple[Labeling, ...]
-    k: int
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _members_of(fam: Family | Sequence[Labeling]) -> tuple[Labeling, ...]:
-    if isinstance(fam, Family):
-        return fam.members
-    return tuple(tuple(f) for f in fam)
-
-
-def family_to_lines(fam: Family | Sequence[Labeling]) -> str:
-    """Serialize a family as one digit-string line per member."""
-    return "\n".join(labeling_to_string(f) for f in _members_of(fam)) + "\n"
-
-
-def family_from_lines(text: str, k: int) -> Family:
-    """Parse the one-labeling-per-line serialization back into a Family."""
-    members = tuple(labeling_from_string(line.strip())
-                    for line in text.splitlines() if line.strip())
-    if not members:
-        raise ValueError("no labelings found")
-    if len({len(f) for f in members}) != 1:
-        raise ValueError("labelings have mixed lengths")
-    return Family(members, k)
+Family = tuple[Labeling, ...]
 
 
 def validate_family(g: Graph, k: int,
-                    fam: Family | Sequence[Labeling]) -> list[Violation]:
+                    fam: Sequence[Labeling]) -> list[Violation]:
     """Check the three family invariants; empty result means valid.
 
     Member-level structural or RkDF failures are reported with the member
     index.  Structural failures abort the duplicate and capacity checks.
     """
-    members = _members_of(fam)
+    members = tuple(tuple(f) for f in fam)
     violations: list[Violation] = []
     structural = False
     for i, f in enumerate(members):
@@ -156,7 +119,7 @@ def d_rk_oracle(g: Graph, k: int,
 
 def d_rk_exact(g: Graph, k: int,
                max_n: int = DEFAULT_DRK_N_LIMIT) -> SolveResult:
-    """Exact Roman (k,k)-domatic number with an optimal Family witness.
+    """Exact Roman (k,k)-domatic number with an optimal family witness.
 
     The candidates are the valid RkDFs in (weight, values) order; the
     search branches on inclusion with per-vertex residual capacities.
@@ -219,7 +182,7 @@ def d_rk_exact(g: Graph, k: int,
     nodes = 0
     best = 0
     chosen: list[int] = []
-    found: tuple[Labeling, ...] | None = None
+    found: Family | None = None
 
     def search(idx: int, rescap: int, count: int, captotal: int) -> bool:
         nonlocal best, nodes, found
@@ -246,7 +209,7 @@ def d_rk_exact(g: Graph, k: int,
 
     search(0, _pack([2 * k] * n), 0, 2 * k * n)
     assert found is not None
-    return SolveResult("d_rk", best, Family(found, k), nodes)
+    return SolveResult("d_rk", best, found, nodes)
 
 
 # ---------------------------------------------------------------------------

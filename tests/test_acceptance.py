@@ -96,7 +96,7 @@ def test_criterion_2_construction_validity():
     for k in (1, 2, 3, 4):
         for n in range(2 * k, 11):
             check(f"complete(n={n},k={k})", complete(n), k,
-                  family_complete(n, k))
+                  family_complete(n, k)[1])
     for t in (3, 4, 5):
         for k in (1, 2, 3):
             g, fam = family_balanced_bipartite(t, k)
@@ -218,7 +218,7 @@ def test_criterion_5_determinism(capsys):
         if (a.gamma_k, a.gamma_kr, a.d_k, a.d_rk) != \
            (b.gamma_k, b.gamma_kr, b.d_k, b.d_rk):
             failures.append(f"values differ between runs on {g.label} k={k}")
-        if a.d_rk_family.members != b.d_rk_family.members:
+        if a.d_rk_family != b.d_rk_family:
             failures.append(f"witness differs between runs on {g.label} k={k}")
 
     with capsys.disabled():

@@ -99,6 +99,13 @@ class TestCompute:
                            stdin="A_?\n", monkeypatch=monkeypatch)
         assert code == 4 and "trailing garbage" in err
 
+    def test_non_ascii_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"B\xffw\n")
+        code, out, err = run(capsys, ["compute", "--graph", str(path),
+                                      "--k", "1", "--quantity", "gamma-kr"])
+        assert code == 4 and out == "" and "byte 1" in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(capsys, ["compute", "--graph", "/no/such/file",
                                   "--k", "1", "--quantity", "gamma-kr"])
@@ -276,6 +283,17 @@ class TestSweep:
         ids = {r["theorem_id"] for r in first["records"]}
         assert "knord" in ids and "regnord" in ids
 
+
+    def test_k_max_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n-max", "5", "--k-max", "0",
+                                      "--count", "3", "--seed", "1"])
+        assert code == 2 and out == "" and "k-max" in err
+
+    def test_negative_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
+                                      "--count", "-1", "--seed", "1",
+                                      "--exhaustive-upto", "1"])
+        assert code == 2 and out == "" and "count" in err
 
 class TestArgumentValidation:
     def test_k_zero_is_usage_error(self, capsys, monkeypatch):

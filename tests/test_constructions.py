@@ -103,20 +103,24 @@ class TestClosedFormDrk:
 
 class TestFamilyComplete:
     def test_frozen_small_families(self):
-        assert family_complete(3, 1).members == (
+        assert family_complete(3, 1)[1] == (
             (2, 0, 0), (0, 2, 0), (0, 0, 2))
-        assert family_complete(4, 2).members == (
+        assert family_complete(4, 2)[1] == (
             (2, 2, 0, 0), (0, 2, 2, 0), (0, 0, 2, 2), (2, 0, 0, 2))
-        assert family_complete(2, 1).members == ((2, 0), (0, 2))
+        assert family_complete(2, 1)[1] == ((2, 0), (0, 2))
 
     def test_refusal_below_2k(self):
         with pytest.raises(ConstructionError):
             family_complete(3, 2)
 
+    def test_order_guard_before_members(self):
+        with pytest.raises(GuardError):
+            family_complete(65, 1)
+
     def test_grid_validates_with_full_capacity(self):
         for k in (1, 2, 3, 4):
             for n in range(2 * k, 11):
-                fam = family_complete(n, k)
+                fam = family_complete(n, k)[1]
                 g = complete(n)
                 assert len(fam) == n
                 assert validate_family(g, k, fam) == []
@@ -152,7 +156,7 @@ class TestFamilyBalancedBipartite:
 class TestFamilyNearOrder:
     def test_k2_on_k2(self):
         fam = family_near_order(complete(2), 2)
-        assert fam.members == ((2, 1), (1, 2), (1, 1))
+        assert fam == ((2, 1), (1, 2), (1, 1))
         assert [sum(f[v] for f in fam) for v in range(2)] == [4, 4]
 
     def test_c4_k2(self):
@@ -191,9 +195,9 @@ class TestFamilyNearOrder:
 
 class TestFamilyNontrivial:
     def test_examples(self):
-        assert family_nontrivial(complete(2), 2).members == (
+        assert family_nontrivial(complete(2), 2) == (
             (1, 2), (2, 1), (1, 1))
-        assert family_nontrivial(path(3), 2).members == (
+        assert family_nontrivial(path(3), 2) == (
             (1, 2, 2), (2, 1, 1), (1, 1, 1))
         fam = family_nontrivial(complete(2), 3)
         assert [sum(f[v] for f in fam) for v in range(2)] == [4, 4]
@@ -249,7 +253,7 @@ class TestFamilyFromBalancedSubgraphs:
     def test_k2_pair(self):
         fam = family_from_balanced_subgraphs(
             complete(2), 1, [([0], [1]), ([1], [0])])
-        assert fam.members == ((0, 2), (2, 0))
+        assert fam == ((0, 2), (2, 0))
 
     def test_c4_pair(self):
         g = cycle(4)
@@ -263,7 +267,7 @@ class TestFamilyFromBalancedSubgraphs:
         fam = family_from_balanced_subgraphs(
             g, 2, [([0, 1], [2, 3]), ([2, 3], [4, 5]), ([4, 5], [0, 1])])
         assert len(fam) == 4
-        assert fam.members[-1] == (1,) * 6
+        assert fam[-1] == (1,) * 6
         assert validate_family(g, 2, fam) == []
         assert all(sum(f[v] for f in fam) == 4 for v in range(6))
 

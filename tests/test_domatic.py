@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
-from rkdom import (Family, GuardError, complement, d_k_exact, d_rk_exact,
-                   d_rk_oracle, family_to_lines, gamma_kr_exact,
+from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
+                   d_rk_oracle, gamma_kr_exact, labeling_to_string,
                    validate_family, validate_partition, weight)
 
 
@@ -46,7 +46,7 @@ class TestValidateFamily:
         assert all(v.kind == "length-mismatch" for v in vs)
 
     def test_accepts_family_objects(self):
-        fam = Family(((2, 0), (0, 2)), 1)
+        fam = ((2, 0), (0, 2))
         assert validate_family(complete(2), 1, fam) == []
 
 
@@ -95,7 +95,7 @@ class TestDrkExact:
             for k in (1, 2):
                 res = d_rk_exact(g, k)
                 fam = res.witness
-                assert isinstance(fam, Family)
+                assert isinstance(fam, tuple)
                 assert len(fam) == res.value
                 assert validate_family(g, k, fam) == []
 
@@ -181,7 +181,7 @@ class TestDrkExact:
                 value, members = reference(g, k)
                 res = d_rk_exact(g, k)
                 assert res.value == value, (g.label, k)
-                assert res.witness.members == members, (g.label, k)
+                assert res.witness == members, (g.label, k)
 
 
 class TestDrkPinned:
@@ -205,7 +205,7 @@ class TestDrkPinned:
     def test_witness_and_node_ceiling(self, g, k, members, nodes_before):
         res = d_rk_exact(g, k)
         assert res.value == len(members)
-        assert tuple(family_to_lines(res.witness).split()) == members
+        assert tuple(map(labeling_to_string, res.witness)) == members
         assert res.nodes_explored <= nodes_before
 
     # Recorded from the search over the fully enumerated, sorted pool,
@@ -239,7 +239,7 @@ class TestDrkPinned:
                                 (complement(g), co_members, co_nodes)):
             res = d_rk_exact(h, k)
             assert res.value == len(fam)
-            assert tuple(family_to_lines(res.witness).split()) == fam
+            assert tuple(map(labeling_to_string, res.witness)) == fam
             assert res.nodes_explored <= ceiling
 
 
@@ -328,18 +328,3 @@ class TestPartitionValidator:
         assert [v.kind for v in vs] == ["vertex-uncovered"]
         assert validate_partition(g, 1, [(0, 1), (2,)]) == []
 
-
-class TestFamilySerialization:
-    def test_roundtrip(self):
-        from rkdom import family_from_lines, family_to_lines
-        fam = Family(((2, 0, 0), (0, 2, 0), (0, 0, 2)), 1)
-        text = family_to_lines(fam)
-        assert text == "200\n020\n002\n"
-        assert family_from_lines(text, 1) == fam
-
-    def test_rejects_bad_input(self):
-        from rkdom import family_from_lines
-        with pytest.raises(ValueError):
-            family_from_lines("", 1)
-        with pytest.raises(ValueError):
-            family_from_lines("20\n020\n", 1)
