@@ -209,6 +209,10 @@ def _cmd_construct(args) -> int:
         if args.subgraphs is None:
             raise _UsageError("construct from-subgraphs needs --subgraphs")
         fam = family_from_balanced_subgraphs(g, k, _parse_subgraphs(args.subgraphs))
+    # the built families carry the fixed guard 64; hold them to MAX_N too
+    limit = _max_n(args)
+    if limit is not None and g.n > limit:
+        raise GuardError(f"{g.label} has {g.n} vertices, guard is {limit}")
 
     problems = validate_family(g, k, fam)
     if problems:

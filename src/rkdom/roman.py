@@ -120,7 +120,9 @@ def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
     With weight set, only the RkDFs of exactly that weight are listed,
     still in lexicographic order.  The recursion carries v2 (vertices
     labeled 2) and zeros (vertices labeled 0): a zero stays feasible while
-    its neighbours in v2 or still unassigned number at least k.
+    its neighbours in v2 or still unassigned number at least k.  Vertices
+    are labelled in index order, so the unassigned vertices at position
+    pos are the vertices after it, later[pos].
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -130,15 +132,16 @@ def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
     # bounds on the labeling weight; the defaults admit every labeling
     lo, hi = (0, 2 * n) if weight is None else (weight, weight)
     adj = g.adj
+    later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in range(n)]
     values = [0] * n
     out: list[Labeling] = []
 
-    def rec(pos: int, unassigned: int, wt: int, v2: int, zeros: int) -> None:
+    def rec(pos: int, wt: int, v2: int, zeros: int) -> None:
         if pos == n:
             out.append(tuple(values))
             return
         bit = 1 << pos
-        rest = unassigned ^ bit
+        rest = later[pos]
         row = adj[pos]
         cover = v2 | rest     # possible 2-neighbours unless pos gets a 2
         # a label 0 or 1 at pos takes one possible 2-neighbour from each
@@ -159,11 +162,11 @@ def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
                 continue
             values[pos] = val
             if val == 2:
-                rec(pos + 1, rest, wt + 2, v2 | bit, zeros)
+                rec(pos + 1, wt + 2, v2 | bit, zeros)
             elif ok and (val or (row & cover).bit_count() >= k):
-                rec(pos + 1, rest, wt + val, v2, zeros if val else zeros | bit)
+                rec(pos + 1, wt + val, v2, zeros if val else zeros | bit)
 
-    rec(0, (1 << n) - 1, 0, 0, 0)
+    rec(0, 0, 0, 0)
     return EnumerationResult(out)
 
 
@@ -218,7 +221,9 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     Returns (weight, first optimal labeling in search order, nodes).  The
     search assigns vertices in index order and tries the labels in the
     order given, so the witness is the least optimal labeling in that
-    order.  Some labeling of weight below best must exist.
+    order.  At position pos the unassigned vertices are the ones after
+    it: their mask later[pos] and their rows tails[pos] are built once per
+    position.  Some labeling of weight below best must exist.
 
     The recursion carries the deficiency state and restores it on
     backtrack: v2mask (vertices labeled 2), dmask (assigned zeros with
@@ -226,15 +231,21 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     per vertex need[v] plus a count of dmask vertices at each need level.
     Every dmask vertex keeps at least need[v] unassigned neighbours.  A
     label 2 lowers the need of its dmask neighbours and their unassigned
-    count alike, so only labels 0 and 1 recheck them.  A child is cut when
-    a deficient vertex can no longer be covered, or when its weight plus
-    2 * max(largest need, ceil(total need / most deficient vertices one
-    unassigned vertex covers)) reaches the incumbent.  The scan of the
-    unassigned vertices for that cover is skipped when the largest need
-    alone cuts, and stops at the first vertex that covers enough.
+    count alike, so only labels 0 and 1 recheck them, and both ask the
+    same question (is a dmask neighbour of pos stranded?), answered once
+    per node.  A child is cut when a deficient vertex can no longer be
+    covered, or when its weight plus 2 * max(largest need, ceil(total
+    need / most deficient vertices one unassigned vertex covers)) reaches
+    the incumbent.  That cover test needs an unassigned vertex next to at
+    least want dmask vertices.  want <= 1 always passes, since each dmask
+    vertex has an unassigned neighbour; otherwise tails[pos] is scanned
+    up to the first row that covers enough, and only when the largest
+    need alone does not cut.
     """
     n = g.n
     adj = g.adj
+    later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in range(n)]
+    tails = [adj[pos + 1:] for pos in range(n)]
 
     values = [0] * n
     need = [0] * n        # k minus the 2-neighbours of a dmask vertex
@@ -244,8 +255,8 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     witness: Labeling | None = None
     nodes = 0
 
-    def rec(pos: int, unassigned: int, wt: int, v2mask: int, dmask: int,
-            total: int, maxneed: int) -> None:
+    def rec(pos: int, wt: int, v2mask: int, dmask: int, total: int,
+            maxneed: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if pos == n:
@@ -254,16 +265,25 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             best = wt
             witness = tuple(values)
             return
-        rest = unassigned & ~(1 << pos)
+        rest = later[pos]
         row = adj[pos]
         hit = row & dmask
+        # a label 0 or 1 at pos would leave a dmask neighbour uncoverable
+        stranded = False
+        h = hit
+        while h:
+            low = h & -h
+            v = low.bit_length() - 1
+            if (adj[v] & rest).bit_count() < need[v]:
+                stranded = True
+                break
+            h ^= low
         for val in alphabet:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
             values[pos] = val
             v2, d, t, m = v2mask, dmask, total, maxneed
-            ok = True
             if val == 2:
                 v2 |= 1 << pos
                 h = hit
@@ -282,40 +302,32 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 while m and not level[m]:
                     m -= 1
             else:
-                # the dmask neighbours of pos lose a potential 2-neighbour
-                h = hit
-                while h:
-                    low = h & -h
-                    v = low.bit_length() - 1
-                    if (adj[v] & rest).bit_count() < need[v]:
-                        ok = False
-                        break
-                    h ^= low
-                if ok and val == 0:
+                if stranded:
+                    continue
+                if val == 0:
                     q = k - (row & v2mask).bit_count()
                     if q > (row & rest).bit_count():
-                        ok = False
-                    elif q > 0:
+                        continue
+                    if q > 0:
                         need[pos] = q
                         level[q] += 1
                         d |= 1 << pos
                         t += q
                         if q > m:
                             m = q
-            if ok:
-                if not d:
-                    rec(pos + 1, rest, new_wt, v2, d, t, m)
-                elif new_wt + 2 * m < best:
-                    # 2 * ceil(t / cover) < best - new_wt holds iff some
-                    # unassigned vertex covers at least want of dmask
-                    want = -(-t // ((best - new_wt - 1) // 2))
-                    u = rest
-                    while u:
-                        low = u & -u
-                        if (adj[low.bit_length() - 1] & d).bit_count() >= want:
-                            rec(pos + 1, rest, new_wt, v2, d, t, m)
+            if not d:
+                rec(pos + 1, new_wt, v2, d, t, m)
+            elif new_wt + 2 * m < best:
+                # 2 * ceil(t / cover) < best - new_wt holds iff some
+                # unassigned vertex covers at least want of dmask
+                want = -(-t // ((best - new_wt - 1) // 2))
+                if want <= 1:
+                    rec(pos + 1, new_wt, v2, d, t, m)
+                else:
+                    for urow in tails[pos]:
+                        if (urow & d).bit_count() >= want:
+                            rec(pos + 1, new_wt, v2, d, t, m)
                             break
-                        u ^= low
             if val == 2:
                 h = hit
                 while h:
@@ -330,7 +342,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             elif d >> pos & 1:
                 level[need[pos]] -= 1
 
-    rec(0, (1 << n) - 1, 0, 0, 0, 0, 0)
+    rec(0, 0, 0, 0, 0, 0)
     assert witness is not None
     return best, witness, nodes
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rkdom
 from rkdom.cli import main
 
@@ -171,6 +173,16 @@ class TestConstruct:
         # Cr is a 4-cycle: edges 01, 02, 13, 23
         assert code == 0
         assert out.splitlines()[1:3] == ["0022", "2200"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "complete", "--k", "1", "--n", "10", "--max-n", "5"],
+        ["--name", "balanced-bipartite", "--k", "1", "--t", "3",
+         "--max-n", "5"],
+        ["--name", "kdelta-sharpness", "--k", "1", "--max-n", "4"],
+    ])
+    def test_built_graph_obeys_max_n(self, capsys, argv):
+        code, out, err = run(capsys, ["construct", *argv])
+        assert code == 3 and out == "" and "guard is" in err
 
     def test_precondition_refusal(self, capsys):
         code, _, err = run(capsys, ["construct", "--name", "complete",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
-from rkdom import (GuardError, enumerate_rkdfs, gamma_k_exact,
+from rkdom import (GuardError, complement, enumerate_rkdfs, gamma_k_exact,
                    gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
                    labeling_from_string, labeling_to_string, validate_rkdf,
                    weight)
@@ -289,6 +290,26 @@ def test_pinned_family_solves(case, gk, gkr):
     family, n, k = case
     _assert_pinned({"empty": empty, "complete": complete}[family](n), k,
                    gk, gkr)
+
+
+# One SHA-256 over (value, witness, nodes) of both solvers on 150 seeded
+# G(n, p) graphs (n 8-13, p 0.15-0.8, k 1-4) and their complements,
+# recorded before the node work of `_roman_bb` was trimmed.  Any change to
+# a cut, a label order or the node count changes it.
+CORPUS_PIN = "0d9903a13295cd631711c8ea7fe1eb0eb6367a9a0a93a4b218e7af7090e869f4"
+
+
+def test_corpus_pin():
+    digest = hashlib.sha256()
+    for i in range(150):
+        g = gnp(8 + i % 6, (0.15, 0.3, 0.45, 0.6, 0.8)[i % 5], 100 + i)
+        k = 1 + i // 6 % 4
+        for graph in (g, complement(g)):
+            for solve in (gamma_kr_exact, gamma_k_exact):
+                res = solve(graph, k)
+                digest.update(f"{res.value} {labeling_to_string(res.witness)} "
+                              f"{res.nodes_explored}\n".encode())
+    assert digest.hexdigest() == CORPUS_PIN
 
 
 def _gamma_k_brute(g, k):
