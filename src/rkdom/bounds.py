@@ -10,6 +10,7 @@ exact integer arithmetic; rational bounds are cross-multiplied or floored.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
@@ -72,6 +73,14 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     )
 
 
+@functools.cache
+def _sorted_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every non-empty subset of range(n) as a sorted index tuple, in
+    lexicographic order; built once per order."""
+    return tuple(sorted(tuple(v for v in range(n) if mask >> v & 1)
+                        for mask in range(1, 1 << n)))
+
+
 def surplus_bipartite_witness(g: Graph, k: int,
                               max_n: int = DEFAULT_WITNESS_LIMIT,
                               ) -> BipartiteWitness | None:
@@ -87,10 +96,7 @@ def surplus_bipartite_witness(g: Graph, k: int,
     n = g.n
     if n > max_n:
         raise GuardError(f"witness search guard is n <= {max_n}, got {n}")
-    subsets = sorted(
-        (tuple(v for v in range(n) if mask >> v & 1)
-         for mask in range(1, 1 << n)))
-    for y in subsets:
+    for y in _sorted_subsets(n):
         if len(y) < k or 2 * len(y) + 1 > n:
             continue
         ymask = 0

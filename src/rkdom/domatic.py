@@ -65,23 +65,18 @@ def validate_family(g: Graph, k: int,
 # d_R^k: exact packing solver plus a brute-force oracle
 # ---------------------------------------------------------------------------
 
-# Residual capacities are packed five bits per vertex so that "candidate
+# Residual capacities are packed one byte per vertex so that "candidate
 # fits" and "subtract candidate" are two integer operations: with the top
-# bit H of every field set, (rescap | H) - cand keeps each H bit exactly
-# when that field does not underflow (fields stay below 16, so borrows
-# never cross).  Pure representation change; search order is unaffected.
-_FIELD_BITS = 5
-
-
+# bit H (128) of every byte set, (rescap | H) - cand keeps each H bit
+# exactly when that field does not underflow (fields stay at or below
+# 2k <= 8, far below 128, so borrows never cross).  Pure representation
+# change; search order is unaffected.
 def _pack(values) -> int:
-    packed = 0
-    for i, v in enumerate(values):
-        packed |= v << (_FIELD_BITS * i)
-    return packed
+    return int.from_bytes(bytes(values), "little")
 
 
 def _high_mask(n: int) -> int:
-    return sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(n))
+    return int.from_bytes(b"\x80" * n, "little")
 
 
 def d_rk_oracle(g: Graph, k: int,
@@ -123,15 +118,16 @@ def d_rk_exact(g: Graph, k: int,
 
     The candidates are the valid RkDFs in (weight, values) order; the
     search branches on inclusion with per-vertex residual capacities.
-    They are generated lazily, one weight level at a time.  The first
-    non-empty level gives gamma_kR (no RkDF is lighter) and the first
-    candidates; a heavier level, up to 2n, is built only when a node runs
-    past the end of the list and the remaining-capacity/weight quotient at
-    that level's weight could still beat the incumbent, so heavy levels
-    that no family can use are never enumerated.  Depth is cut by the
-    proven upper bounds min-degree+2k, max(Delta,k-1)+k and 2kn/gamma_kR,
-    and by the quotient.  The witness is the first optimal family in the
-    include-first search order.
+    They are generated lazily, by weight level.  One walk of the
+    enumerator (lightest=True) gives the first non-empty level, whose
+    weight is gamma_kR (no RkDF is lighter), and the gamma_kR + 1 level:
+    these are the first candidates.  A heavier level, up to 2n, is walked
+    on its own, only when a node runs past the end of the list and the
+    remaining-capacity/weight quotient at that level's weight could still
+    beat the incumbent, so heavy levels that no family can use are never
+    enumerated.  Depth is cut by the proven upper bounds min-degree+2k,
+    max(Delta,k-1)+k and 2kn/gamma_kR, and by the quotient.  The witness
+    is the first optimal family in the include-first search order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -142,13 +138,11 @@ def d_rk_exact(g: Graph, k: int,
 
     # No RkDF weighs less than min(n, 2k): one that labels a vertex 0
     # gives k of its neighbours a 2, and one without zeros weighs at least
-    # n.  The all-1 labeling ends the loop at weight n at the latest.
+    # n.  The all-1 labeling bounds the lightest level by n.
     enum_n = max(max_n, 10)
-    gkr = min(n, 2 * k) - 1
-    cands: list[Labeling] = []
-    while not cands:
-        gkr += 1
-        cands = enumerate_rkdfs(g, k, max_n=enum_n, weight=gkr).labelings
+    cands = enumerate_rkdfs(g, k, max_n=enum_n, lightest=True).labelings
+    weights = [sum(f) for f in cands]
+    gkr = weights[0]
     delta, Delta = g.min_degree(), g.max_degree()
     ub = min(delta + 2 * k,
              max(Delta, k - 1) + k,
@@ -156,8 +150,7 @@ def d_rk_exact(g: Graph, k: int,
 
     high = _high_mask(n)
     packed = [_pack(f) for f in cands]
-    weights = [gkr] * len(cands)
-    next_w = gkr + 1
+    next_w = gkr + 2
 
     def grow(count: int, captotal: int) -> bool:
         """Append weight levels until the list gets longer; False once the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
@@ -126,6 +128,30 @@ class TestSurplusWitness:
                     gkr = gamma_kr_exact(g, k).value
                     witness = surplus_bipartite_witness(g, k)
                     assert (gkr < g.n) == (witness is not None), (g.label, k)
+
+    def test_matches_brute_force(self):
+        def brute(g, k):
+            # Y in sorted-tuple order; X is the first |Y| + 1 eligible
+            # vertices, those outside Y with k neighbours in it
+            ys = sorted(y for r in range(1, g.n + 1)
+                        for y in combinations(range(g.n), r))
+            for y in ys:
+                if len(y) < k:
+                    continue
+                eligible = [v for v in range(g.n) if v not in y and
+                            sum(g.adj[v] >> u & 1 for u in y) >= k]
+                if len(eligible) > len(y):
+                    return y, tuple(eligible[:len(y) + 1])
+            return None
+
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [gnp(n, p, seed) for n in (6, 7) for p in (0.3, 0.6)
+                   for seed in (1, 2)]
+        for g in graphs:
+            for k in (1, 2, 3):
+                w = surplus_bipartite_witness(g, k)
+                got = None if w is None else (w.Y, w.X)
+                assert got == brute(g, k), (g.label, k)
 
     def test_guard(self):
         with pytest.raises(GuardError):

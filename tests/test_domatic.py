@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
-                   d_rk_oracle, gamma_kr_exact, labeling_to_string,
-                   validate_family, validate_partition, weight)
+                   d_rk_oracle, enumerate_rkdfs, gamma_kr_exact,
+                   labeling_to_string, validate_family, validate_partition,
+                   weight)
 
 
 class TestValidateFamily:
@@ -241,6 +244,55 @@ class TestDrkPinned:
             assert res.value == len(fam)
             assert tuple(map(labeling_to_string, res.witness)) == fam
             assert res.nodes_explored <= ceiling
+
+
+# One SHA-256 over (value, witness, nodes) of d_rk_exact on every graph
+# with n <= 4 at k 1-4 and on 60 G(n,p) graphs (n 6-8) and their
+# complements, recorded while each weight level was a walk of its own and
+# capacities were packed five bits per vertex.  Any change to the
+# candidate list, the packing or a cut changes it; k = 4 puts a capacity
+# of 8 in the fields.
+DRK_CORPUS_PIN = \
+    "86d03182e48cdbcd664475715e740e508e24d02fd1e8648982b5315390bb85ae"
+
+
+def test_drk_corpus_pin():
+    corpus = [(g, k) for n in range(1, 5) for g in all_graphs(n)
+              for k in (1, 2, 3, 4)]
+    for i in range(60):
+        g = gnp(6 + i % 3, (0.3, 0.5, 0.7, 0.85)[i % 4], 700 + i)
+        k = 1 + i // 3 % 4
+        corpus += [(g, k), (complement(g), k)]
+    digest = hashlib.sha256()
+    for g, k in corpus:
+        res = d_rk_exact(g, k)
+        fam = " ".join(map(labeling_to_string, res.witness))
+        digest.update(f"{res.value} {fam} {res.nodes_explored}\n".encode())
+    assert digest.hexdigest() == DRK_CORPUS_PIN
+
+
+def test_one_walk_for_the_light_levels(monkeypatch):
+    import rkdom.domatic
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return enumerate_rkdfs(*args, **kwargs)
+
+    # levels 2 and 3 of C_5 at k=1 are empty; gamma_1R(C_5) = 4
+    monkeypatch.setattr(rkdom.domatic, "enumerate_rkdfs", counted)
+    assert d_rk_exact(cycle(5), 1).value == 2
+    assert len(calls) == 1
+
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for k in (1, 2, 3):
+                gkr = gamma_kr_exact(g, k).value
+                both = enumerate_rkdfs(g, k, lightest=True).labelings
+                assert both == (enumerate_rkdfs(g, k, weight=gkr).labelings
+                                + enumerate_rkdfs(g, k,
+                                                  weight=gkr + 1).labelings)
 
 
 class TestDkExact:
