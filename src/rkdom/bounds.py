@@ -81,9 +81,7 @@ def _sorted_subsets(n: int) -> tuple[tuple[int, ...], ...]:
                         for mask in range(1, 1 << n)))
 
 
-def surplus_bipartite_witness(g: Graph, k: int,
-                              max_n: int = DEFAULT_WITNESS_LIMIT,
-                              ) -> BipartiteWitness | None:
+def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     """Search for disjoint X, Y with |X| > |Y| >= k and every X vertex
     having >= k neighbors in Y.
 
@@ -94,8 +92,9 @@ def surplus_bipartite_witness(g: Graph, k: int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n
-    if n > max_n:
-        raise GuardError(f"witness search guard is n <= {max_n}, got {n}")
+    if n > DEFAULT_WITNESS_LIMIT:
+        raise GuardError(f"witness search guard is n <= "
+                         f"{DEFAULT_WITNESS_LIMIT}, got {n}")
     for y in _sorted_subsets(n):
         if len(y) < k or 2 * len(y) + 1 > n:
             continue

@@ -30,7 +30,8 @@ from .constructions import (ConstructionError, family_balanced_bipartite,
                             family_nontrivial)
 from .domatic import d_k_exact, d_rk_exact, d_rk_oracle, validate_family
 from .graphs import (MAX_VERTICES, FamilySpec, Graph, GuardError, ParseError,
-                     encode_graph6, generate, parse_edge_list, parse_graph6)
+                     encode_graph6, generate, graph6_pairs, parse_edge_list,
+                     parse_graph6)
 from .roman import (gamma_k_exact, gamma_kr_exact, gamma_kr_oracle,
                     labeling_to_string)
 
@@ -252,15 +253,9 @@ def _cmd_verify(args) -> int:
 def _sweep_instances(args):
     """Deterministic corpus: exhaustive small graphs then seeded G(n,p)."""
     for n in range(1, args.exhaustive_upto + 1):
-        npairs = n * (n - 1) // 2
-        for mask in range(1 << npairs):
-            edges = []
-            t = 0
-            for v in range(1, n):
-                for u in range(v):
-                    if mask >> t & 1:
-                        edges.append((u, v))
-                    t += 1
+        pairs = graph6_pairs(n)
+        for mask in range(1 << len(pairs)):
+            edges = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
             g = Graph(n, edges, label=f"exhaustive(n={n},mask={mask})")
             for k in range(1, args.k_max + 1):
                 yield g, k

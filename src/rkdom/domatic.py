@@ -118,13 +118,15 @@ def d_rk_exact(g: Graph, k: int,
 
     The candidates are the valid RkDFs in (weight, values) order; the
     search branches on inclusion with per-vertex residual capacities.
-    They are generated lazily, by weight level.  One walk of the
-    enumerator (lightest=True) gives the first non-empty level, whose
-    weight is gamma_kR (no RkDF is lighter), and the gamma_kR + 1 level:
-    these are the first candidates.  A heavier level, up to 2n, is walked
-    on its own, only when a node runs past the end of the list and the
-    remaining-capacity/weight quotient at that level's weight could still
-    beat the incumbent, so heavy levels that no family can use are never
+    They are generated lazily, by weight level.  The first enumerator
+    walk gives the lightest level, whose weight is gamma_kR, and the
+    gamma_kR + 1 level.  Every level from gamma_kR to 2n is non-empty:
+    raising one label of an RkDF by one keeps it an RkDF (0 -> 1 removes
+    a zero, 1 -> 2 only adds a 2-neighbour).  So one walk of the next
+    heavier level, up to 2n, always lengthens the list; it is made only
+    when a node runs past the end of the list and the remaining-capacity/
+    weight quotient at that level's weight could still beat the
+    incumbent, so heavy levels that no family can use are never
     enumerated.  Depth is cut by the proven upper bounds min-degree+2k,
     max(Delta,k-1)+k and 2kn/gamma_kR, and by the quotient.  The witness
     is the first optimal family in the include-first search order.
@@ -136,11 +138,7 @@ def d_rk_exact(g: Graph, k: int,
         raise GuardError(f"d_rk solver guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
-    # No RkDF weighs less than min(n, 2k): one that labels a vertex 0
-    # gives k of its neighbours a 2, and one without zeros weighs at least
-    # n.  The all-1 labeling bounds the lightest level by n.
-    enum_n = max(max_n, 10)
-    cands = enumerate_rkdfs(g, k, max_n=enum_n, lightest=True).labelings
+    cands = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n).labelings
     weights = [sum(f) for f in cands]
     gkr = weights[0]
     delta, Delta = g.min_degree(), g.max_degree()
@@ -150,22 +148,17 @@ def d_rk_exact(g: Graph, k: int,
 
     high = _high_mask(n)
     packed = [_pack(f) for f in cands]
-    next_w = gkr + 2
 
     def grow(count: int, captotal: int) -> bool:
-        """Append weight levels until the list gets longer; False once the
-        quotient cut closes the next level or every level is built."""
-        nonlocal next_w
-        end = len(cands)
-        while len(cands) == end:
-            if next_w > 2 * n or count + captotal // next_w <= best:
-                return False
-            level = enumerate_rkdfs(g, k, max_n=enum_n,
-                                    weight=next_w).labelings
-            cands.extend(level)
-            packed.extend(_pack(f) for f in level)
-            weights.extend([next_w] * len(level))
-            next_w += 1
+        """Append the next weight level; False once it would pass 2n or
+        the quotient cut closes it."""
+        w = weights[-1] + 1
+        if w > 2 * n or count + captotal // w <= best:
+            return False
+        level = enumerate_rkdfs(g, k, w, w, max_n).labelings
+        cands.extend(level)
+        packed.extend(_pack(f) for f in level)
+        weights.extend([w] * len(level))
         return True
 
     # One search: each strict improvement records its family, so the last

@@ -7,6 +7,7 @@ intersections single integer operations for every solver in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -132,6 +133,14 @@ def complement(g: Graph) -> Graph:
     return Graph.from_rows(rows)
 
 
+@functools.cache
+def graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs u < v of order n in column-major order (0,1),
+    (0,2), (1,2), (0,3), ...: the graph6 bit order, also used by
+    random-gnp and the exhaustive sweep; built once per order."""
+    return tuple((u, v) for v in range(1, n) for u in range(v))
+
+
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     """Detect whether g is a complete bipartite graph K_{p,q}.
 
@@ -229,9 +238,9 @@ def kdelta_order(k: int) -> int:
 
 
 # SplitMix64: the fixed counter-based generator behind random-gnp.  Pair
-# t (column-major order: (0,1),(0,2),(1,2),(0,3),...) maps to the 64-bit
-# word mix64(seed + (t+1)*GAMMA); the edge is present iff that word is
-# below floor(prob * 2^64).  Bit-exact across platforms.
+# t of graph6_pairs(n) maps to the 64-bit word mix64(seed + (t+1)*GAMMA);
+# the edge is present iff that word is below floor(prob * 2^64).
+# Bit-exact across platforms.
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -278,13 +287,8 @@ def generate(spec: FamilySpec, max_n: int = MAX_VERTICES) -> Graph:
 
     if spec.kind == "random-gnp":
         threshold = int(spec.prob * 2 ** 64)
-        edges = []
-        t = 0
-        for v in range(1, n):
-            for u in range(v):
-                if gnp_word(spec.seed, t) < threshold:
-                    edges.append((u, v))
-                t += 1
+        edges = [pair for t, pair in enumerate(graph6_pairs(n))
+                 if gnp_word(spec.seed, t) < threshold]
         return Graph(n, edges, label=spec.name())
 
     # kdelta-sharpness: k disjoint copies of a clique on k^3+(2k+1)k
@@ -318,13 +322,12 @@ def encode_graph6(g: Graph) -> str:
                chr((n & 63) + 63)]
     group = 0
     nbits = 0
-    for v in range(1, n):
-        for u in range(v):
-            group = group << 1 | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(group + 63))
-                group = nbits = 0
+    for u, v in graph6_pairs(n):
+        group = group << 1 | (g.adj[u] >> v & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(chr(group + 63))
+            group = nbits = 0
     if nbits:
         out.append(chr((group << (6 - nbits)) + 63))
     return "".join(out)
@@ -371,6 +374,7 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
     if len(data) - pos > ngroups:
         raise ParseError(f"byte {pos + ngroups}: trailing garbage after bit vector")
 
+    pairs = graph6_pairs(n)
     rows = [0] * n
     bit = 0
     for i in range(ngroups):
@@ -381,25 +385,25 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
                     raise ParseError(f"byte {pos + i}: nonzero padding bit")
                 continue
             if group >> j & 1:
-                u, v = _pair_from_index(bit)
+                u, v = pairs[bit]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             bit += 1
     return Graph.from_rows(rows)
 
 
-def _pair_from_index(t: int) -> tuple[int, int]:
-    """Inverse of column-major upper-triangle enumeration (0,1),(0,2),(1,2),..."""
-    v = 1
-    while v * (v + 1) // 2 <= t:
-        v += 1
-    u = t - v * (v - 1) // 2
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # Edge-list codec
 # ---------------------------------------------------------------------------
+
+def _decimal(token: str, lineno: int, what: str) -> int:
+    """Value of an ASCII decimal token; int() alone would also accept a
+    sign, underscores and non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"line {lineno}: {what} {token!r} is not an "
+                         f"ASCII decimal")
+    return int(token)
+
 
 def parse_edge_list(text: str, max_n: int = MAX_VERTICES) -> Graph:
     """Parse the plain edge-list format.
@@ -418,11 +422,7 @@ def parse_edge_list(text: str, max_n: int = MAX_VERTICES) -> Graph:
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise ParseError(f"line {lineno}: expected header 'n <count>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex count "
-                                 f"{tokens[1]!r}") from None
+            n = _decimal(tokens[1], lineno, "vertex count")
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be >= 1")
             if n > max_n:
@@ -430,13 +430,11 @@ def parse_edge_list(text: str, max_n: int = MAX_VERTICES) -> Graph:
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint") from None
+        u = _decimal(tokens[0], lineno, "endpoint")
+        v = _decimal(tokens[1], lineno, "endpoint")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
+        if max(u, v) >= n:
             raise ParseError(f"line {lineno}: endpoint out of range 0..{n - 1}")
         edges.append((u, v))
     if n is None:

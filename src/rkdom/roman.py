@@ -113,18 +113,18 @@ class EnumerationResult(NamedTuple):
     labelings: list[Labeling]
 
 
-def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
-                    weight: int | None = None,
-                    lightest: bool = False) -> EnumerationResult:
-    """All distinct valid RkDFs in lexicographic order of value sequences.
+def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
+                    max_n: int = DEFAULT_ENUM_LIMIT) -> EnumerationResult:
+    """The lightest non-empty weight level of RkDFs in [lo, hi], then the
+    level one weight above it when that weight is at most hi.
 
-    With weight set, only the RkDFs of exactly that weight are listed,
-    still in lexicographic order.  With lightest set, one walk lists the
-    lightest non-empty weight level, then the level one weight above it,
-    each in lexicographic order.  That walk starts at weight min(n, 2k),
-    below which no RkDF exists; its weight ceiling starts at n + 1 (the
-    all-1 labeling weighs n) and drops to wt + 1 at the first leaf of
-    weight wt; the leaves are kept in one list per weight.
+    Each level is in lexicographic order of value sequences; both are
+    empty when no RkDF weighs between lo and hi.  One walk lists both: its
+    weight ceiling starts at hi, each leaf of weight wt lowers it to
+    wt + 1 when that is lower, and the leaves are kept in one list per
+    weight.  No RkDF weighs less than min(n, 2k), and the all-1 labeling
+    weighs n, so [min(n, 2k), n + 1] gives the gamma_kR and gamma_kR + 1
+    levels, and [w, w] gives level w alone.
 
     The recursion carries v2 (vertices labeled 2) and zeros (vertices
     labeled 0): a zero stays feasible while its neighbours in v2 or still
@@ -134,27 +134,22 @@ def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= lo <= hi:
+        raise ValueError(f"weight window needs 0 <= lo <= hi, "
+                         f"got [{lo}, {hi}]")
     n = g.n
     if n > max_n:
         raise GuardError(f"enumeration guard is n <= {max_n}, got {n}")
-    # bounds on the labeling weight; the defaults admit every labeling
-    if lightest:
-        lo, hi = min(n, 2 * k), n + 1
-    else:
-        lo, hi = (0, 2 * n) if weight is None else (weight, weight)
     adj = g.adj
     later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in range(n)]
     values = [0] * n
-    out: list[Labeling] = []
-    # the leaves of weight w go to levels[w]: one list per weight for
-    # lightest, else every entry is out, which keeps lexicographic order
-    levels = [[] for _ in range(hi + 1)] if lightest else [out] * (hi + 1)
+    levels: list[list[Labeling]] = [[] for _ in range(hi + 1)]
 
     def rec(pos: int, wt: int, v2: int, zeros: int) -> None:
         nonlocal hi
         if pos == n:
             levels[wt].append(tuple(values))
-            if lightest and wt + 1 < hi:
+            if wt + 1 < hi:
                 hi = wt + 1
             return
         bit = 1 << pos
@@ -184,9 +179,9 @@ def enumerate_rkdfs(g: Graph, k: int, max_n: int = DEFAULT_ENUM_LIMIT,
                 rec(pos + 1, wt + val, v2, zeros if val else zeros | bit)
 
     rec(0, 0, 0, 0)
-    if lightest:
-        out = levels[hi - 1] + levels[hi]
-    return EnumerationResult(out)
+    # levels[hi - 1] lies below the window when hi == lo
+    return EnumerationResult(levels[hi - 1] + levels[hi] if hi > lo
+                             else levels[hi])
 
 
 # ---------------------------------------------------------------------------

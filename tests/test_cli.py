@@ -101,6 +101,18 @@ class TestCompute:
                            stdin="A_?\n", monkeypatch=monkeypatch)
         assert code == 4 and "trailing garbage" in err
 
+    @pytest.mark.parametrize("count", ["1_0", "+3", "\uff13"])
+    def test_edgelist_count_must_be_ascii_decimal(self, capsys, monkeypatch,
+                                                 count):
+        # stdin gets the same answer as a file: exit 4, not a solve
+        code, out, err = run(capsys, ["compute", "--graph", "-", "--format",
+                                      "edgelist", "--k", "1",
+                                      "--quantity", "gamma-kr"],
+                             stdin=f"n {count}\n0 1\n",
+                             monkeypatch=monkeypatch)
+        assert code == 4 and out == "" and "line 1" in err
+        assert "ASCII decimal" in err
+
     def test_non_ascii_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_bytes(b"B\xffw\n")

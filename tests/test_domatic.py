@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
                    d_rk_oracle, enumerate_rkdfs, gamma_kr_exact,
                    labeling_to_string, validate_family, validate_partition,
-                   weight)
+                   validate_rkdf, weight)
 
 
 class TestValidateFamily:
@@ -155,11 +156,11 @@ class TestDrkExact:
     def test_witness_matches_plain_branch_and_bound(self):
         # reference semantics: include-first DFS over the (weight, values)
         # sorted pool, updating on strict improvement, no other pruning;
-        # the witness is the family that sets the final optimum
-        from rkdom import enumerate_rkdfs
-
+        # the witness is the family that sets the final optimum; the pool
+        # is the naive 3^n filter, independent of the solver's enumerator
         def reference(g, k):
-            pool = sorted(enumerate_rkdfs(g, k).labelings,
+            pool = sorted((f for f in product((0, 1, 2), repeat=g.n)
+                           if not validate_rkdf(g, k, f)),
                           key=lambda f: (sum(f), f))
             best = -1
             best_members = None
@@ -289,10 +290,10 @@ def test_one_walk_for_the_light_levels(monkeypatch):
         for g in all_graphs(n):
             for k in (1, 2, 3):
                 gkr = gamma_kr_exact(g, k).value
-                both = enumerate_rkdfs(g, k, lightest=True).labelings
-                assert both == (enumerate_rkdfs(g, k, weight=gkr).labelings
-                                + enumerate_rkdfs(g, k,
-                                                  weight=gkr + 1).labelings)
+                both = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1).labelings
+                assert both == (enumerate_rkdfs(g, k, gkr, gkr).labelings
+                                + enumerate_rkdfs(g, k, gkr + 1,
+                                                  gkr + 1).labelings)
 
 
 class TestDkExact:

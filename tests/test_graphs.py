@@ -185,6 +185,13 @@ class TestEdgeList:
         ("n 3\n0 x", 2),          # non-integer token
         ("n 3\n0 1 2", 2),        # wrong token count
         ("3\n0 1", 1),            # missing 'n' keyword
+        # int() alone would take these: only ASCII decimal tokens pass
+        ("n 1_0\n0 1", 1),        # underscore in the count
+        ("n +3\n0 1", 1),         # signed count
+        ("n \uff13\n0 1", 1),     # fullwidth digit three
+        ("n 20\n1_0 2", 2),       # underscore in an endpoint
+        ("n 3\n0 +1", 2),         # signed endpoint
+        ("n 3\n\u0660 1", 2),     # Arabic-Indic digit zero
     ])
     def test_errors_carry_line_numbers(self, text, lineno):
         with pytest.raises(ParseError, match=f"line {lineno}"):

@@ -75,54 +75,75 @@ class TestLabelingStrings:
                 labeling_from_string(bad)
 
 
+def naive_rkdfs(g, k):
+    """Every RkDF of g in lexicographic order, by the 3^n filter."""
+    return [f for f in product((0, 1, 2), repeat=g.n)
+            if not validate_rkdf(g, k, f)]
+
+
+def all_levels(g, k):
+    """Every RkDF of g in (weight, values) order, one [w, w] walk each."""
+    return [f for w in range(2 * g.n + 1)
+            for f in enumerate_rkdfs(g, k, w, w).labelings]
+
+
 class TestEnumerate:
     def test_single_vertex(self):
-        assert enumerate_rkdfs(complete(1), 1).labelings == [(1,), (2,)]
+        assert enumerate_rkdfs(complete(1), 1, 0, 2).labelings == [(1,), (2,)]
 
     def test_restricted_space_when_k_exceeds_degree(self):
-        res = enumerate_rkdfs(empty(2), 3)
-        assert res.labelings == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        res8 = enumerate_rkdfs(empty(8), 9)
-        assert len(res8.labelings) == 2 ** 8
+        res = enumerate_rkdfs(empty(2), 3, 0, 4)
+        assert res.labelings == [(1, 1), (1, 2), (2, 1)]
+        assert enumerate_rkdfs(empty(2), 3, 4, 4).labelings == [(2, 2)]
+        assert len(all_levels(empty(8), 9)) == 2 ** 8
 
     def test_k2_frozen_set(self):
         # The six valid labelings of K_2 at k=1, from the 3^2 filter.
-        assert enumerate_rkdfs(complete(2), 1).labelings == [
+        assert enumerate_rkdfs(complete(2), 1, 0, 4).labelings == [
+            (0, 2), (1, 1), (2, 0), (1, 2), (2, 1)]
+        assert sorted(all_levels(complete(2), 1)) == [
             (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
     def test_matches_naive_filter(self):
-        # every labelled graph with n <= 4, so k > Delta is covered too
+        # every labelled graph with n <= 4, so k > Delta is covered too,
+        # and every window [lo, hi] with 0 <= lo <= hi <= 2n + 1
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         for g in graphs:
             for k in (1, 2, 3):
-                expect = [f for f in product((0, 1, 2), repeat=g.n)
-                          if not validate_rkdf(g, k, f)]
-                assert enumerate_rkdfs(g, k).labelings == expect, (g.label, k)
-                for w in range(2 * g.n + 1):
-                    level = [f for f in expect if sum(f) == w]
-                    assert enumerate_rkdfs(g, k, weight=w).labelings == level
+                expect = naive_rkdfs(g, k)
+                for lo in range(2 * g.n + 2):
+                    for hi in range(lo, 2 * g.n + 2):
+                        ws = [sum(f) for f in expect if lo <= sum(f) <= hi]
+                        light = min(ws, default=None)
+                        want = [f for f in expect if light is not None
+                                and light <= sum(f) <= min(light + 1, hi)]
+                        want.sort(key=sum)   # stable: lex within a level
+                        got = enumerate_rkdfs(g, k, lo, hi).labelings
+                        assert got == want, (g.label, k, lo, hi)
 
     def test_lexicographic_order(self):
-        got = enumerate_rkdfs(cycle(5), 1).labelings
-        assert got == sorted(got)
+        for w in range(11):
+            level = enumerate_rkdfs(cycle(5), 1, w, w).labelings
+            assert level == sorted(level)
+        got = enumerate_rkdfs(cycle(5), 1, 0, 10).labelings
+        lightest = [f for f in got if sum(f) == sum(got[0])]
+        assert got == sorted(lightest) + sorted(got[len(lightest):])
 
     def test_weight_levels_concatenate_to_sorted_pool(self):
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         graphs += [gnp(6, 0.5, 3), gnp(7, 0.3, 4), gnp(7, 0.7, 5)]
         for g in graphs:
             for k in (1, 2, 3):   # includes k > Delta, where no 0 fits
-                levels = []
-                for w in range(2 * g.n + 1):
-                    levels += enumerate_rkdfs(g, k, weight=w).labelings
-                expect = sorted(enumerate_rkdfs(g, k).labelings,
-                                key=lambda f: (sum(f), f))
-                assert levels == expect, (g.label, k)
-                for w in (-1, 2 * g.n + 1):
-                    assert enumerate_rkdfs(g, k, weight=w).labelings == []
+                expect = sorted(naive_rkdfs(g, k), key=lambda f: (sum(f), f))
+                assert all_levels(g, k) == expect, (g.label, k)
+                w = 2 * g.n + 1
+                assert enumerate_rkdfs(g, k, w, w).labelings == []
+                with pytest.raises(ValueError):
+                    enumerate_rkdfs(g, k, -1, -1)
 
     def test_lightest_level_is_gamma_kr(self):
-        # d_rk_exact builds levels from min(n, 2k) up and takes the first
-        # non-empty one as gamma_kR; k 1-3 puts n on both sides of 2k
+        # d_rk_exact walks [min(n, 2k), n + 1] and takes the first level
+        # as gamma_kR; k 1-3 puts n on both sides of 2k
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         graphs += [gnp(n, p, seed) for n in (6, 7, 8) for p in (0.3, 0.6)
                    for seed in (1, 2)]
@@ -130,19 +151,35 @@ class TestEnumerate:
             for k in (1, 2, 3):
                 start = min(g.n, 2 * k)
                 for w in range(start):
-                    assert enumerate_rkdfs(g, k, weight=w).labelings == []
+                    assert enumerate_rkdfs(g, k, w, w).labelings == []
                 lightest = next(w for w in range(start, 2 * g.n + 1)
-                                if enumerate_rkdfs(g, k, weight=w).labelings)
-                assert lightest == gamma_kr_exact(g, k).value, (g.label, k)
+                                if enumerate_rkdfs(g, k, w, w).labelings)
+                gkr = gamma_kr_exact(g, k).value
+                assert lightest == gkr, (g.label, k)
+                first = enumerate_rkdfs(g, k, start, g.n + 1).labelings[0]
+                assert sum(first) == gkr, (g.label, k)
+
+    def test_every_level_from_gamma_kr_to_2n_is_non_empty(self):
+        # raising one label by one keeps an RkDF an RkDF, which is what
+        # lets d_rk_exact walk one heavier level at a time
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [gnp(n, p, seed) for n in (6, 7, 8) for p in (0.3, 0.6)
+                   for seed in (1, 2)]
+        for g in graphs:
+            for k in (1, 2, 3):
+                gkr = gamma_kr_exact(g, k).value
+                for w in range(gkr, 2 * g.n + 1):
+                    assert enumerate_rkdfs(g, k, w, w).labelings, \
+                        (g.label, k, w)
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            enumerate_rkdfs(cycle(11), 1)
+            enumerate_rkdfs(cycle(11), 1, 0, 22)
         with pytest.raises(GuardError):
-            enumerate_rkdfs(empty(21), 25)
+            enumerate_rkdfs(empty(21), 25, 0, 42)
         # k > Delta has no larger guard of its own
         with pytest.raises(GuardError):
-            enumerate_rkdfs(empty(11), 1)
+            enumerate_rkdfs(empty(11), 1, 0, 22)
 
 
 class TestGammaKrOracle:
