@@ -7,8 +7,8 @@ constructions, and checks every known bound as an executable property.
 
 from .bounds import (BipartiteWitness, BoundRecord, SolvedValues,
                      check_graph, check_nordhaus_gaddum, report_csv_rows,
-                     report_dict, solve_all, surplus_bipartite_witness,
-                     violations)
+                     report_dict, report_json, solve_all,
+                     surplus_bipartite_witness, violations)
 from .constructions import (ConstructionError, closed_form_d_rk,
                             closed_form_gamma_kr, family_balanced_bipartite,
                             family_complete, family_from_balanced_subgraphs,
@@ -39,7 +39,7 @@ __all__ = [
     "family_near_order", "family_nontrivial", "gamma_k_exact",
     "gamma_kr_exact", "gamma_kr_oracle", "generate", "is_k_dominating",
     "labeling_from_string", "labeling_to_string", "parse_edge_list",
-    "parse_graph6", "report_csv_rows", "report_dict", "solve_all",
-    "surplus_bipartite_witness", "validate_family", "validate_partition",
-    "validate_rkdf", "violations", "weight",
+    "parse_graph6", "report_csv_rows", "report_dict", "report_json",
+    "solve_all", "surplus_bipartite_witness", "validate_family",
+    "validate_partition", "validate_rkdf", "violations", "weight",
 ]

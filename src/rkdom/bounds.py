@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
@@ -330,6 +331,61 @@ def report_dict(g: Graph, k: int, vals: SolvedValues,
             for r in records
         ],
     }
+
+
+# report_json formats the text json.dumps(report_dict(...), indent=2)
+# prints, without the pure-Python encoder that any indent selects.
+_JSON_BOOL = {False: "false", True: "true"}
+
+_REPORT_TEMPLATE = """{
+  "schema": "1",
+  "graph": {
+    "name": %s,
+    "graph6": %s,
+    "n": %d,
+    "delta": %d,
+    "Delta": %d,
+    "regular": %s
+  },
+  "k": %d,
+  "values": {
+    "gamma_k": %d,
+    "gamma_kr": %d,
+    "d_k": %d,
+    "d_rk": %d
+  },
+  "records": %s
+}"""
+
+_RECORD_TEMPLATE = """    {
+      "theorem_id": %s,
+      "applicable": %s,
+      "lhs": %d,
+      "rhs": %d,
+      "holds": %s,
+      "equality": %s,
+      "notes": %s
+    }"""
+
+
+def report_json(g: Graph, k: int, vals: SolvedValues,
+                records: list[BoundRecord]) -> str:
+    """The report_dict text as json.dumps(..., indent=2) prints it, with
+    the same key order and the same \\uXXXX escapes.
+
+    Record flags must be exact bools and lhs/rhs plain ints: the bool
+    table would print a flag of 1 as true where json.dumps prints 1.
+    """
+    esc, flag = encode_basestring_ascii, _JSON_BOOL
+    body = ",\n".join([
+        _RECORD_TEMPLATE % (esc(r.theorem_id), flag[r.applicable], r.lhs,
+                            r.rhs, flag[r.holds], flag[r.equality],
+                            esc(r.notes))
+        for r in records])
+    return _REPORT_TEMPLATE % (
+        esc(g.label or ""), esc(encode_graph6(g)), g.n, g.min_degree(),
+        g.max_degree(), flag[g.is_regular()], k, vals.gamma_k, vals.gamma_kr,
+        vals.d_k, vals.d_rk, f"[\n{body}\n  ]" if records else "[]")
 
 
 CSV_COLUMNS = ["name", "graph6", "n", "delta", "Delta", "regular", "k",

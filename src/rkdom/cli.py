@@ -23,12 +23,14 @@ import sys
 from typing import Sequence
 
 from .bounds import (CSV_COLUMNS, check_graph, check_nordhaus_gaddum,
-                     report_csv_rows, report_dict, solve_all, violations)
+                     report_csv_rows, report_dict, report_json, solve_all,
+                     violations)
 from .constructions import (ConstructionError, family_balanced_bipartite,
                             family_complete, family_from_balanced_subgraphs,
                             family_kdelta_sharpness, family_near_order,
                             family_nontrivial)
-from .domatic import d_k_exact, d_rk_exact, d_rk_oracle, validate_family
+from .domatic import (DEFAULT_DRK_N_LIMIT, d_k_exact, d_rk_exact,
+                      d_rk_oracle, validate_family)
 from .graphs import (MAX_VERTICES, FamilySpec, Graph, GuardError, ParseError,
                      encode_graph6, generate, graph6_pairs, parse_edge_list,
                      parse_graph6)
@@ -76,7 +78,10 @@ def _max_n(args) -> int | None:
 def _read_graph(args) -> Graph:
     source = args.graph
     if source == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            text = exc.object.decode("latin-1")  # one character per byte
     else:
         with open(source, "r", encoding="ascii") as fh:
             try:
@@ -85,8 +90,16 @@ def _read_graph(args) -> Graph:
                 raise ParseError(f"byte {exc.start}: not ASCII") from None
     limit = _max_n(args) or MAX_VERTICES
     if args.format == "edgelist":
-        return parse_edge_list(text, max_n=limit)
-    return parse_graph6(text, max_n=limit)
+        g = parse_edge_list(text, max_n=limit)
+    else:
+        g = parse_graph6(text, max_n=limit)
+    # The parsers strip and split on Unicode whitespace, so stdin text
+    # can parse and still hold non-ASCII; a parse error keeps its message.
+    # Every character before the first non-ASCII one is a single byte.
+    if not text.isascii():
+        offset = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError(f"byte {offset}: not ASCII")
+    return g
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -246,7 +259,7 @@ def _cmd_verify(args) -> int:
         writer.writerows(report_csv_rows(g, args.k, vals, records))
         sys.stdout.write(buf.getvalue())
     else:
-        print(json.dumps(report_dict(g, args.k, vals, records), indent=2))
+        print(report_json(g, args.k, vals, records))
     return EXIT_VIOLATION if violations(records) else EXIT_OK
 
 
@@ -273,7 +286,15 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("k-max must be >= 1")
     if args.count < 0:
         raise _UsageError("count must be >= 0")
+    if args.exhaustive_upto < 0:
+        raise _UsageError("exhaustive-upto must be >= 0")
     max_n = _max_n(args)
+    # every exhaustive order is solved, so a run past the guard ends in
+    # exit 3 anyway, after 2^(M(M-1)/2) reports on M vertices alone
+    limit = max_n or DEFAULT_DRK_N_LIMIT
+    if args.exhaustive_upto > limit:
+        raise GuardError(f"exhaustive-upto {args.exhaustive_upto} is above "
+                         f"the d_rk solver guard n <= {limit}")
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import json
 from itertools import combinations
 
 import pytest
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
-from rkdom import (GuardError, check_graph, check_nordhaus_gaddum,
-                   d_rk_oracle, gamma_kr_exact, report_csv_rows, report_dict,
+from rkdom import (Graph, GuardError, SolvedValues, check_graph,
+                   check_nordhaus_gaddum, complement, d_rk_exact, d_rk_oracle,
+                   gamma_kr_exact, report_csv_rows, report_dict, report_json,
                    solve_all, surplus_bipartite_witness, violations)
 
 
@@ -236,3 +239,109 @@ class TestReports:
         assert len(rows) == len(records)
         assert all(len(row) == 18 for row in rows)
         assert rows[0][11] == records[0].theorem_id
+
+
+ALL_THEOREM_IDS = {
+    "eq1-lo", "eq1-hi", "eq23", "V0", "V1", "Delta", "gammast",
+    "gammast-eq", "Th2", "c1", "c1-eq", "kdelta", "reg", "Delta1", "cor1-lo",
+    "cor1-hi", "obs", "obs2", "obs2-cor", "mapping", "SV", "1d=n", "Kpq",
+    "knord", "knord-eq", "knord-k1", "regnord", "final-cor"}
+
+# Every fixed notes text check_graph and check_nordhaus_gaddum can emit;
+# the Kpq case lists are checked separately.
+ALL_FIXED_NOTES = {
+    "", "floor 1 at k=1, floor 2 once k >= 2",
+    "n <= 2k forces gamma_kr = n", "n >= 2k+1 forces gamma_kr >= 2k",
+    "ceil(2nk/(Delta+k)) <= gamma_kr", "needs Delta >= k",
+    "optimal family re-validated: uniform weight and full capacity",
+    "product equality not attained", "no family witness supplied",
+    "needs n >= 2", "biconditional as 0/1 indicators", "graph not regular",
+    "cross-multiplied rational bound", "needs k >= Delta+1",
+    "needs k >= 2, n >= 2k-2", "needs k >= 2, n >= 2k-2, k >= Delta+1",
+    "needs k >= 2^n", "stated for k = 1 only",
+    "biconditional as 0/1 indicators; consistent reading d_rk(K_n) = n "
+    "adopted over the superseded transcription d_rk(K_n) = 1",
+    "stated for k = 1 and n >= 2 only", "graph is not complete bipartite",
+    "gamma_kr = n and d_rk = 2k exclude a surplus witness",
+    "hypotheses gamma_kr = n, d_rk = 2k not met",
+    "witness search guard is n <= 10",
+    "equality requires Delta - delta = 1", "sum below the ceiling",
+    "needs a regular graph, k >= 2 and n >= 2"}
+
+KPQ_CASES = {"p<k or p=q=k", "k<=p<=3k", "p>=3k"}
+
+
+@functools.cache
+def _report_corpus() -> tuple:
+    """(graph, k, values, records) reports over every theorem id and note."""
+    corpus = []
+
+    def add(g, k, vals=None, nordhaus=True):
+        vals = vals or solve_all(g, k)
+        records = check_graph(g, k, vals)
+        corpus.append((g, k, vals, records))
+        if nordhaus:
+            corpus.append((g, k, vals,
+                           records + check_nordhaus_gaddum(g, k, vals)))
+
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for k in range(1, 5):
+                add(g, k)
+    for n in range(2, 7):
+        add(complete(n), 1)
+    for p in range(1, 5):
+        for q in range(p, 9 - p):
+            for k in range(1, 4):
+                add(bipartite(p, q), k)
+    # product equality with a family that fails re-validation, and with
+    # no family at all
+    g = complete(3)
+    bad = solve_all(g, 1).d_rk_family[:2] + ((0, 0, 0),)
+    add(g, 1, SolvedValues(1, 2, 3, 3, bad))
+    add(g, 1, SolvedValues(1, 2, 3, 3))
+    # no graph with n <= 5 reaches the knord ceiling n + 4k - 2; at k = 1
+    # pick d_rk(G) so that the sum with the solved complement does
+    drk_co = d_rk_exact(complement(g), 1).value
+    add(g, 1, SolvedValues(1, 2, 3, g.n + 2 - drk_co))
+    # above the witness-search guard; the values only feed the records
+    add(cycle(11), 1, SolvedValues(4, 8, 3, 3), nordhaus=False)
+    for label in ('say "K_3"', "back\\slash", "caf\u00e9 \U0001d53e",
+                  "tab\tnew\nline\x7f"):
+        g = Graph(3, [(0, 1), (1, 2)], label=label)
+        add(g, 2)
+    return tuple(corpus)
+
+
+class TestReportJson:
+    def test_corpus_covers_every_id_and_note(self):
+        records = [r for *_, recs in _report_corpus() for r in recs]
+        assert {r.theorem_id for r in records} == ALL_THEOREM_IDS
+        notes = {r.notes for r in records}
+        assert ALL_FIXED_NOTES <= notes
+        kpq = {r.notes for r in records
+               if r.theorem_id == "Kpq" and r.notes.startswith("cases: ")}
+        assert {case for note in kpq
+                for case in note[len("cases: "):].split(", ")} == KPQ_CASES
+        assert notes - ALL_FIXED_NOTES == kpq
+
+    def test_equals_json_dumps_indent_2(self):
+        for g, k, vals, records in _report_corpus():
+            expected = json.dumps(report_dict(g, k, vals, records), indent=2)
+            assert report_json(g, k, vals, records) == expected, (g.label, k)
+
+    def test_no_records(self):
+        g = complete(3)
+        vals = solve_all(g, 1)
+        assert report_json(g, 1, vals, []) == \
+            json.dumps(report_dict(g, 1, vals, []), indent=2)
+
+    def test_record_fields_have_exact_json_types(self):
+        # report_json renders flags through a bool table and lhs/rhs with
+        # %d, which match json.dumps only for exact bools and plain ints
+        for *_, records in _report_corpus():
+            for r in records:
+                assert type(r.applicable) is bool, r
+                assert type(r.holds) is bool, r
+                assert type(r.equality) is bool, r
+                assert type(r.lhs) is int and type(r.rhs) is int, r

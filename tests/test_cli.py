@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -119,6 +120,28 @@ class TestCompute:
         code, out, err = run(capsys, ["compute", "--graph", str(path),
                                       "--k", "1", "--quantity", "gamma-kr"])
         assert code == 4 and out == "" and "byte 1" in err
+
+    @pytest.mark.parametrize("fmt, text, offset", [
+        ("graph6", "\u00a0Bw\n", 0),
+        ("edgelist", "n\u00a03\n0 1\n", 1),
+    ])
+    def test_non_ascii_stdin_is_parse_error(self, capsys, monkeypatch, fmt,
+                                            text, offset):
+        # the same answer as the same bytes in a file, not a stripped parse
+        code, out, err = run(capsys, ["compute", "--graph", "-", "--format",
+                                      fmt, "--k", "1",
+                                      "--quantity", "gamma-kr"],
+                             stdin=text, monkeypatch=monkeypatch)
+        assert code == 4 and out == ""
+        assert f"byte {offset}: not ASCII" in err
+
+    def test_undecodable_stdin_is_parse_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"B\xc3\xa9\xffw\n"),
+                                 encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, ["compute", "--graph", "-", "--k", "1",
+                                      "--quantity", "gamma-kr"])
+        assert code == 4 and out == "" and "byte 1:" in err
 
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(capsys, ["compute", "--graph", "/no/such/file",
@@ -318,6 +341,33 @@ class TestSweep:
                                       "--count", "-1", "--seed", "1",
                                       "--exhaustive-upto", "1"])
         assert code == 2 and out == "" and "count" in err
+
+    def test_negative_exhaustive_upto_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
+                                      "--count", "1", "--seed", "1",
+                                      "--exhaustive-upto", "-3"])
+        assert code == 2 and out == "" and "exhaustive-upto" in err
+
+    @pytest.mark.parametrize("upto, flags, env", [
+        (9, [], None), (5, ["--max-n", "4"], None), (4, [], "3")])
+    def test_exhaustive_upto_above_guard_is_refused(self, capsys, monkeypatch,
+                                                    upto, flags, env):
+        # refused before the first report, not after 2^(M(M-1)/2) of them
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RKDOM_MAX_N", env)
+        code, out, err = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
+                                      "--count", "1", "--seed", "1",
+                                      "--exhaustive-upto", str(upto), *flags])
+        assert code == 3 and out == "" and "exhaustive-upto" in err
+
+    def test_exhaustive_upto_at_guard_runs(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
+                                    "--count", "0", "--seed", "1",
+                                    "--exhaustive-upto", "3", "--max-n", "3"])
+        assert code == 0 and json.loads(out.splitlines()[-1])[
+            "summary"]["instances"] == 11
+
 
 class TestArgumentValidation:
     def test_k_zero_is_usage_error(self, capsys, monkeypatch):
