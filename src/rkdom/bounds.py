@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
@@ -22,8 +23,7 @@ from .roman import gamma_k_exact, gamma_kr_exact, weight
 DEFAULT_WITNESS_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     theorem_id: str
     applicable: bool
     lhs: int

@@ -29,8 +29,8 @@ from .constructions import (ConstructionError, family_balanced_bipartite,
                             family_complete, family_from_balanced_subgraphs,
                             family_kdelta_sharpness, family_near_order,
                             family_nontrivial)
-from .domatic import (DEFAULT_DRK_N_LIMIT, d_k_exact, d_rk_exact,
-                      d_rk_oracle, validate_family)
+from .domatic import (DEFAULT_DRK_K_LIMIT, DEFAULT_DRK_N_LIMIT, d_k_exact,
+                      d_rk_exact, d_rk_oracle, validate_family)
 from .graphs import (MAX_VERTICES, FamilySpec, Graph, GuardError, ParseError,
                      encode_graph6, generate, graph6_pairs, parse_edge_list,
                      parse_graph6)
@@ -263,6 +263,11 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION if violations(records) else EXIT_OK
 
 
+def _sweep_orders(args) -> list[int]:
+    """The orders the seeded G(n,p) instances cycle over."""
+    return list(range(max(2, args.exhaustive_upto + 1), args.n_max + 1))
+
+
 def _sweep_instances(args):
     """Deterministic corpus: exhaustive small graphs then seeded G(n,p)."""
     for n in range(1, args.exhaustive_upto + 1):
@@ -272,7 +277,7 @@ def _sweep_instances(args):
             g = Graph(n, edges, label=f"exhaustive(n={n},mask={mask})")
             for k in range(1, args.k_max + 1):
                 yield g, k
-    ns = list(range(max(2, args.exhaustive_upto + 1), args.n_max + 1))
+    ns = _sweep_orders(args)
     for j in range(args.count if ns else 0):
         n = ns[j % len(ns)]
         prob = _SWEEP_PROBS[j % len(_SWEEP_PROBS)]
@@ -295,6 +300,19 @@ def _cmd_sweep(args) -> int:
     if args.exhaustive_upto > limit:
         raise GuardError(f"exhaustive-upto {args.exhaustive_upto} is above "
                          f"the d_rk solver guard n <= {limit}")
+    # the seeded instances reach order ns[min(count, len(ns)) - 1] and
+    # k = min(count, k_max); the exhaustive graphs take every k
+    ns = _sweep_orders(args)
+    reach = min(args.count, len(ns))
+    if reach and ns[reach - 1] > limit:
+        raise GuardError(f"sweep reaches n={ns[reach - 1]}, above the d_rk "
+                         f"solver guard n <= {limit}")
+    k_top = min(args.count, args.k_max) if reach else 0
+    if args.exhaustive_upto:
+        k_top = args.k_max
+    if k_top > DEFAULT_DRK_K_LIMIT:
+        raise GuardError(f"sweep reaches k={k_top}, above the d_rk solver "
+                         f"guard k <= {DEFAULT_DRK_K_LIMIT}")
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)

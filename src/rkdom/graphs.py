@@ -348,6 +348,9 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
 
     data = [ord(c) for c in s]
     for off, b in enumerate(data):
+        if b > 127:
+            # decoded text: b is a code point, so no byte value to report
+            raise ParseError(f"byte {off}: not ASCII")
         if not 63 <= b <= 126:
             raise ParseError(f"byte {off}: value {b} outside graph6 range 63..126")
 

@@ -143,6 +143,22 @@ class TestCompute:
                                       "--quantity", "gamma-kr"])
         assert code == 4 and out == "" and "byte 1:" in err
 
+    @pytest.mark.parametrize("raw, encoding, errors", [
+        (b"B\xc3\xa9w\n", "utf-8", "strict"),
+        (b"B\xffw\n", "ascii", "surrogateescape"),
+    ])
+    def test_non_ascii_graph6_stdin_names_the_offset(self, capsys,
+                                                     monkeypatch, raw,
+                                                     encoding, errors):
+        # byte 1 is the first non-ASCII one, not a graph6 value of 233
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding=encoding,
+                                 errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, ["compute", "--graph", "-", "--k", "1",
+                                      "--quantity", "gamma-kr"])
+        assert code == 4 and out == ""
+        assert "byte 1: not ASCII" in err and "range" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(capsys, ["compute", "--graph", "/no/such/file",
                                   "--k", "1", "--quantity", "gamma-kr"])
@@ -360,6 +376,35 @@ class TestSweep:
                                       "--count", "1", "--seed", "1",
                                       "--exhaustive-upto", str(upto), *flags])
         assert code == 3 and out == "" and "exhaustive-upto" in err
+
+    @pytest.mark.parametrize("argv, reached", [
+        (["--n-max", "9", "--k-max", "1", "--count", "10",
+          "--exhaustive-upto", "1"], "n=9"),
+        (["--n-max", "6", "--k-max", "1", "--count", "5",
+          "--exhaustive-upto", "1", "--max-n", "5"], "n=6"),
+        (["--n-max", "8", "--k-max", "5", "--count", "5",
+          "--exhaustive-upto", "0"], "k=5"),
+        (["--n-max", "1", "--k-max", "5", "--count", "0",
+          "--exhaustive-upto", "1"], "k=5"),
+    ])
+    def test_corpus_past_a_guard_is_refused(self, capsys, monkeypatch, argv,
+                                            reached):
+        # refused before the first report, not after the reports below it
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        code, out, err = run(capsys, ["sweep", "--seed", "1", *argv])
+        assert code == 3 and out == "" and f"reaches {reached}" in err
+
+    def test_count_short_of_the_guard_runs(self, capsys, monkeypatch):
+        # orders 2..9 and k 1..5 are offered, but 4 instances reach only
+        # n = 5 and k = 4
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        code, out, _ = run(capsys, ["sweep", "--n-max", "9", "--k-max", "5",
+                                    "--count", "4", "--seed", "1",
+                                    "--exhaustive-upto", "0"])
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert [(r["graph"]["n"], r["k"]) for r in reports] == \
+            [(2, 1), (3, 2), (4, 3), (5, 4)]
 
     def test_exhaustive_upto_at_guard_runs(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",

@@ -87,6 +87,13 @@ class TestGraph6:
         with pytest.raises(ParseError, match="byte 0"):
             parse_graph6("\x7f_")
 
+    @pytest.mark.parametrize("text", ["B\u00e9w", "B\udcffw", "B\x80w",
+                                      "B\U0001d4b3w"])
+    def test_non_ascii_character_named_by_offset(self, text):
+        # the offset of the character, not its code point as a byte value
+        with pytest.raises(ParseError, match=r"^byte 1: not ASCII$"):
+            parse_graph6(text)
+
     def test_truncated_bit_vector(self):
         with pytest.raises(ParseError, match="truncated"):
             parse_graph6("B")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from itertools import combinations, product
 
@@ -263,40 +264,43 @@ class TestGammaKrExact:
 
 
 # (n, p, seed, k) -> (gamma_k value, set mask, nodes), (gamma_kR value,
-# labeling, nodes), recorded when the two solvers were separate searches.
+# labeling, nodes).  Values and witnesses were recorded when the two
+# solvers were separate searches; the node counts were re-recorded when
+# the value came to be proven in ascending-degree order before the
+# witness pass.
 PINNED_SOLVES = [
-    ((12, 0.3, 1, 1), (3, "010000110000", 91), (5, "010000220000", 38)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 92), (11, "012101221100", 737)),
-    ((13, 0.25, 7, 1), (6, "1111001000100", 192),
-     (8, "0100101002012", 494)),
-    ((13, 0.25, 7, 2), (8, "0110111010110", 239),
-     (12, "0102101202012", 1908)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 238),
-     (8, "00002020000220", 840)),
-    ((12, 0.5, 2, 2), (4, "101100001000", 138), (7, "000012020002", 197)),
-    # recorded before the deficiency bound became incremental: k = 3 and 4
+    ((12, 0.3, 1, 1), (3, "010000110000", 96), (5, "010000220000", 40)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 44), (11, "012101221100", 524)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 102),
+     (8, "0100101002012", 179)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 192),
+     (12, "0102101202012", 651)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 220),
+     (8, "00002020000220", 380)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 120), (7, "000012020002", 164)),
+    # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 112), (12, "020210202201", 1203)),
-    ((13, 0.5, 8, 4), (7, "1111000101001", 240),
-     (13, "0002002202221", 1864)),
-    ((14, 0.3, 2, 3), (10, "01110101111101", 208),
-     (14, "00110021121221", 2499)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 311),
-     (9, "000001222000002", 511)),
-    ((15, 0.15, 4, 3), (13, "111111101111110", 37),
-     (15, "111111111111111", 1665)),
-    ((15, 0.5, 6, 2), (4, "101000001000100", 253),
-     (8, "000000200002202", 1082)),
-    ((15, 0.5, 6, 3), (6, "111110001000000", 450),
-     (10, "002120002000102", 1279)),
-    ((16, 0.15, 9, 2), (10, "1100010011101111", 847),
-     (15, "0120010220102211", 9664)),
-    ((16, 0.5, 11, 3), (7, "1101101100010000", 468),
-     (12, "0001202100022020", 2986)),
-    ((16, 0.5, 11, 4), (8, "1101101100011000", 354),
-     (14, "2001202100022020", 4758)),
-    ((10, 0.2, 3, 4), (10, "1111111111", 11), (10, "1111111111", 144)),
+    ((12, 0.4, 5, 3), (6, "010110101100", 151), (12, "020210202201", 687)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 132),
+     (13, "0002002202221", 875)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 184),
+     (14, "00110021121221", 1042)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 308),
+     (9, "000001222000002", 428)),
+    ((15, 0.15, 4, 3), (13, "111111101111110", 48),
+     (15, "111111111111111", 1615)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 296),
+     (8, "000000200002202", 504)),
+    ((15, 0.5, 6, 3), (6, "111110001000000", 278),
+     (10, "002120002000102", 1066)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 615),
+     (15, "0120010220102211", 3539)),
+    ((16, 0.5, 11, 3), (7, "1101101100010000", 228),
+     (12, "0001202100022020", 2052)),
+    ((16, 0.5, 11, 4), (8, "1101101100011000", 203),
+     (14, "2001202100022020", 6186)),
+    ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 155)),
 ]
 
 # (family, n, k) -> the same pins as above, on the edgeless and complete
@@ -329,24 +333,82 @@ def test_pinned_family_solves(case, gk, gkr):
                    gk, gkr)
 
 
-# One SHA-256 over (value, witness, nodes) of both solvers on 150 seeded
-# G(n, p) graphs (n 8-13, p 0.15-0.8, k 1-4) and their complements,
-# recorded before the node work of `_roman_bb` was trimmed.  Any change to
-# a cut, a label order or the node count changes it.
-CORPUS_PIN = "0d9903a13295cd631711c8ea7fe1eb0eb6367a9a0a93a4b218e7af7090e869f4"
-
-
-def test_corpus_pin():
-    digest = hashlib.sha256()
+@functools.cache
+def _corpus_solves():
+    """(value, witness, nodes) lines of both solvers on 150 seeded G(n, p)
+    graphs (n 8-13, p 0.15-0.8, k 1-4) and their complements."""
+    lines = []
     for i in range(150):
         g = gnp(8 + i % 6, (0.15, 0.3, 0.45, 0.6, 0.8)[i % 5], 100 + i)
         k = 1 + i // 6 % 4
         for graph in (g, complement(g)):
             for solve in (gamma_kr_exact, gamma_k_exact):
                 res = solve(graph, k)
-                digest.update(f"{res.value} {labeling_to_string(res.witness)} "
-                              f"{res.nodes_explored}\n".encode())
+                lines.append((res.value, labeling_to_string(res.witness),
+                              res.nodes_explored))
+    return lines
+
+
+# One SHA-256 over the values and witnesses of the corpus, recorded before
+# the value came to be proven in ascending-degree order.  It holds across
+# any change that keeps every optimum and the lex-least witness.
+CORPUS_VALUES_PIN = \
+    "e29fd8f17225fd00cff5b280e173515ae007abb96182d8b9eac1060cf1ac2a24"
+
+# One SHA-256 over value, witness and nodes, re-recorded when the value
+# came to be proven in ascending-degree order.  Any change to a cut, a
+# label order, a vertex order or the node count changes it.
+CORPUS_PIN = "22f997c1fa5c79db79ae8c4cacb4b88cddd9e9b2a7362fc658fbf37ad245fc4d"
+
+
+def test_corpus_values_pin():
+    digest = hashlib.sha256()
+    for value, witness, _ in _corpus_solves():
+        digest.update(f"{value} {witness}\n".encode())
+    assert digest.hexdigest() == CORPUS_VALUES_PIN
+
+
+def test_corpus_pin():
+    digest = hashlib.sha256()
+    for value, witness, nodes in _corpus_solves():
+        digest.update(f"{value} {witness} {nodes}\n".encode())
     assert digest.hexdigest() == CORPUS_PIN
+
+
+def _first_optimum(labelings, cost, valid):
+    """The first labeling in the given order among the valid ones of
+    least cost."""
+    best = first = None
+    for f in labelings:
+        if (best is None or cost(f) < best) and valid(f):
+            best, first = cost(f), f
+    return best, first
+
+
+def _witness_corpus():
+    for n in range(1, 5):
+        yield from all_graphs(n)
+    for n in (5, 6, 7):
+        for prob in (0.25, 0.5, 0.75):
+            for seed in range(4):
+                yield gnp(n, prob, 300 + 10 * n + seed)
+
+
+def test_witnesses_are_first_optima_in_brute_force_order():
+    # the solvers' vertex order must not leak into the witness: gamma_kR's
+    # is the first optimal RkDF in product((0, 1, 2)) order, gamma_k's the
+    # first optimal k-dominating mask in product((1, 0)) order
+    for g in _witness_corpus():
+        for k in (1, 2, 3):
+            gkr = gamma_kr_exact(g, k)
+            assert (gkr.value, gkr.witness) == _first_optimum(
+                product((0, 1, 2), repeat=g.n), sum,
+                lambda f: not validate_rkdf(g, k, f)), (g.label, k)
+            gk = gamma_k_exact(g, k)
+            assert (gk.value, gk.witness) == _first_optimum(
+                product((1, 0), repeat=g.n), sum,
+                lambda s: is_k_dominating(
+                    g, k, [v for v in range(g.n) if s[v]])), (g.label, k)
 
 
 def _gamma_k_brute(g, k):
