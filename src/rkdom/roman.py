@@ -212,15 +212,17 @@ def gamma_kr_exact(g: Graph, k: int,
 
     Branch and bound over labelings (`_roman_bb`): values are tried 0,1,2,
     and a branch is cut when its weight plus a covering-deficiency lower
-    bound cannot beat the incumbent.  The deficiency state (which assigned
-    zeros are still short of k 2-neighbours, and by how much) is updated
-    incrementally as labels are placed, so no node rescans the assigned
-    vertices.  One pass assigns the vertices in ascending-degree order and
-    proves the value; a second pass assigns them in index order, with the
-    value as its incumbent, and stops at its first leaf.  The returned
-    witness is therefore the lexicographically least optimal labeling, and
-    nodes_explored counts both passes (one pass on a graph whose degrees
-    do not decrease along the index order, such as a regular graph).
+    bound, or plus the paper's bound gamma_kR >= 2nk / (Delta + k) applied
+    to the unassigned vertices, cannot beat the incumbent.  The deficiency
+    state (which assigned zeros are still short of k 2-neighbours, and by
+    how much) is updated incrementally as labels are placed, so no node
+    rescans the assigned vertices.  One pass assigns the vertices in
+    ascending-degree order and proves the value; a second pass assigns
+    them in index order, with the value as its incumbent, and stops at its
+    first leaf.  The returned witness is therefore the lexicographically
+    least optimal labeling, and nodes_explored counts both passes (one
+    pass on a graph whose degrees do not decrease along the index order,
+    such as a regular graph).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -270,6 +272,23 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     vertex has an unassigned neighbour; otherwise tails[pos] is scanned
     up to the first row that covers enough, and only when the largest
     need alone does not cut.
+
+    Ahead of the need tests a child is cut by the residual form of the
+    paper's bound gamma_kR >= ceil(2nk / (Delta + k)).  Let U be the
+    vertices still unassigned after the child and c2(v) the assigned
+    2-neighbours of v.  In any completion every v in U has k * [f(v) >= 1]
+    plus its 2-labelled neighbours in U at least k - c2(v), and the dmask
+    zeros need total more 2-labelled neighbours in U.  A 1 in U adds k to
+    the sum of these at weight 1; a 2 adds k plus its neighbours in U and
+    in dmask, at most k + Delta, at weight 2.  So the weight still to come
+    is at least 2 * (dem + total) / dn, where dem = k|U| - (sum of c2 over
+    U) and dn = max(2k, k + Delta); at the root with Delta >= k that is
+    the paper's bound.  The recursion carries dem: assigning x takes k -
+    c2(x) off it, and a 2 at x one more for each unassigned neighbour.  The
+    test has no division: the child is cut when 2 * (dem + total) > dn *
+    (best - weight - 1).  Like the other cuts it removes only subtrees with
+    no leaf lighter than the incumbent, so the value and the witness do
+    not depend on it.
     """
     n = g.n
     adj = g.adj
@@ -284,7 +303,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     stop = -1             # a leaf this light ends the pass
 
     def rec(pos: int, wt: int, v2mask: int, dmask: int, total: int,
-            maxneed: int) -> None:
+            maxneed: int, dem: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if pos == n:
@@ -299,6 +318,9 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         rest = later[pos]
         row = adj[x]
         hit = row & dmask
+        c2x = (row & v2mask).bit_count()     # x's 2-neighbours
+        base = dem - k + c2x                 # dem once x is assigned
+        degr = (row & rest).bit_count()      # x's unassigned neighbours
         # a label 0 or 1 at x would leave a dmask neighbour uncoverable
         stranded = False
         h = hit
@@ -314,9 +336,10 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             if new_wt >= best:
                 continue  # a later label may be lighter
             values[x] = val
-            v2, d, t, m = v2mask, dmask, total, maxneed
+            v2, d, t, m, e = v2mask, dmask, total, maxneed, base
             if val == 2:
                 v2 |= 1 << x
+                e -= degr
                 h = hit
                 while h:
                     low = h & -h
@@ -336,8 +359,8 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 if stranded:
                     continue
                 if val == 0:
-                    q = k - (row & v2mask).bit_count()
-                    if q > (row & rest).bit_count():
+                    q = k - c2x
+                    if q > degr:
                         continue
                     if q > 0:
                         need[x] = q
@@ -346,18 +369,20 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                         t += q
                         if q > m:
                             m = q
-            if not d:
-                rec(pos + 1, new_wt, v2, d, t, m)
+            if 2 * (e + t) > dn * (best - new_wt - 1):
+                pass      # the residual Delta bound cuts the child
+            elif not d:
+                rec(pos + 1, new_wt, v2, d, t, m, e)
             elif new_wt + 2 * m < best:
                 # 2 * ceil(t / cover) < best - new_wt holds iff some
                 # unassigned vertex covers at least want of dmask
                 want = -(-t // ((best - new_wt - 1) // 2))
                 if want <= 1:
-                    rec(pos + 1, new_wt, v2, d, t, m)
+                    rec(pos + 1, new_wt, v2, d, t, m, e)
                 else:
                     for urow in tails[pos]:
                         if (urow & d).bit_count() >= want:
-                            rec(pos + 1, new_wt, v2, d, t, m)
+                            rec(pos + 1, new_wt, v2, d, t, m, e)
                             break
             if val == 2:
                 h = hit
@@ -375,6 +400,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     identity = range(n)
     degrees = [row.bit_count() for row in adj]
+    dn = max(2 * k, k + max(degrees, default=0))
     if degrees != sorted(degrees):
         order = sorted(identity, key=degrees.__getitem__)
         later, m = [0] * n, 0
@@ -383,7 +409,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             m |= 1 << order[pos]
         rows = [adj[v] for v in order]
         tails = [rows[pos + 1:] for pos in identity]
-        rec(0, 0, 0, 0, 0, 0)
+        rec(0, 0, 0, 0, 0, 0, k * n)
         # this pass ran to exhaustion, so need and level are back at zero
         stop = best
         best += 1
@@ -391,7 +417,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in identity]
     tails = [adj[pos + 1:] for pos in identity]
     try:
-        rec(0, 0, 0, 0, 0, 0)
+        rec(0, 0, 0, 0, 0, 0, k * n)
     except _Found:
         pass  # the last pass: the state it leaves is never read
     assert witness is not None
@@ -411,9 +437,10 @@ def gamma_k_exact(g: Graph, k: int,
     with the same two passes: ascending-degree order proves the value, and
     index order, inclusion branch first, finds the first optimum.  That is
     the lexicographically least optimal set, returned as a 0/1 membership
-    mask tuple, and nodes_explored counts both passes.  V itself always
-    k-dominates (the condition quantifies over V minus the set), so a
-    solution exists.
+    mask tuple, and nodes_explored counts both passes.  The residual Delta
+    bound of gamma_kR cuts here too, since a set of size s is an RkDF of
+    weight 2s.  V itself always k-dominates (the condition quantifies over
+    V minus the set), so a solution exists.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

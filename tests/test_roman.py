@@ -267,49 +267,51 @@ class TestGammaKrExact:
 # labeling, nodes).  Values and witnesses were recorded when the two
 # solvers were separate searches; the node counts were re-recorded when
 # the value came to be proven in ascending-degree order before the
-# witness pass.
+# witness pass, and again when the residual Delta bound became a cut.
 PINNED_SOLVES = [
-    ((12, 0.3, 1, 1), (3, "010000110000", 96), (5, "010000220000", 40)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 44), (11, "012101221100", 524)),
-    ((13, 0.25, 7, 1), (6, "1111001000100", 102),
-     (8, "0100101002012", 179)),
-    ((13, 0.25, 7, 2), (8, "0110111010110", 192),
-     (12, "0102101202012", 651)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 220),
-     (8, "00002020000220", 380)),
-    ((12, 0.5, 2, 2), (4, "101100001000", 120), (7, "000012020002", 164)),
+    ((12, 0.3, 1, 1), (3, "010000110000", 89), (5, "010000220000", 26)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 44), (11, "012101221100", 293)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 95),
+     (8, "0100101002012", 105)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 158),
+     (12, "0102101202012", 197)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 187),
+     (8, "00002020000220", 136)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 119), (7, "000012020002", 109)),
     # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 151), (12, "020210202201", 687)),
-    ((13, 0.5, 8, 4), (7, "1111000101001", 132),
-     (13, "0002002202221", 875)),
-    ((14, 0.3, 2, 3), (10, "01110101111101", 184),
-     (14, "00110021121221", 1042)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 308),
-     (9, "000001222000002", 428)),
-    ((15, 0.15, 4, 3), (13, "111111101111110", 48),
-     (15, "111111111111111", 1615)),
-    ((15, 0.5, 6, 2), (4, "101000001000100", 296),
-     (8, "000000200002202", 504)),
+    ((12, 0.4, 5, 3), (6, "010110101100", 142), (12, "020210202201", 407)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 99),
+     (13, "0002002202221", 489)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 164),
+     (14, "00110021121221", 214)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 288),
+     (9, "000001222000002", 95)),
+    ((15, 0.15, 4, 3), (13, "111111101111110", 46),
+     (15, "111111111111111", 38)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 286),
+     (8, "000000200002202", 439)),
     ((15, 0.5, 6, 3), (6, "111110001000000", 278),
-     (10, "002120002000102", 1066)),
-    ((16, 0.15, 9, 2), (10, "1100010011101111", 615),
-     (15, "0120010220102211", 3539)),
+     (10, "002120002000102", 923)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 494),
+     (15, "0120010220102211", 662)),
     ((16, 0.5, 11, 3), (7, "1101101100010000", 228),
-     (12, "0001202100022020", 2052)),
+     (12, "0001202100022020", 1705)),
     ((16, 0.5, 11, 4), (8, "1101101100011000", 203),
-     (14, "2001202100022020", 6186)),
-    ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 155)),
+     (14, "2001202100022020", 4089)),
+    ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 22)),
 ]
 
 # (family, n, k) -> the same pins as above, on the edgeless and complete
-# graphs, recorded before the deficiency bound became incremental.
+# graphs, recorded before the deficiency bound became incremental; the
+# gamma_kR node counts were re-recorded when the residual Delta bound
+# became a cut.
 PINNED_FAMILY_SOLVES = [
-    (("empty", 9, 1), (9, "111111111", 10), (9, "111111111", 89)),
-    (("empty", 6, 2), (6, "111111", 7), (6, "111111", 21)),
-    (("complete", 8, 3), (3, "11100000", 24), (6, "00000222", 28)),
-    (("complete", 7, 8), (7, "1111111", 8), (7, "1111111", 34)),
+    (("empty", 9, 1), (9, "111111111", 10), (9, "111111111", 10)),
+    (("empty", 6, 2), (6, "111111", 7), (6, "111111", 7)),
+    (("complete", 8, 3), (3, "11100000", 24), (6, "00000222", 10)),
+    (("complete", 7, 8), (7, "1111111", 8), (7, "1111111", 8)),
 ]
 
 
@@ -356,9 +358,10 @@ CORPUS_VALUES_PIN = \
     "e29fd8f17225fd00cff5b280e173515ae007abb96182d8b9eac1060cf1ac2a24"
 
 # One SHA-256 over value, witness and nodes, re-recorded when the value
-# came to be proven in ascending-degree order.  Any change to a cut, a
+# came to be proven in ascending-degree order and when the residual Delta
+# bound became a cut.  Any change to a cut, a
 # label order, a vertex order or the node count changes it.
-CORPUS_PIN = "22f997c1fa5c79db79ae8c4cacb4b88cddd9e9b2a7362fc658fbf37ad245fc4d"
+CORPUS_PIN = "6ac4baa68d6979956334febb4498d0176e5b852189d7c2a5cca0d47be0209c66"
 
 
 def test_corpus_values_pin():
@@ -469,6 +472,38 @@ class TestGammaK:
     def test_guard(self):
         with pytest.raises(GuardError):
             gamma_k_exact(empty(21), 1)
+
+
+class TestDeltaCut:
+    """Both solvers against independent checks, on graphs chosen to put
+    the residual Delta bound's denominator on both sides: Delta < k,
+    where it is 2k, and Delta >= k, where it is k + Delta."""
+
+    def _corpus(self):
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                for k in (1, 2, 3, 4):
+                    yield g, k
+        for n in (6, 7, 8):
+            for prob in (0.15, 0.85):
+                for seed in range(3):
+                    g = gnp(n, prob, 500 + 10 * n + seed)
+                    for k in (1, 2, 3, 4):
+                        yield g, k
+
+    def test_both_regimes_are_covered(self):
+        regimes = {g.max_degree() >= k for g, k in self._corpus()}
+        assert regimes == {False, True}
+
+    def test_gamma_kr_agrees_with_oracle(self):
+        for g, k in self._corpus():
+            assert gamma_kr_exact(g, k).value == gamma_kr_oracle(g, k), \
+                (g.label, k)
+
+    def test_gamma_k_agrees_with_brute_force(self):
+        for g, k in self._corpus():
+            assert gamma_k_exact(g, k).value == _gamma_k_brute(g, k), \
+                (g.label, k)
 
 
 class TestKnownInequalities:
