@@ -8,6 +8,7 @@ largest number of blocks in a partition of V into k-dominating sets.
 from __future__ import annotations
 
 from itertools import product
+from operator import sub
 from typing import Iterable, Sequence
 
 from .graphs import Graph, GuardError
@@ -81,35 +82,29 @@ def _high_mask(n: int) -> int:
 
 def d_rk_oracle(g: Graph, k: int,
                 max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT) -> int:
-    """Maximum family size by exhaustive subset search.
+    """Maximum family size by a 0/1 knapsack over residual capacities.
 
-    Filters all 3^n labelings through validate_rkdf (lexicographic order),
-    then walks all subsets depth-first in that order with per-vertex
-    residual capacity 2k as the only pruning.  Independent check for
-    d_rk_exact: it shares no enumeration with the solver.
+    Filters all 3^n labelings through validate_rkdf, then takes them one
+    at a time and maps each reachable tuple of per-vertex residual
+    capacities (2k at the start) to the most members that reach it; a
+    labeling extends every state it fits under.  Independent check for
+    d_rk_exact: it shares no enumeration, search or capacity packing with
+    the solver.
     """
     if g.n > max_n or k > DEFAULT_DRK_ORACLE_K_LIMIT:
         raise GuardError(f"d_rk oracle guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_ORACLE_K_LIMIT}; "
                          f"got n={g.n}, k={k}")
-    pool = [_pack(f) for f in product((0, 1, 2), repeat=g.n)
-            if not validate_rkdf(g, k, f)]
-    high = _high_mask(g.n)
-    npool = len(pool)
-    best = 0
-
-    def rec(start: int, rescap: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        base = rescap | high
-        for i in range(start, npool):
-            left = base - pool[i]
-            if left & high == high:
-                rec(i + 1, left ^ high, count + 1)
-
-    rec(0, _pack([2 * k] * g.n), 0)
-    return best
+    most = {(2 * k,) * g.n: 0}
+    for f in product((0, 1, 2), repeat=g.n):
+        if validate_rkdf(g, k, f):
+            continue
+        # the snapshot keeps f out of the states it has just made
+        for caps, count in list(most.items()):
+            left = tuple(map(sub, caps, f))
+            if min(left) >= 0 and most.get(left, -1) <= count:
+                most[left] = count + 1
+    return max(most.values())
 
 
 def d_rk_exact(g: Graph, k: int,

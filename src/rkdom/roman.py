@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, GuardError
 
@@ -213,7 +213,8 @@ def gamma_kr_exact(g: Graph, k: int,
     Branch and bound over labelings (`_roman_bb`): values are tried 0,1,2,
     and a branch is cut when its weight plus a covering-deficiency lower
     bound, or plus the paper's bound gamma_kR >= 2nk / (Delta + k) applied
-    to the unassigned vertices, cannot beat the incumbent.  The deficiency
+    to the unassigned vertices with their own largest degree among
+    themselves for Delta, cannot beat the incumbent.  The deficiency
     state (which assigned zeros are still short of k 2-neighbours, and by
     how much) is updated incrementally as labels are placed, so no node
     rescans the assigned vertices.  One pass assigns the vertices in
@@ -237,22 +238,50 @@ class _Found(Exception):
     """Unwinds the witness pass of `_roman_bb` at its first leaf."""
 
 
+def _pass_tables(adj: Sequence[int], order: Sequence[int], k: int,
+                 floor: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """Per position of one `_roman_bb` pass: the mask of the vertices
+    after it, their rows, and the slope max(floor, k + top), where top is
+    the most neighbours any of them has among them."""
+    n = len(order)
+    later, m = [0] * n, 0
+    for pos in range(n - 1, -1, -1):
+        later[pos] = m
+        m |= 1 << order[pos]
+    rows = [adj[v] for v in order]
+    tails = [rows[pos + 1:] for pos in range(n)]
+    dn = [floor] * n
+    for pos in range(n):
+        rest = later[pos]
+        top = 0
+        for urow in tails[pos]:     # a plain loop: max() costs more here
+            c = (urow & rest).bit_count()
+            if c > top:
+                top = c
+        if k + top <= floor:
+            break   # the vertex sets shrink, so top never rises again
+        dn[pos] = k + top
+    return later, tails, dn
+
+
 def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
               best: int) -> tuple[int, Labeling, int]:
     """Minimum-weight RkDF with labels from alphabet, below weight best.
 
     Returns (weight, first optimal labeling in index order, nodes).  One
     recursion runs in up to two passes; each labels the vertices in a
-    position-to-vertex order and tries the labels in the order given.  The
-    first pass takes the vertices in ascending-degree order (stable, so
-    ties keep index order) and runs from best to exhaustion, which proves
+    position-to-vertex order.  The first pass takes the vertices in
+    ascending-degree order (stable, so ties keep index order), tries the
+    labels lightest first and runs from best to exhaustion, which proves
     the optimum v; on random graphs its proof tree is far smaller than
-    the index-order one.  The second pass runs in index order from
-    best = v + 1 and stops at its first leaf, the least optimal labeling
-    in index order.  When the degree order is the identity (every regular
-    graph), the first pass is already the index-order search and its last
-    improving leaf is that labeling, so the second pass is skipped.  nodes
-    counts both passes.  Some labeling of weight below best must exist.
+    the index-order one.  The second pass runs in index order, tries the
+    labels in the order given, starts from best = v + 1 and stops at its
+    first leaf, the least optimal labeling in that order.  When the degree
+    order is the identity (every regular graph), the first pass is
+    skipped: the one pass is the index-order search in the given label
+    order, and its last improving leaf is that labeling.  The proof
+    pass's label order therefore never reaches the witness.  nodes counts
+    both passes.  Some labeling of weight below best must exist.
 
     At position pos the unassigned vertices are the ones after it in the
     order: their mask later[pos] and their rows tails[pos] are built once
@@ -274,19 +303,26 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     need alone does not cut.
 
     Ahead of the need tests a child is cut by the residual form of the
-    paper's bound gamma_kR >= ceil(2nk / (Delta + k)).  Let U be the
-    vertices still unassigned after the child and c2(v) the assigned
-    2-neighbours of v.  In any completion every v in U has k * [f(v) >= 1]
-    plus its 2-labelled neighbours in U at least k - c2(v), and the dmask
-    zeros need total more 2-labelled neighbours in U.  A 1 in U adds k to
-    the sum of these at weight 1; a 2 adds k plus its neighbours in U and
-    in dmask, at most k + Delta, at weight 2.  So the weight still to come
-    is at least 2 * (dem + total) / dn, where dem = k|U| - (sum of c2 over
-    U) and dn = max(2k, k + Delta); at the root with Delta >= k that is
-    the paper's bound.  The recursion carries dem: assigning x takes k -
-    c2(x) off it, and a 2 at x one more for each unassigned neighbour.  The
-    test has no division: the child is cut when 2 * (dem + total) > dn *
-    (best - weight - 1).  Like the other cuts it removes only subtrees with
+    paper's bound gamma_kR >= ceil(2nk / (Delta + k)), with a slope per
+    position in place of Delta.  Let U be the vertices still unassigned
+    after the child, c2(v) the assigned 2-neighbours of v, and top the
+    most neighbours a vertex of U has in U.  In any completion every v in
+    U has k * [f(v) >= 1] plus its 2-labelled neighbours in U at least
+    k - c2(v); summed over U the right side is dem = k|U| - (sum of c2
+    over U).  A 1 in U adds k to the left side at weight 1, a 2 adds at
+    most k + top at weight 2.  So the weight still to come is at least
+    2 * dem / dn, where dn = max(2k, k + top) when label 1 is in the
+    alphabet and k + top when it is not (a 1 can then not occur); with
+    U = V and top = Delta >= k this is the paper's bound.  dn depends only
+    on the position, since U does: the slopes are built once per order,
+    and top falls towards the leaves.  The recursion carries
+    dem: assigning x takes k - c2(x) off it, and a 2 at x one more for
+    each unassigned neighbour.  The test has no division: the child is
+    cut when 2 * dem > dn * (best - weight - 1).  The total need of the
+    dmask zeros is not in this test: a 2 in U can also cover dmask
+    vertices, so counting that need would bring back their degrees into
+    the slope, up to the global Delta; the largest-need and cover tests
+    still cut on it.  Like the other cuts it removes only subtrees with
     no leaf lighter than the incumbent, so the value and the witness do
     not depend on it.
     """
@@ -321,6 +357,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         c2x = (row & v2mask).bit_count()     # x's 2-neighbours
         base = dem - k + c2x                 # dem once x is assigned
         degr = (row & rest).bit_count()      # x's unassigned neighbours
+        slope = dn[pos]
         # a label 0 or 1 at x would leave a dmask neighbour uncoverable
         stranded = False
         h = hit
@@ -331,7 +368,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 stranded = True
                 break
             h ^= low
-        for val in alphabet:
+        for val in labels:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
@@ -369,8 +406,8 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                         t += q
                         if q > m:
                             m = q
-            if 2 * (e + t) > dn * (best - new_wt - 1):
-                pass      # the residual Delta bound cuts the child
+            if 2 * e > slope * (best - new_wt - 1):
+                pass      # the residual degree bound cuts the child
             elif not d:
                 rec(pos + 1, new_wt, v2, d, t, m, e)
             elif new_wt + 2 * m < best:
@@ -400,22 +437,17 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     identity = range(n)
     degrees = [row.bit_count() for row in adj]
-    dn = max(2 * k, k + max(degrees, default=0))
+    floor = 2 * k if 1 in alphabet else 0
     if degrees != sorted(degrees):
         order = sorted(identity, key=degrees.__getitem__)
-        later, m = [0] * n, 0
-        for pos in range(n - 1, -1, -1):
-            later[pos] = m
-            m |= 1 << order[pos]
-        rows = [adj[v] for v in order]
-        tails = [rows[pos + 1:] for pos in identity]
+        labels = tuple(sorted(alphabet))
+        later, tails, dn = _pass_tables(adj, order, k, floor)
         rec(0, 0, 0, 0, 0, 0, k * n)
         # this pass ran to exhaustion, so need and level are back at zero
         stop = best
         best += 1
-    order = identity
-    later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in identity]
-    tails = [adj[pos + 1:] for pos in identity]
+    order, labels = identity, alphabet
+    later, tails, dn = _pass_tables(adj, order, k, floor)
     try:
         rec(0, 0, 0, 0, 0, 0, k * n)
     except _Found:
@@ -434,13 +466,17 @@ def gamma_k_exact(g: Graph, k: int,
 
     A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
     this is the gamma_kR search over the labels (2, 0) at half the weight,
-    with the same two passes: ascending-degree order proves the value, and
-    index order, inclusion branch first, finds the first optimum.  That is
-    the lexicographically least optimal set, returned as a 0/1 membership
-    mask tuple, and nodes_explored counts both passes.  The residual Delta
-    bound of gamma_kR cuts here too, since a set of size s is an RkDF of
-    weight 2s.  V itself always k-dominates (the condition quantifies over
-    V minus the set), so a solution exists.
+    with the same two passes: ascending-degree order, exclusion branch
+    first, proves the value, and index order, inclusion branch first,
+    finds the first optimum.  That is the lexicographically least optimal
+    set, returned as a 0/1 membership mask tuple, and nodes_explored
+    counts both passes.  The residual Delta bound of gamma_kR cuts here
+    too, since a set of size s is an RkDF of weight 2s.  With no label 1
+    its slope has no 2k floor: each member absorbs at most k plus its
+    neighbours among the unassigned vertices, so on sparse graphs with k
+    above their residual degrees the cut is steeper than gamma_kR's.  V
+    itself always k-dominates (the condition quantifies over V minus the
+    set), so a solution exists.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -79,6 +79,18 @@ class TestDrkOracle:
         monkeypatch.setattr(rkdom.domatic, "enumerate_rkdfs", broken)
         assert d_rk_oracle(complete(3), 1) == 3
 
+    def test_independent_of_the_solver_packing(self, monkeypatch):
+        import rkdom.domatic
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle must not pack capacities")
+
+        want = d_rk_exact(cycle(5), 2).value
+        monkeypatch.setattr(rkdom.domatic, "_pack", broken)
+        monkeypatch.setattr(rkdom.domatic, "_high_mask", broken)
+        assert d_rk_oracle(complete(3), 1) == 3
+        assert d_rk_oracle(cycle(5), 2) == want
+
 
 class TestDrkExact:
     @pytest.mark.parametrize("g,k,expect", [

@@ -267,50 +267,52 @@ class TestGammaKrExact:
 # labeling, nodes).  Values and witnesses were recorded when the two
 # solvers were separate searches; the node counts were re-recorded when
 # the value came to be proven in ascending-degree order before the
-# witness pass, and again when the residual Delta bound became a cut.
+# witness pass, again when the residual Delta bound became a cut, and
+# again when that cut took a per-position slope and the proof pass the
+# lightest label first.
 PINNED_SOLVES = [
-    ((12, 0.3, 1, 1), (3, "010000110000", 89), (5, "010000220000", 26)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 44), (11, "012101221100", 293)),
-    ((13, 0.25, 7, 1), (6, "1111001000100", 95),
-     (8, "0100101002012", 105)),
-    ((13, 0.25, 7, 2), (8, "0110111010110", 158),
-     (12, "0102101202012", 197)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 187),
-     (8, "00002020000220", 136)),
-    ((12, 0.5, 2, 2), (4, "101100001000", 119), (7, "000012020002", 109)),
+    ((12, 0.3, 1, 1), (3, "010000110000", 36), (5, "010000220000", 26)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 36), (11, "012101221100", 198)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 58),
+     (8, "0100101002012", 107)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 112),
+     (12, "0102101202012", 147)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 55),
+     (8, "00002020000220", 138)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 82), (7, "000012020002", 106)),
     # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 142), (12, "020210202201", 407)),
-    ((13, 0.5, 8, 4), (7, "1111000101001", 99),
-     (13, "0002002202221", 489)),
-    ((14, 0.3, 2, 3), (10, "01110101111101", 164),
-     (14, "00110021121221", 214)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 288),
-     (9, "000001222000002", 95)),
-    ((15, 0.15, 4, 3), (13, "111111101111110", 46),
+    ((12, 0.4, 5, 3), (6, "010110101100", 90), (12, "020210202201", 324)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 88),
+     (13, "0002002202221", 295)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 150),
+     (14, "00110021121221", 112)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 120),
+     (9, "000001222000002", 149)),
+    ((15, 0.15, 4, 3), (13, "111111101111110", 42),
      (15, "111111111111111", 38)),
-    ((15, 0.5, 6, 2), (4, "101000001000100", 286),
-     (8, "000000200002202", 439)),
-    ((15, 0.5, 6, 3), (6, "111110001000000", 278),
-     (10, "002120002000102", 923)),
-    ((16, 0.15, 9, 2), (10, "1100010011101111", 494),
-     (15, "0120010220102211", 662)),
-    ((16, 0.5, 11, 3), (7, "1101101100010000", 228),
-     (12, "0001202100022020", 1705)),
-    ((16, 0.5, 11, 4), (8, "1101101100011000", 203),
-     (14, "2001202100022020", 4089)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 130),
+     (8, "000000200002202", 411)),
+    ((15, 0.5, 6, 3), (6, "111110001000000", 204),
+     (10, "002120002000102", 886)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 252),
+     (15, "0120010220102211", 450)),
+    ((16, 0.5, 11, 3), (7, "1101101100010000", 375),
+     (12, "0001202100022020", 1650)),
+    ((16, 0.5, 11, 4), (8, "1101101100011000", 275),
+     (14, "2001202100022020", 3324)),
     ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 22)),
 ]
 
 # (family, n, k) -> the same pins as above, on the edgeless and complete
 # graphs, recorded before the deficiency bound became incremental; the
 # gamma_kR node counts were re-recorded when the residual Delta bound
-# became a cut.
+# became a cut and when it took a per-position slope.
 PINNED_FAMILY_SOLVES = [
     (("empty", 9, 1), (9, "111111111", 10), (9, "111111111", 10)),
     (("empty", 6, 2), (6, "111111", 7), (6, "111111", 7)),
-    (("complete", 8, 3), (3, "11100000", 24), (6, "00000222", 10)),
+    (("complete", 8, 3), (3, "11100000", 24), (6, "00000222", 9)),
     (("complete", 7, 8), (7, "1111111", 8), (7, "1111111", 8)),
 ]
 
@@ -358,10 +360,10 @@ CORPUS_VALUES_PIN = \
     "e29fd8f17225fd00cff5b280e173515ae007abb96182d8b9eac1060cf1ac2a24"
 
 # One SHA-256 over value, witness and nodes, re-recorded when the value
-# came to be proven in ascending-degree order and when the residual Delta
-# bound became a cut.  Any change to a cut, a
-# label order, a vertex order or the node count changes it.
-CORPUS_PIN = "6ac4baa68d6979956334febb4498d0176e5b852189d7c2a5cca0d47be0209c66"
+# came to be proven in ascending-degree order, when the residual Delta
+# bound became a cut and when it took a per-position slope.  Any change
+# to a cut, a label order, a vertex order or the node count changes it.
+CORPUS_PIN = "1d152d8bf43a0833aadedb5b77c4ae0aa5e2ece30a234310a507855f4df043cd"
 
 
 def test_corpus_values_pin():
@@ -395,12 +397,19 @@ def _witness_corpus():
         for prob in (0.25, 0.5, 0.75):
             for seed in range(4):
                 yield gnp(n, prob, 300 + 10 * n + seed)
+    # regular graphs: the degree order is the index order, so the one pass
+    # is the witness pass and must try the labels in the caller's order
+    for n in (5, 6, 7, 8):
+        yield cycle(n)
+    for p in (3, 4):
+        yield bipartite(p, p)
 
 
 def test_witnesses_are_first_optima_in_brute_force_order():
     # the solvers' vertex order must not leak into the witness: gamma_kR's
     # is the first optimal RkDF in product((0, 1, 2)) order, gamma_k's the
-    # first optimal k-dominating mask in product((1, 0)) order
+    # first optimal k-dominating mask in product((1, 0)) order, although
+    # the proof pass tries the labels lightest first
     for g in _witness_corpus():
         for k in (1, 2, 3):
             gkr = gamma_kr_exact(g, k)
@@ -474,10 +483,25 @@ class TestGammaK:
             gamma_k_exact(empty(21), 1)
 
 
+def _root_tops(g):
+    """For each pass of the solvers (ascending-degree order, then index
+    order), the largest number of neighbours a vertex after the first
+    position has among the vertices after it.  The slope of the residual
+    Delta bound at a position is k + top there, at least 2k for gamma_kR;
+    top only falls as the positions advance."""
+    n = g.n
+    degrees = [row.bit_count() for row in g.adj]
+    for first in (sorted(range(n), key=degrees.__getitem__)[0], 0):
+        after = ((1 << n) - 1) ^ (1 << first)
+        yield max((g.adj[u] & after).bit_count()
+                  for u in range(n) if u != first)
+
+
 class TestDeltaCut:
     """Both solvers against independent checks, on graphs chosen to put
-    the residual Delta bound's denominator on both sides: Delta < k,
-    where it is 2k, and Delta >= k, where it is k + Delta."""
+    the per-position slope of the residual Delta bound in every regime:
+    for gamma_kR at its 2k floor (top <= k) and above it (top > k), and
+    for gamma_k, which has no floor, below 2k (top < k)."""
 
     def _corpus(self):
         for n in range(1, 5):
@@ -492,8 +516,14 @@ class TestDeltaCut:
                         yield g, k
 
     def test_both_regimes_are_covered(self):
-        regimes = {g.max_degree() >= k for g, k in self._corpus()}
-        assert regimes == {False, True}
+        # on the random graphs alone, from the root on: gamma_kR slopes
+        # above the 2k floor (top > k), and slopes below 2k (top < k),
+        # where gamma_kR's sits at its floor and gamma_k's, which has no
+        # floor, is k + top; the sparse G(n, 0.15) graphs at k 3-4 have it
+        tops = [(top, k) for g, k in self._corpus() if g.n >= 6
+                for top in _root_tops(g)]
+        assert any(top > k for top, k in tops)
+        assert any(top < k for top, k in tops)
 
     def test_gamma_kr_agrees_with_oracle(self):
         for g, k in self._corpus():
