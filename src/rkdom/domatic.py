@@ -66,18 +66,14 @@ def validate_family(g: Graph, k: int,
 # d_R^k: exact packing solver plus a brute-force oracle
 # ---------------------------------------------------------------------------
 
-# Residual capacities are packed one byte per vertex so that "candidate
-# fits" and "subtract candidate" are two integer operations: with the top
-# bit H (128) of every byte set, (rescap | H) - cand keeps each H bit
-# exactly when that field does not underflow (fields stay at or below
-# 2k <= 8, far below 128, so borrows never cross).  Pure representation
-# change; search order is unaffected.
-def _pack(values) -> int:
-    return int.from_bytes(bytes(values), "little")
-
-
+# Residual capacities are packed like the keys of enumerate_rkdfs, one
+# byte per vertex with vertex 0 the most significant, so a candidate's key
+# is what it takes off the capacities: with the top bit H (128) of every
+# byte set, (rescap | H) - key keeps each H bit exactly when that field
+# does not underflow (fields stay at or below 2k <= 8, far below 128, so
+# borrows never cross).
 def _high_mask(n: int) -> int:
-    return int.from_bytes(b"\x80" * n, "little")
+    return int.from_bytes(b"\x80" * n, "big")
 
 
 def d_rk_oracle(g: Graph, k: int,
@@ -133,7 +129,7 @@ def d_rk_exact(g: Graph, k: int,
         raise GuardError(f"d_rk solver guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
-    cands = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n).labelings
+    cands, packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n)
     weights = [sum(f) for f in cands]
     gkr = weights[0]
     delta, Delta = g.min_degree(), g.max_degree()
@@ -142,7 +138,6 @@ def d_rk_exact(g: Graph, k: int,
              (2 * k * n) // gkr)
 
     high = _high_mask(n)
-    packed = [_pack(f) for f in cands]
 
     def grow(count: int, captotal: int) -> bool:
         """Append the next weight level; False once it would pass 2n or
@@ -150,9 +145,9 @@ def d_rk_exact(g: Graph, k: int,
         w = weights[-1] + 1
         if w > 2 * n or count + captotal // w <= best:
             return False
-        level = enumerate_rkdfs(g, k, w, w, max_n).labelings
+        level, keys = enumerate_rkdfs(g, k, w, w, max_n)
         cands.extend(level)
-        packed.extend(_pack(f) for f in level)
+        packed.extend(keys)
         weights.extend([w] * len(level))
         return True
 
@@ -188,7 +183,7 @@ def d_rk_exact(g: Graph, k: int,
             i += 1
         return False
 
-    search(0, _pack([2 * k] * n), 0, 2 * k * n)
+    search(0, 2 * k * (high >> 7), 0, 2 * k * n)
     assert found is not None
     return SolveResult("d_rk", best, found, nodes)
 

@@ -8,7 +8,7 @@ neighbors labeled 2.  Labelings are plain tuples of ints throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product, repeat
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, GuardError
@@ -111,6 +111,7 @@ def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
 
 class EnumerationResult(NamedTuple):
     labelings: list[Labeling]
+    keys: list[int]     # int.from_bytes(bytes(f), "big") for each labeling f
 
 
 def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
@@ -119,18 +120,26 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     level one weight above it when that weight is at most hi.
 
     Each level is in lexicographic order of value sequences; both are
-    empty when no RkDF weighs between lo and hi.  One walk lists both: its
-    weight ceiling starts at hi, each leaf of weight wt lowers it to
-    wt + 1 when that is lower, and the leaves are kept in one list per
-    weight.  No RkDF weighs less than min(n, 2k), and the all-1 labeling
-    weighs n, so [min(n, 2k), n + 1] gives the gamma_kR and gamma_kR + 1
-    levels, and [w, w] gives level w alone.
+    empty when no RkDF weighs between lo and hi.  No RkDF weighs less
+    than min(n, 2k), and the all-1 labeling weighs n, so [min(n, 2k),
+    n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w] gives
+    level w alone.  Each labeling f also comes as its key, one byte per
+    vertex with vertex 0 the most significant: int.from_bytes(bytes(f),
+    "big").  So keys sort in the order of their labelings.
 
-    The recursion carries v2 (vertices labeled 2) and zeros (vertices
-    labeled 0): a zero stays feasible while its neighbours in v2 or still
-    unassigned number at least k.  Vertices are labelled in index order,
-    so the unassigned vertices at position pos are the vertices after it,
-    later[pos].
+    An RkDF is fixed by its support S, the vertices labelled 2, and by
+    the vertices of C(S) it labels 0, where C(S) is the vertices outside
+    S with at least k neighbours in S; every other vertex is 1.  So S
+    gives the levels n + |S| - |C(S)| through n + |S|, and level w takes
+    the ways to label n + |S| - w vertices of C(S) 0.  All of those
+    levels weigh at least 2|S|.  The supports are walked by size, and the
+    walk stops once 2|S| passes the ceiling: hi, lowered to one above the
+    lightest level found.  Nothing is kept across calls, and no table
+    over all 2^n supports is built.
+
+    C(S) comes from one sum over S of packed rows, which counts every
+    vertex's neighbours in S in a byte of its own, so the cover test is a
+    few integer operations per support.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -140,48 +149,69 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     n = g.n
     if n > max_n:
         raise GuardError(f"enumeration guard is n <= {max_n}, got {n}")
-    adj = g.adj
-    later = [((1 << n) - 1) ^ ((2 << pos) - 1) for pos in range(n)]
-    values = [0] * n
-    levels: list[list[Labeling]] = [[] for _ in range(hi + 1)]
-
-    def rec(pos: int, wt: int, v2: int, zeros: int) -> None:
-        nonlocal hi
-        if pos == n:
-            levels[wt].append(tuple(values))
-            if wt + 1 < hi:
-                hi = wt + 1
-            return
-        bit = 1 << pos
-        rest = later[pos]
-        row = adj[pos]
-        cover = v2 | rest     # possible 2-neighbours unless pos gets a 2
-        # a label 0 or 1 at pos takes one possible 2-neighbour from each
-        # zero next to it
-        ok = True
-        u = row & zeros
-        while u:
-            low = u & -u
-            if (adj[low.bit_length() - 1] & cover).bit_count() < k:
-                ok = False
-                break
-            u ^= low
-        headroom = 2 * (n - pos - 1)   # most weight the later vertices add
-        for val in (0, 1, 2):
-            if wt + val > hi:
-                break      # labels are tried lightest first
-            if wt + val + headroom < lo:
+    if n > 128:
+        raise GuardError(f"enumeration counts neighbours in bytes, so it "
+                         f"needs n <= 128, got {n}")
+    shift = 8 * n
+    unit = [1 << (shift - 8 - 8 * v) for v in range(n)]   # v's byte in a key
+    ones = sum(unit)
+    # Per vertex v: v's key byte above n count bytes, with a 1 in the
+    # count byte of each neighbour and -drop in v's own.  Summed over S
+    # on top of bias, the count byte of a vertex outside S holds 128 - k
+    # plus its neighbours in S (at most n - 1), so its top bit is set
+    # exactly when they number k or more; the byte of a vertex in S loses
+    # drop = n - k and stays in [128 - n, 127].  So the top bits mark
+    # C(S).  With k >= n no vertex can reach k, and both are 0.  No byte
+    # leaves [0, 255], so no carry or borrow crosses a byte.
+    bias, drop = ((128 - k) * ones, n - k) if k < n else (0, 0)
+    rows = []
+    for v, row in enumerate(g.adj):
+        packed = (unit[v] << shift) - drop * unit[v]
+        while row:
+            low = row & -row
+            packed += unit[low.bit_length() - 1]
+            row ^= low
+        rows.append(packed)
+    tops = ones << 7
+    levels: dict[int, list[int]] = {}
+    size = max(0, lo - n)   # a support of this size weighs at most n + size
+    while size <= n and 2 * size <= hi:
+        need = n + size - hi    # fewest zeros that keep a level <= hi
+        for packed in map(sum, combinations(rows, size), repeat(bias)):
+            cover = packed & tops
+            c = cover.bit_count()
+            if c < need:
                 continue
-            values[pos] = val
-            if val == 2:
-                rec(pos + 1, wt + 2, v2 | bit, zeros)
-            elif ok and (val or (row & cover).bit_count() >= k):
-                rec(pos + 1, wt + val, v2, zeros if val else zeros | bit)
-
-    rec(0, 0, 0, 0)
-    # levels[hi - 1] lies below the window when hi == lo
-    return EnumerationResult(levels[hi - 1] + levels[hi] if hi > lo
-                             else levels[hi])
+            first = max(lo, n + size - c)
+            if first + 1 < hi:
+                hi = first + 1
+                need = n + size - hi
+            base = ones + (packed >> shift)
+            zeros = None    # the unit of each vertex of C(S), built on demand
+            for w in range(first, min(hi, n + size) + 1):
+                z = n + size - w    # how many vertices of C(S) get a 0
+                bucket = levels.setdefault(w, [])
+                if z == c:          # all of C(S) at 0: one labeling
+                    bucket.append(base - (cover >> 7))
+                elif not z:         # none of it: one labeling
+                    bucket.append(base)
+                else:
+                    if zeros is None:
+                        zeros = []
+                        m = cover >> 7
+                        while m:
+                            low = m & -m
+                            zeros.append(low)
+                            m ^= low
+                    bucket.extend(map(base.__sub__,
+                                      map(sum, combinations(zeros, z))))
+        size += 1
+    if not levels:
+        return EnumerationResult([], [])
+    light = min(levels)
+    keys = sorted(levels[light]) + sorted(levels.get(light + 1, ()))
+    return EnumerationResult([tuple(key.to_bytes(n, "big")) for key in keys],
+                             keys)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,11 @@ class TestDrkOracle:
             raise AssertionError("the oracle must not pack capacities")
 
         want = d_rk_exact(cycle(5), 2).value
-        monkeypatch.setattr(rkdom.domatic, "_pack", broken)
+        # the solver's packing helper; its candidates arrive packed as the
+        # enumerator's keys, which the test above keeps from the oracle
         monkeypatch.setattr(rkdom.domatic, "_high_mask", broken)
+        with pytest.raises(AssertionError):
+            d_rk_exact(cycle(5), 2)    # the patch reaches the solver
         assert d_rk_oracle(complete(3), 1) == 3
         assert d_rk_oracle(cycle(5), 2) == want
 

@@ -142,6 +142,46 @@ class TestEnumerate:
                 with pytest.raises(ValueError):
                     enumerate_rkdfs(g, k, -1, -1)
 
+    def test_large_k_matches_naive_filter(self):
+        # k >= n, and k beyond what a byte counts: no vertex is covered,
+        # and no count may spill into the next byte
+        for g in (empty(3), path(4), complete(4)):
+            for k in (5, 127, 128, 200):
+                expect = sorted(naive_rkdfs(g, k), key=lambda f: (sum(f), f))
+                assert all_levels(g, k) == expect, (g.label, k)
+                both = enumerate_rkdfs(g, k, min(g.n, 2 * k), g.n + 1)
+                assert both.labelings == [f for f in expect
+                                          if sum(f) in (g.n, g.n + 1)]
+
+    def test_keys_are_the_labelings_as_big_endian_bytes(self):
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [gnp(6, 0.5, 3), gnp(7, 0.3, 4), gnp(7, 0.7, 5)]
+        for g in graphs:
+            for k in (1, 2, 3):
+                windows = [(w, w) for w in range(2 * g.n + 1)]
+                windows.append((min(g.n, 2 * k), g.n + 1))
+                for lo, hi in windows:
+                    res = enumerate_rkdfs(g, k, lo, hi)
+                    assert res.keys == [int.from_bytes(bytes(f), "big")
+                                        for f in res.labelings]
+                    ws = [sum(f) for f in res.labelings]
+                    assert all(a < b for a, b, wa, wb in zip(
+                        res.keys, res.keys[1:], ws, ws[1:]) if wa == wb), \
+                        (g.label, k, lo, hi)
+
+    def test_narrow_window_on_a_large_order(self):
+        # one 2 covers K_24 at k=1, so the walk ends after the supports of
+        # size 1; one over all 2^24 supports would not finish
+        n = 24
+        res = enumerate_rkdfs(complete(n), 1, 0, 3, max_n=n)
+        weight_2 = [tuple(2 if v == t else 0 for v in range(n))
+                    for t in range(n)]
+        weight_3 = [tuple(2 if v == t else 1 if v == u else 0
+                          for v in range(n))
+                    for t in range(n) for u in range(n) if u != t]
+        assert len(weight_2) == 24 and len(weight_3) == 552
+        assert res.labelings == sorted(weight_2) + sorted(weight_3)
+
     def test_lightest_level_is_gamma_kr(self):
         # d_rk_exact walks [min(n, 2k), n + 1] and takes the first level
         # as gamma_kR; k 1-3 puts n on both sides of 2k
@@ -181,6 +221,9 @@ class TestEnumerate:
         # k > Delta has no larger guard of its own
         with pytest.raises(GuardError):
             enumerate_rkdfs(empty(11), 1, 0, 22)
+        # neighbour counts are packed in bytes
+        with pytest.raises(GuardError):
+            enumerate_rkdfs(empty(129), 1, 0, 3, max_n=200)
 
 
 class TestGammaKrOracle:
