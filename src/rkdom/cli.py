@@ -31,9 +31,9 @@ from .constructions import (ConstructionError, family_balanced_bipartite,
                             family_nontrivial)
 from .domatic import (DEFAULT_DRK_K_LIMIT, DEFAULT_DRK_N_LIMIT, d_k_exact,
                       d_rk_exact, d_rk_oracle, validate_family)
-from .graphs import (MAX_VERTICES, FamilySpec, Graph, GuardError, ParseError,
-                     encode_graph6, generate, graph6_pairs, parse_edge_list,
-                     parse_graph6)
+from .graphs import (FAMILIES, MAX_VERTICES, FamilySpec, Graph, GuardError,
+                     ParseError, encode_graph6, generate, graph6_pairs,
+                     parse_edge_list, parse_graph6)
 from .roman import (gamma_k_exact, gamma_kr_exact, gamma_kr_oracle,
                     labeling_to_string)
 
@@ -102,26 +102,18 @@ def _read_graph(args) -> Graph:
     return g
 
 
+def _require(what: str, flags: Sequence[str], args) -> None:
+    """Usage error naming every flag in flags unless all were given."""
+    if any(getattr(args, flag) is None for flag in flags):
+        *head, last = [f"--{flag}" for flag in flags]
+        listed = f"{', '.join(head)} and {last}" if head else last
+        raise _UsageError(f"{what} needs {listed}")
+
+
 def _spec_from_args(args) -> FamilySpec:
-    kind = args.family
-    try:
-        if kind in ("complete", "cycle", "empty"):
-            if args.n is None:
-                raise _UsageError(f"--family {kind} needs --n")
-            return FamilySpec(kind, n=args.n)
-        if kind == "complete-bipartite":
-            if args.p is None or args.q is None:
-                raise _UsageError("--family complete-bipartite needs --p and --q")
-            return FamilySpec(kind, p=args.p, q=args.q)
-        if kind == "random-gnp":
-            if args.n is None or args.prob is None or args.seed is None:
-                raise _UsageError("--family random-gnp needs --n, --prob and --seed")
-            return FamilySpec(kind, n=args.n, prob=args.prob, seed=args.seed)
-        if args.k is None:
-            raise _UsageError("--family kdelta-sharpness needs --k")
-        return FamilySpec(kind, k=args.k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    params = FAMILIES[args.family].params
+    _require(f"--family {args.family}", params, args)
+    return FamilySpec(args.family, **{p: getattr(args, p) for p in params})
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +191,31 @@ def _parse_subgraphs(text: str) -> list[tuple[list[int], list[int]]]:
     return pairs
 
 
+# construct name -> (the flags it needs, builder of (graph, family) from
+# the arguments and the --graph input, read only for names that need it)
+_CONSTRUCTIONS = {
+    "complete": (("n",), lambda a, g: family_complete(a.n, a.k)),
+    "balanced-bipartite": (("t",),
+                           lambda a, g: family_balanced_bipartite(a.t, a.k)),
+    "near-order": (("graph",), lambda a, g: (g, family_near_order(g, a.k))),
+    "nontrivial": (("graph",), lambda a, g: (g, family_nontrivial(g, a.k))),
+    "kdelta-sharpness": ((), lambda a, g: family_kdelta_sharpness(a.k)),
+    "from-subgraphs": (("graph", "subgraphs"), lambda a, g: (
+        g, family_from_balanced_subgraphs(g, a.k,
+                                          _parse_subgraphs(a.subgraphs)))),
+}
+
+
 def _cmd_construct(args) -> int:
-    k = args.k
-    name = args.name
-    if name == "complete":
-        if args.n is None:
-            raise _UsageError("construct complete needs --n")
-        g, fam = family_complete(args.n, k)
-    elif name == "balanced-bipartite":
-        if args.t is None:
-            raise _UsageError("construct balanced-bipartite needs --t")
-        g, fam = family_balanced_bipartite(args.t, k)
-    elif name == "kdelta-sharpness":
-        g, fam = family_kdelta_sharpness(k)
-    elif name == "near-order":
-        g = _read_graph(args)
-        fam = family_near_order(g, k)
-    elif name == "nontrivial":
-        g = _read_graph(args)
-        fam = family_nontrivial(g, k)
-    else:
-        g = _read_graph(args)
-        if args.subgraphs is None:
-            raise _UsageError("construct from-subgraphs needs --subgraphs")
-        fam = family_from_balanced_subgraphs(g, k, _parse_subgraphs(args.subgraphs))
+    flags, build = _CONSTRUCTIONS[args.name]
+    _require(f"construct {args.name}", flags, args)
+    g, fam = build(args, _read_graph(args) if "graph" in flags else None)
     # the built families carry the fixed guard 64; hold them to MAX_N too
     limit = _max_n(args)
     if limit is not None and g.n > limit:
         raise GuardError(f"{g.label} has {g.n} vertices, guard is {limit}")
 
-    problems = validate_family(g, k, fam)
+    problems = validate_family(g, args.k, fam)
     if problems:
         for p in problems:
             print(f"rkdom: internal: {p.kind}: {p.detail}", file=sys.stderr)
@@ -345,9 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a named family member as graph6")
     p_gen.add_argument("--family", required=True,
-                       choices=("complete", "cycle", "empty",
-                                "complete-bipartite", "random-gnp",
-                                "kdelta-sharpness"))
+                       choices=tuple(FAMILIES))
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--p", type=int)
     p_gen.add_argument("--q", type=int)
@@ -373,9 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct = sub.add_parser("construct",
                                  help="materialize an explicit family")
     p_construct.add_argument("--name", required=True,
-                             choices=("complete", "balanced-bipartite",
-                                      "near-order", "nontrivial",
-                                      "kdelta-sharpness", "from-subgraphs"))
+                             choices=tuple(_CONSTRUCTIONS))
     p_construct.add_argument("--k", type=int, required=True)
     p_construct.add_argument("--n", type=int)
     p_construct.add_argument("--t", type=int)

@@ -7,13 +7,12 @@ largest number of blocks in a partition of V into k-dominating sets.
 
 from __future__ import annotations
 
-from itertools import product
 from operator import sub
 from typing import Iterable, Sequence
 
 from .graphs import Graph, GuardError
 from .roman import (Labeling, SolveResult, Violation, enumerate_rkdfs,
-                    is_k_dominating, validate_rkdf)
+                    is_k_dominating, naive_rkdfs, validate_rkdf)
 
 DEFAULT_DRK_N_LIMIT = 8
 DEFAULT_DRK_K_LIMIT = 4
@@ -80,21 +79,18 @@ def d_rk_oracle(g: Graph, k: int,
                 max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT) -> int:
     """Maximum family size by a 0/1 knapsack over residual capacities.
 
-    Filters all 3^n labelings through validate_rkdf, then takes them one
-    at a time and maps each reachable tuple of per-vertex residual
-    capacities (2k at the start) to the most members that reach it; a
-    labeling extends every state it fits under.  Independent check for
-    d_rk_exact: it shares no enumeration, search or capacity packing with
-    the solver.
+    Takes the RkDFs of the naive 3^n filter (naive_rkdfs) one at a time
+    and maps each reachable tuple of per-vertex residual capacities (2k
+    at the start) to the most members that reach it; a labeling extends
+    every state it fits under.  Independent check for d_rk_exact: it
+    shares no enumeration, search or capacity packing with the solver.
     """
     if g.n > max_n or k > DEFAULT_DRK_ORACLE_K_LIMIT:
         raise GuardError(f"d_rk oracle guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_ORACLE_K_LIMIT}; "
                          f"got n={g.n}, k={k}")
     most = {(2 * k,) * g.n: 0}
-    for f in product((0, 1, 2), repeat=g.n):
-        if validate_rkdf(g, k, f):
-            continue
+    for f in naive_rkdfs(g, k):
         # the snapshot keeps f out of the states it has just made
         for caps, count in list(most.items()):
             left = tuple(map(sub, caps, f))

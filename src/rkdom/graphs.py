@@ -8,8 +8,9 @@ intersections single integer operations for every solver in the package.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 #: Default cap on graph order: one machine word per adjacency row.  Callers
 #: may override it per operation; solvers impose far smaller limits.
@@ -162,19 +163,12 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
 # Named families
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("complete", "cycle", "empty", "complete-bipartite",
-                "random-gnp", "kdelta-sharpness")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters for one named graph family.
 
-    kind / parameters:
-      complete, cycle, empty   -> n
-      complete-bipartite       -> p, q
-      random-gnp               -> n, prob, seed
-      kdelta-sharpness         -> k
+    ``kind`` is a key of FAMILIES, which lists the parameters that kind
+    needs among n, p, q, prob, seed and k; the others are ignored.
     """
 
     kind: str
@@ -186,45 +180,28 @@ class FamilySpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
+        family = FAMILIES.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("complete", "cycle", "empty"):
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.kind} needs n >= 1")
-        elif self.kind == "complete-bipartite":
-            if self.p is None or self.q is None or self.p < 1 or self.q < 1:
-                raise ValueError("complete-bipartite needs p, q >= 1")
-        elif self.kind == "random-gnp":
-            if self.n is None or self.n < 1:
-                raise ValueError("random-gnp needs n >= 1")
-            if self.prob is None or not 0.0 <= self.prob <= 1.0:
-                raise ValueError("random-gnp needs 0 <= prob <= 1")
-            if self.seed is None:
-                raise ValueError("random-gnp needs a seed")
-        elif self.kind == "kdelta-sharpness":
-            if self.k is None or self.k < 1:
-                raise ValueError("kdelta-sharpness needs k >= 1")
+        for param in family.params:
+            value = getattr(self, param)
+            lo, hi, needs = _PARAM_RANGES[param]
+            if value is None or not lo <= value <= hi:
+                raise ValueError(f"{self.kind} needs {needs}")
 
     def order(self) -> int:
         """Number of vertices of the generated graph."""
-        if self.kind in ("complete", "cycle", "empty", "random-gnp"):
-            return self.n  # type: ignore[return-value]
-        if self.kind == "complete-bipartite":
-            return self.p + self.q  # type: ignore[operator]
-        return kdelta_order(self.k)  # type: ignore[arg-type]
+        return FAMILIES[self.kind].order(self)
 
     def name(self) -> str:
-        if self.kind == "complete":
-            return f"K_{self.n}"
-        if self.kind == "cycle":
-            return f"C_{self.n}"
-        if self.kind == "empty":
-            return f"E_{self.n}"
-        if self.kind == "complete-bipartite":
-            return f"K_{{{self.p},{self.q}}}"
-        if self.kind == "random-gnp":
-            return f"G({self.n},{self.prob},seed={self.seed})"
-        return f"kdelta-sharpness(k={self.k})"
+        return FAMILIES[self.kind].name.format_map(vars(self))
+
+
+# The closed range each parameter must lie in, and how an error words it.
+_PARAM_RANGES = {param: (1, math.inf, f"{param} >= 1")
+                 for param in ("n", "p", "q", "k")}
+_PARAM_RANGES["prob"] = (0.0, 1.0, "0 <= prob <= 1")
+_PARAM_RANGES["seed"] = (-math.inf, math.inf, "a seed")
 
 
 def kdelta_copy_order(k: int) -> int:
@@ -257,6 +234,56 @@ def gnp_word(seed: int, t: int) -> int:
     return _mix64((seed + (t + 1) * _GAMMA) & _MASK64)
 
 
+def _cycle_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
+    if n < 3:
+        raise ValueError(f"cycle needs n >= 3, got {n}")
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _gnp_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
+    threshold = int(spec.prob * 2 ** 64)
+    return [pair for t, pair in enumerate(graph6_pairs(n))
+            if gnp_word(spec.seed, t) < threshold]
+
+
+def _kdelta_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
+    # k disjoint copies of a clique on k^3+(2k+1)k vertices plus one apex
+    # joined to the first k vertices of every copy.
+    k = spec.k
+    m = kdelta_copy_order(k)
+    apex = k * m
+    edges = []
+    for i in range(k):
+        base = i * m
+        edges.extend((base + a, base + b) for a in range(m) for b in range(a + 1, m))
+        edges.extend((apex, base + j) for j in range(k))
+    return edges
+
+
+class _Family(NamedTuple):
+    params: tuple[str, ...]     # the FamilySpec fields the kind needs
+    order: Callable[[FamilySpec], int]
+    name: str                   # str.format template over the spec's fields
+    edges: Callable[[FamilySpec, int], Iterable[tuple[int, int]]]
+
+
+#: Every family kind `generate` builds, and the only list of them: the
+#: `gen --family` choices are its keys.
+FAMILIES = {
+    "complete": _Family(("n",), lambda s: s.n, "K_{n}",
+                        lambda s, n: graph6_pairs(n)),
+    "cycle": _Family(("n",), lambda s: s.n, "C_{n}", _cycle_edges),
+    "empty": _Family(("n",), lambda s: s.n, "E_{n}", lambda s, n: ()),
+    "complete-bipartite": _Family(
+        ("p", "q"), lambda s: s.p + s.q, "K_{{{p},{q}}}",
+        lambda s, n: [(u, s.p + v) for u in range(s.p) for v in range(s.q)]),
+    "random-gnp": _Family(("n", "prob", "seed"), lambda s: s.n,
+                          "G({n},{prob},seed={seed})", _gnp_edges),
+    "kdelta-sharpness": _Family(("k",), lambda s: kdelta_order(s.k),
+                                "kdelta-sharpness(k={k})", _kdelta_edges),
+}
+
+
 def generate(spec: FamilySpec, max_n: int = MAX_VERTICES) -> Graph:
     """Materialize a named family member as a Graph.
 
@@ -267,43 +294,7 @@ def generate(spec: FamilySpec, max_n: int = MAX_VERTICES) -> Graph:
     n = spec.order()
     if n > max_n:
         raise GuardError(f"{spec.name()} has {n} vertices, guard is {max_n}")
-
-    if spec.kind == "complete":
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Graph(n, edges, label=spec.name())
-
-    if spec.kind == "empty":
-        return Graph(n, (), label=spec.name())
-
-    if spec.kind == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle needs n >= 3, got {n}")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)], label=spec.name())
-
-    if spec.kind == "complete-bipartite":
-        p, q = spec.p, spec.q
-        edges = [(u, p + v) for u in range(p) for v in range(q)]
-        return Graph(n, edges, label=spec.name())
-
-    if spec.kind == "random-gnp":
-        threshold = int(spec.prob * 2 ** 64)
-        edges = [pair for t, pair in enumerate(graph6_pairs(n))
-                 if gnp_word(spec.seed, t) < threshold]
-        return Graph(n, edges, label=spec.name())
-
-    # kdelta-sharpness: k disjoint copies of a clique on k^3+(2k+1)k
-    # vertices plus one apex joined to the first k vertices of every copy.
-    k = spec.k
-    if k < 1:
-        raise ValueError("kdelta-sharpness needs k >= 1")
-    m = kdelta_copy_order(k)
-    apex = k * m
-    edges = []
-    for i in range(k):
-        base = i * m
-        edges.extend((base + a, base + b) for a in range(m) for b in range(a + 1, m))
-        edges.extend((apex, base + j) for j in range(k))
-    return Graph(n, edges, label=spec.name())
+    return Graph(n, FAMILIES[spec.kind].edges(spec, n), label=spec.name())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, GuardError
 
@@ -218,6 +218,17 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
 # gamma_kR: exact branch and bound plus a brute-force oracle
 # ---------------------------------------------------------------------------
 
+def naive_rkdfs(g: Graph, k: int) -> Iterator[Labeling]:
+    """Every RkDF of g in lexicographic order, lazily, by filtering all
+    3^n labelings through validate_rkdf.
+
+    Deliberately naive and apart from enumerate_rkdfs: the oracles, and
+    the tests of the enumerator and the solvers, check against it.
+    """
+    return (f for f in product((0, 1, 2), repeat=g.n)
+            if not validate_rkdf(g, k, f))
+
+
 def gamma_kr_oracle(g: Graph, k: int, max_n: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Minimum RkDF weight by exhausting all 3^n labelings.
 
@@ -226,14 +237,7 @@ def gamma_kr_oracle(g: Graph, k: int, max_n: int = DEFAULT_ORACLE_LIMIT) -> int:
     """
     if g.n > max_n:
         raise GuardError(f"oracle guard is n <= {max_n}, got {g.n}")
-    best = None
-    for values in product((0, 1, 2), repeat=g.n):
-        if not validate_rkdf(g, k, values):
-            w = sum(values)
-            if best is None or w < best:
-                best = w
-    assert best is not None  # the all-1 labeling is always valid
-    return best
+    return min(map(sum, naive_rkdfs(g, k)))  # the all-1 labeling is valid
 
 
 def gamma_kr_exact(g: Graph, k: int,

@@ -12,6 +12,7 @@ import pytest
 
 import rkdom
 from rkdom.cli import main
+from rkdom.graphs import FAMILIES
 
 K3 = "Bw\n"
 
@@ -42,6 +43,16 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "--family", "complete"])
         assert code == 2 and "needs --n" in err
 
+    @pytest.mark.parametrize("argv, needs", [
+        (["--family", "complete-bipartite", "--p", "2"],
+         "--family complete-bipartite needs --p and --q"),
+        (["--family", "random-gnp", "--n", "3", "--seed", "1"],
+         "--family random-gnp needs --n, --prob and --seed"),
+    ])
+    def test_missing_parameters_are_all_named(self, capsys, argv, needs):
+        code, out, err = run(capsys, ["gen", *argv])
+        assert code == 2 and out == "" and err == f"rkdom: error: {needs}\n"
+
     def test_guard_refusal(self, capsys):
         code, _, err = run(capsys, ["gen", "--family", "kdelta-sharpness",
                                     "--k", "3"])
@@ -51,6 +62,47 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "--family", "complete", "--n", "3",
                                   "--bogus"])
         assert code == 2
+
+
+# The exact stdout of gen for every family kind and of construct for
+# every name: (argv, stdin or None, stdout), each exiting 0.
+PINNED_OUTPUT = [
+    (["gen", "--family", "complete", "--n", "3"], None, "Bw\n"),
+    (["gen", "--family", "cycle", "--n", "5"], None, "Dhc\n"),
+    (["gen", "--family", "empty", "--n", "4"], None, "C?\n"),
+    (["gen", "--family", "complete-bipartite", "--p", "2", "--q", "3"], None,
+     "D]o\n"),
+    (["gen", "--family", "random-gnp", "--n", "8", "--prob", "0.5",
+      "--seed", "42"], None, "G]jFco\n"),
+    (["gen", "--family", "kdelta-sharpness", "--k", "1"], None, "D~_\n"),
+    (["construct", "--name", "complete", "--k", "1", "--n", "3"], None,
+     "Bw\n200\n020\n002\nvalid 3 functions\n"),
+    (["construct", "--name", "balanced-bipartite", "--k", "1", "--t", "3"],
+     None, "EFz_\n200200\n020020\n002002\nvalid 3 functions\n"),
+    (["construct", "--name", "kdelta-sharpness", "--k", "1"], None,
+     "D~_\n20000\n00201\n00021\nvalid 3 functions\n"),
+    (["construct", "--name", "near-order", "--k", "2", "--graph", "-"],
+     "A_\n", "A_\n21\n12\n11\nvalid 3 functions\n"),
+    (["construct", "--name", "nontrivial", "--k", "2", "--graph", "-"],
+     "Bw\n", "Bw\n122\n211\n111\nvalid 3 functions\n"),
+    (["construct", "--name", "from-subgraphs", "--k", "1", "--graph", "-",
+      "--subgraphs", "0,1:2,3;2,3:0,1"], "Cr\n",
+     "Cr\n0022\n2200\nvalid 2 functions\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, out", PINNED_OUTPUT,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in
+                              PINNED_OUTPUT])
+def test_pinned_output(capsys, monkeypatch, argv, stdin, out):
+    assert run(capsys, argv, stdin, monkeypatch)[:2] == (0, out)
+
+
+def test_pinned_output_covers_every_name():
+    import rkdom.cli as cli
+    pinned = {(argv[0], argv[2]) for argv, _, _ in PINNED_OUTPUT}
+    assert pinned == {("gen", kind) for kind in FAMILIES} | \
+        {("construct", name) for name in cli._CONSTRUCTIONS}
 
 
 class TestCompute:
@@ -239,6 +291,20 @@ class TestConstruct:
         code, _, err = run(capsys, ["construct", "--name", "complete",
                                     "--k", "2", "--n", "3"])
         assert code == 3 and "n >= 2k" in err
+
+    @pytest.mark.parametrize("name", ["near-order", "nontrivial",
+                                      "from-subgraphs"])
+    def test_missing_graph_is_usage_error(self, capsys, name):
+        code, out, err = run(capsys, ["construct", "--name", name,
+                                      "--k", "2"])
+        assert code == 2 and out == ""
+        assert f"construct {name} needs --graph" in err
+
+    def test_missing_subgraphs_is_reported_before_the_graph_is_read(
+            self, capsys):
+        code, out, err = run(capsys, ["construct", "--name", "from-subgraphs",
+                                      "--k", "1", "--graph", "/no/such/file"])
+        assert code == 2 and out == "" and "--subgraphs" in err
 
     def test_bad_subgraph_string_is_usage_error(self, capsys, monkeypatch):
         code, _, _ = run(capsys, ["construct", "--name", "from-subgraphs",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,8 @@ from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
                    d_rk_oracle, enumerate_rkdfs, gamma_kr_exact,
                    labeling_to_string, validate_family, validate_partition,
-                   validate_rkdf, weight)
+                   weight)
+from rkdom.roman import naive_rkdfs
 
 
 class TestValidateFamily:
@@ -174,9 +174,7 @@ class TestDrkExact:
         # the witness is the family that sets the final optimum; the pool
         # is the naive 3^n filter, independent of the solver's enumerator
         def reference(g, k):
-            pool = sorted((f for f in product((0, 1, 2), repeat=g.n)
-                           if not validate_rkdf(g, k, f)),
-                          key=lambda f: (sum(f), f))
+            pool = sorted(naive_rkdfs(g, k), key=lambda f: (sum(f), f))
             best = -1
             best_members = None
 

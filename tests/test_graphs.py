@@ -245,11 +245,28 @@ class TestGenerate:
         assert kdelta_copy_order(1) == 4 and kdelta_order(1) == 5
         assert kdelta_copy_order(2) == 18 and kdelta_order(2) == 37
 
+    @pytest.mark.parametrize("spec, name, order", [
+        (FamilySpec("complete", n=3), "K_3", 3),
+        (FamilySpec("cycle", n=5), "C_5", 5),
+        (FamilySpec("empty", n=4), "E_4", 4),
+        (FamilySpec("complete-bipartite", p=2, q=3), "K_{2,3}", 5),
+        (FamilySpec("random-gnp", n=8, prob=0.5, seed=42),
+         "G(8,0.5,seed=42)", 8),
+        (FamilySpec("kdelta-sharpness", k=2), "kdelta-sharpness(k=2)", 37),
+    ])
+    def test_name_and_order(self, spec, name, order):
+        g = generate(spec)
+        assert (spec.name(), spec.order()) == (g.label, g.n) == (name, order)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FamilySpec("complete", n=0)
         with pytest.raises(ValueError):
+            FamilySpec("complete-bipartite", p=0, q=2)
+        with pytest.raises(ValueError):
             FamilySpec("random-gnp", n=3, prob=1.5, seed=0)
+        with pytest.raises(ValueError):
+            FamilySpec("random-gnp", n=3, prob=0.5)
         with pytest.raises(ValueError):
             FamilySpec("kdelta-sharpness", k=0)
         with pytest.raises(ValueError):
@@ -259,7 +276,7 @@ class TestGenerate:
         with pytest.raises(GuardError):
             generate(FamilySpec("empty", n=65))
         with pytest.raises(GuardError):
-            generate(FamilySpec("kdelta-sharpness", k=3))  # 163 vertices
+            generate(FamilySpec("kdelta-sharpness", k=3))  # 145 vertices
 
 
 class TestRandomGnp:

@@ -15,6 +15,7 @@ from rkdom import (GuardError, complement, enumerate_rkdfs, gamma_k_exact,
                    gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
                    labeling_from_string, labeling_to_string, validate_rkdf,
                    weight)
+from rkdom.roman import naive_rkdfs
 
 
 class TestValidateRkdf:
@@ -76,12 +77,6 @@ class TestLabelingStrings:
                 labeling_from_string(bad)
 
 
-def naive_rkdfs(g, k):
-    """Every RkDF of g in lexicographic order, by the 3^n filter."""
-    return [f for f in product((0, 1, 2), repeat=g.n)
-            if not validate_rkdf(g, k, f)]
-
-
 def all_levels(g, k):
     """Every RkDF of g in (weight, values) order, one [w, w] walk each."""
     return [f for w in range(2 * g.n + 1)
@@ -111,7 +106,7 @@ class TestEnumerate:
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         for g in graphs:
             for k in (1, 2, 3):
-                expect = naive_rkdfs(g, k)
+                expect = list(naive_rkdfs(g, k))
                 for lo in range(2 * g.n + 2):
                     for hi in range(lo, 2 * g.n + 2):
                         ws = [sum(f) for f in expect if lo <= sum(f) <= hi]
@@ -264,9 +259,8 @@ class TestGammaKrExact:
         for g in all_graphs(4):
             for k in (1, 2):
                 res = gamma_kr_exact(g, k)
-                optima = [f for f in product((0, 1, 2), repeat=g.n)
-                          if weight(f) == res.value
-                          and not validate_rkdf(g, k, f)]
+                optima = [f for f in naive_rkdfs(g, k)
+                          if weight(f) == res.value]
                 assert res.witness == min(optima), (g.label, k)
 
     def test_witness_certifies_value(self):
@@ -456,9 +450,9 @@ def test_witnesses_are_first_optima_in_brute_force_order():
     for g in _witness_corpus():
         for k in (1, 2, 3):
             gkr = gamma_kr_exact(g, k)
-            assert (gkr.value, gkr.witness) == _first_optimum(
-                product((0, 1, 2), repeat=g.n), sum,
-                lambda f: not validate_rkdf(g, k, f)), (g.label, k)
+            first = min(naive_rkdfs(g, k), key=sum)  # first of equal sums
+            assert (gkr.value, gkr.witness) == (sum(first), first), \
+                (g.label, k)
             gk = gamma_k_exact(g, k)
             assert (gk.value, gk.witness) == _first_optimum(
                 product((1, 0), repeat=g.n), sum,
