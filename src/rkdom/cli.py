@@ -102,17 +102,27 @@ def _read_graph(args) -> Graph:
     return g
 
 
-def _require(what: str, flags: Sequence[str], args) -> None:
-    """Usage error naming every flag in flags unless all were given."""
+def _listed(flags: Sequence[str]) -> str:
+    *head, last = [f"--{flag}" for flag in flags]
+    return f"{', '.join(head)} and {last}" if head else last
+
+
+def _require(what: str, flags: Sequence[str], optional: Sequence[str],
+             args) -> None:
+    """Usage error naming every flag in flags unless all were given, or
+    else every flag of optional outside flags that was given."""
     if any(getattr(args, flag) is None for flag in flags):
-        *head, last = [f"--{flag}" for flag in flags]
-        listed = f"{', '.join(head)} and {last}" if head else last
-        raise _UsageError(f"{what} needs {listed}")
+        raise _UsageError(f"{what} needs {_listed(flags)}")
+    unused = [flag for flag in optional
+              if flag not in flags and getattr(args, flag) is not None]
+    if unused:
+        raise _UsageError(f"{what} does not use {_listed(unused)}")
 
 
 def _spec_from_args(args) -> FamilySpec:
     params = FAMILIES[args.family].params
-    _require(f"--family {args.family}", params, args)
+    _require(f"--family {args.family}", params,
+             ("n", "p", "q", "prob", "seed", "k"), args)
     return FamilySpec(args.family, **{p: getattr(args, p) for p in params})
 
 
@@ -208,7 +218,8 @@ _CONSTRUCTIONS = {
 
 def _cmd_construct(args) -> int:
     flags, build = _CONSTRUCTIONS[args.name]
-    _require(f"construct {args.name}", flags, args)
+    _require(f"construct {args.name}", flags,
+             ("n", "t", "graph", "subgraphs"), args)
     g, fam = build(args, _read_graph(args) if "graph" in flags else None)
     # the built families carry the fixed guard 64; hold them to MAX_N too
     limit = _max_n(args)
@@ -250,9 +261,12 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION if violations(records) else EXIT_OK
 
 
-def _sweep_orders(args) -> list[int]:
-    """The orders the seeded G(n,p) instances cycle over."""
-    return list(range(max(2, args.exhaustive_upto + 1), args.n_max + 1))
+def _sweep_orders(args) -> range:
+    """The orders the seeded G(n,p) instances cycle over: from the first
+    one not swept exhaustively up to n-max, and no more than count of
+    them, since instance j takes the (j mod len)-th."""
+    lo = max(2, args.exhaustive_upto + 1)
+    return range(lo, min(args.n_max, lo + args.count - 1) + 1)
 
 
 def _sweep_instances(args):
@@ -287,14 +301,13 @@ def _cmd_sweep(args) -> int:
     if args.exhaustive_upto > limit:
         raise GuardError(f"exhaustive-upto {args.exhaustive_upto} is above "
                          f"the d_rk solver guard n <= {limit}")
-    # the seeded instances reach order ns[min(count, len(ns)) - 1] and
-    # k = min(count, k_max); the exhaustive graphs take every k
+    # the seeded instances reach order ns[-1] and k = min(count, k_max);
+    # the exhaustive graphs take every k
     ns = _sweep_orders(args)
-    reach = min(args.count, len(ns))
-    if reach and ns[reach - 1] > limit:
-        raise GuardError(f"sweep reaches n={ns[reach - 1]}, above the d_rk "
+    if ns and ns[-1] > limit:
+        raise GuardError(f"sweep reaches n={ns[-1]}, above the d_rk "
                          f"solver guard n <= {limit}")
-    k_top = min(args.count, args.k_max) if reach else 0
+    k_top = min(args.count, args.k_max) if ns else 0
     if args.exhaustive_upto:
         k_top = args.k_max
     if k_top > DEFAULT_DRK_K_LIMIT:

@@ -250,8 +250,8 @@ def gamma_kr_exact(g: Graph, k: int,
     to the unassigned vertices with their own largest degree among
     themselves for Delta, cannot beat the incumbent.  The deficiency
     state (which assigned zeros are still short of k 2-neighbours, and by
-    how much) is updated incrementally as labels are placed, so no node
-    rescans the assigned vertices.  One pass assigns the vertices in
+    how much) is passed down with each label placed, and only a 2 next to
+    such a zero makes a node re-read it.  One pass assigns the vertices in
     ascending-degree order and proves the value; a second pass assigns
     them in index order, with the value as its incumbent, and stops at its
     first leaf.  The returned witness is therefore the lexicographically
@@ -319,15 +319,18 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     At position pos the unassigned vertices are the ones after it in the
     order: their mask later[pos] and their rows tails[pos] are built once
-    per order.  The recursion carries the deficiency state and restores it
-    on backtrack: v2mask (vertices labeled 2), dmask (assigned zeros with
-    fewer than k 2-neighbours), their total need, their largest need, and
-    per vertex need[v] plus a count of dmask vertices at each need level.
-    Every dmask vertex keeps at least need[v] unassigned neighbours.  A
-    label 2 lowers the need of its dmask neighbours and their unassigned
-    count alike, so only labels 0 and 1 recheck them, and both ask the
-    same question (is a dmask neighbour of the vertex stranded?), answered
-    once per node.  A child is cut when a deficient vertex can no longer
+    per order.  The deficiency state is all in the arguments of the
+    recursion, so no call changes what its caller reads and an aborted
+    pass leaves nothing behind: v2mask (vertices labeled 2), dmask
+    (assigned zeros with fewer than k 2-neighbours), their total need and
+    their largest need.  The need of a dmask vertex is k minus its
+    2-neighbours, read off v2mask, and it keeps at least that many
+    unassigned neighbours.  A label 2 lowers the need of its dmask
+    neighbours and their unassigned count alike, so only labels 0 and 1
+    recheck them, and both ask the same question (is a dmask neighbour of
+    the vertex stranded?), answered once per node.  A label 2 next to
+    dmask re-reads the needs, to drop the covered vertices and find the
+    largest need.  A child is cut when a deficient vertex can no longer
     be covered, or when its weight plus 2 * max(largest need, ceil(total
     need / most deficient vertices one unassigned vertex covers)) reaches
     the incumbent.  That cover test needs an unassigned vertex next to at
@@ -364,10 +367,6 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     adj = g.adj
 
     values = [0] * n
-    need = [0] * n        # k minus the 2-neighbours of a dmask vertex
-    # level[q]: dmask vertices with need q; a need above n is never kept,
-    # because such a zero cannot be covered
-    level = [0] * (min(k, n) + 1)
     witness: Labeling | None = None
     nodes = 0
     stop = -1             # a leaf this light ends the pass
@@ -392,13 +391,14 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         base = dem - k + c2x                 # dem once x is assigned
         degr = (row & rest).bit_count()      # x's unassigned neighbours
         slope = dn[pos]
-        # a label 0 or 1 at x would leave a dmask neighbour uncoverable
+        # a label 0 or 1 at x would leave a dmask neighbour uncoverable:
+        # its 2-neighbours and unassigned neighbours together fall short
         stranded = False
+        reach = rest | v2mask
         h = hit
         while h:
             low = h & -h
-            v = low.bit_length() - 1
-            if (adj[v] & rest).bit_count() < need[v]:
+            if (adj[low.bit_length() - 1] & reach).bit_count() < k:
                 stranded = True
                 break
             h ^= low
@@ -411,21 +411,19 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             if val == 2:
                 v2 |= 1 << x
                 e -= degr
-                h = hit
-                while h:
-                    low = h & -h
-                    v = low.bit_length() - 1
-                    r = need[v]
-                    level[r] -= 1
-                    need[v] = r - 1
-                    if r == 1:
-                        d ^= low
-                    else:
-                        level[r - 1] += 1
-                    h ^= low
                 t -= hit.bit_count()
-                while m and not level[m]:
-                    m -= 1
+                if hit:
+                    # re-read the needs: drop the newly covered vertices
+                    m = 0
+                    h = d
+                    while h:
+                        low = h & -h
+                        r = k - (adj[low.bit_length() - 1] & v2).bit_count()
+                        if r <= 0:
+                            d ^= low
+                        elif r > m:
+                            m = r
+                        h ^= low
             else:
                 if stranded:
                     continue
@@ -434,8 +432,6 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                     if q > degr:
                         continue
                     if q > 0:
-                        need[x] = q
-                        level[q] += 1
                         d |= 1 << x
                         t += q
                         if q > m:
@@ -455,19 +451,6 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                         if (urow & d).bit_count() >= want:
                             rec(pos + 1, new_wt, v2, d, t, m, e)
                             break
-            if val == 2:
-                h = hit
-                while h:
-                    low = h & -h
-                    v = low.bit_length() - 1
-                    r = need[v] + 1
-                    need[v] = r
-                    level[r] += 1
-                    if r > 1:
-                        level[r - 1] -= 1
-                    h ^= low
-            elif d >> x & 1:
-                level[need[x]] -= 1
 
     identity = range(n)
     degrees = [row.bit_count() for row in adj]
@@ -477,7 +460,6 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         labels = tuple(sorted(alphabet))
         later, tails, dn = _pass_tables(adj, order, k, floor)
         rec(0, 0, 0, 0, 0, 0, k * n)
-        # this pass ran to exhaustion, so need and level are back at zero
         stop = best
         best += 1
     order, labels = identity, alphabet
@@ -485,7 +467,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     try:
         rec(0, 0, 0, 0, 0, 0, k * n)
     except _Found:
-        pass  # the last pass: the state it leaves is never read
+        pass
     assert witness is not None
     return best, witness, nodes
 

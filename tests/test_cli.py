@@ -105,6 +105,44 @@ def test_pinned_output_covers_every_name():
         {("construct", name) for name in cli._CONSTRUCTIONS}
 
 
+# A flag that defaults to None and that the kind or name does not use is
+# refused before anything is read or built: (argv, error message).
+UNUSED_FLAGS = [
+    (["gen", "--family", "complete", "--n", "3", "--k", "2"],
+     "--family complete does not use --k"),
+    (["gen", "--family", "kdelta-sharpness", "--k", "1", "--n", "5",
+      "--seed", "3"], "--family kdelta-sharpness does not use --n and --seed"),
+    (["gen", "--family", "complete-bipartite", "--p", "2", "--q", "3",
+      "--prob", "0.5"], "--family complete-bipartite does not use --prob"),
+    (["gen", "--family", "random-gnp", "--n", "4", "--prob", "0.5",
+      "--seed", "1", "--p", "2"], "--family random-gnp does not use --p"),
+    (["construct", "--name", "complete", "--k", "1", "--n", "3",
+      "--graph", "/no/such/file"], "construct complete does not use --graph"),
+    (["construct", "--name", "kdelta-sharpness", "--k", "1", "--t", "2",
+      "--n", "4"], "construct kdelta-sharpness does not use --n and --t"),
+    (["construct", "--name", "near-order", "--k", "2", "--graph", "-",
+      "--subgraphs", "0:1"], "construct near-order does not use --subgraphs"),
+    (["construct", "--name", "balanced-bipartite", "--k", "1", "--t", "3",
+      "--n", "6"], "construct balanced-bipartite does not use --n"),
+]
+
+
+@pytest.mark.parametrize("argv, error", UNUSED_FLAGS,
+                         ids=[" ".join(argv[:3]) for argv, _ in UNUSED_FLAGS])
+def test_unused_flag_is_usage_error(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err == f"rkdom: error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["gen", "--family", "complete", "--n", "3"], "Bw\n"),
+    (["construct", "--name", "kdelta-sharpness", "--k", "1"], "D~_\n"),
+])
+def test_max_n_is_not_refused_as_unused(capsys, argv, out):
+    code, got, _ = run(capsys, [*argv, "--max-n", "5"])
+    assert code == 0 and got.startswith(out)
+
+
 class TestCompute:
     def test_d_rk_of_k3(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["compute", "--graph", "-", "--k", "1",
@@ -471,6 +509,16 @@ class TestSweep:
         reports = [json.loads(line) for line in out.splitlines()[:-1]]
         assert [(r["graph"]["n"], r["k"]) for r in reports] == \
             [(2, 1), (3, 2), (4, 3), (5, 4)]
+
+    @pytest.mark.parametrize("n_max", [10 ** 18, 10 ** 19])
+    def test_huge_n_max_builds_no_list_of_orders(self, capsys, n_max):
+        # one 2-vertex instance; the orders up to n_max are never listed
+        code, out, _ = run(capsys, ["sweep", "--n-max", str(n_max),
+                                    "--k-max", "1", "--count", "1",
+                                    "--seed", "1", "--exhaustive-upto", "0"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert json.loads(lines[0])["graph"]["n"] == 2
 
     def test_exhaustive_upto_at_guard_runs(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
