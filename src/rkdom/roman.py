@@ -7,6 +7,7 @@ neighbors labeled 2.  Labelings are plain tuples of ints throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
@@ -272,30 +273,55 @@ class _Found(Exception):
     """Unwinds the witness pass of `_roman_bb` at its first leaf."""
 
 
-def _pass_tables(adj: Sequence[int], order: Sequence[int], k: int,
-                 floor: int) -> tuple[list[int], list[list[int]], list[int]]:
-    """Per position of one `_roman_bb` pass: the mask of the vertices
-    after it, their rows, and the slope max(floor, k + top), where top is
-    the most neighbours any of them has among them."""
-    n = len(order)
-    later, m = [0] * n, 0
-    for pos in range(n - 1, -1, -1):
-        later[pos] = m
-        m |= 1 << order[pos]
-    rows = [adj[v] for v in order]
-    tails = [rows[pos + 1:] for pos in range(n)]
-    dn = [floor] * n
-    for pos in range(n):
-        rest = later[pos]
-        top = 0
-        for urow in tails[pos]:     # a plain loop: max() costs more here
-            c = (urow & rest).bit_count()
-            if c > top:
-                top = c
-        if k + top <= floor:
-            break   # the vertex sets shrink, so top never rises again
-        dn[pos] = k + top
-    return later, tails, dn
+# _SPREAD[b] moves bit i of the byte b to bit 8i: a row of up to 8
+# vertices as one count byte per neighbour
+_SPREAD = [sum(1 << 8 * i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _packed_rows(adj: Sequence[int]) -> list[int]:
+    """Per vertex v, the sum of 1 << 8w over the neighbours w of v."""
+    if len(adj) <= 8:
+        return [_SPREAD[row] for row in adj]
+    shifts = range(0, len(adj), 8)
+    return [sum(_SPREAD[row >> s & 255] << 8 * s for s in shifts)
+            for row in adj]
+
+
+@functools.cache
+def _multiples(n: int) -> list[int]:
+    """j times the n-byte word with a 1 in every byte, for j < 256."""
+    ones = int.from_bytes(b"\x01" * n, "little")
+    return [j * ones for j in range(256)]
+
+
+def _positions(nb: Sequence[int], order: Sequence[int], k: int,
+               floor: int) -> list[tuple[int, ...]]:
+    """Per position of one `_roman_bb` pass, what a node there reads: its
+    vertex x, the packed row of x and its top bits, x's byte offset and
+    top bit, the packed rows summed over the vertices after the position
+    and their top bits, x's neighbours among those vertices, and the
+    slope max(floor, k + top), where top is the most neighbours any of
+    them has among them.  Built backwards: the vertex sets grow and top
+    only rises."""
+    mul = _multiples(len(nb))
+    out = []
+    up = ut = top = 0
+    for x in reversed(order):
+        # raise top while some later vertex has more than top later
+        # neighbours: byte u of up + (127 - top) ones has its top bit set
+        # exactly then
+        while (up + mul[127 - top]) & ut:
+            top += 1
+        row = nb[x]
+        sh = 8 * x
+        bit = 128 << sh
+        slope = k + top
+        out.append((x, row, row << 7, sh, bit, up, ut, up >> sh & 255,
+                    slope if slope > floor else floor))
+        up += row
+        ut |= bit
+    out.reverse()
+    return out
 
 
 def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
@@ -317,27 +343,34 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     pass's label order therefore never reaches the witness.  nodes counts
     both passes.  Some labeling of weight below best must exist.
 
-    At position pos the unassigned vertices are the ones after it in the
-    order: their mask later[pos] and their rows tails[pos] are built once
-    per order.  The deficiency state is all in the arguments of the
-    recursion, so no call changes what its caller reads and an aborted
-    pass leaves nothing behind: v2mask (vertices labeled 2), dmask
-    (assigned zeros with fewer than k 2-neighbours), their total need and
-    their largest need.  The need of a dmask vertex is k minus its
-    2-neighbours, read off v2mask, and it keeps at least that many
-    unassigned neighbours.  A label 2 lowers the need of its dmask
-    neighbours and their unassigned count alike, so only labels 0 and 1
-    recheck them, and both ask the same question (is a dmask neighbour of
-    the vertex stranded?), answered once per node.  A label 2 next to
-    dmask re-reads the needs, to drop the covered vertices and find the
-    largest need.  A child is cut when a deficient vertex can no longer
-    be covered, or when its weight plus 2 * max(largest need, ceil(total
-    need / most deficient vertices one unassigned vertex covers)) reaches
-    the incumbent.  That cover test needs an unassigned vertex next to at
-    least want dmask vertices.  want <= 1 always passes, since each dmask
-    vertex has an unassigned neighbour; otherwise tails[pos] is scanned
-    up to the first row that covers enough, and only when the largest
-    need alone does not cut.
+    Counts are packed one byte per vertex, byte v at bit 8v, so a test
+    over all vertices is a few integer operations.  nb[v] has a 1 in the
+    byte of each neighbour of v, and a set of vertices is kept as the top
+    bits (bit 8v + 7) of its bytes.  At position pos the unassigned
+    vertices are the ones after it in the order; `_positions` gives their
+    nb summed (up: each vertex's unassigned neighbours) and their top bits
+    (ut), once per order.  The deficiency state is all in the arguments of
+    the recursion, so no call changes what its caller reads and an
+    aborted pass leaves nothing behind: c2b, byte v holding 128 - min(k,
+    n) plus v's 2-neighbours, so that its top bit says v has k of them;
+    d, the assigned zeros with fewer (deficient); dp, nb summed over d, so
+    byte u counts u's deficient neighbours; and t, the total need of d,
+    where the need of a vertex of d is k minus its 2-neighbours.  A
+    vertex of d keeps at least its need in unassigned neighbours.  A
+    label 2 lowers the need of its d neighbours and their unassigned count
+    alike, so only labels 0 and 1 recheck them, and both ask the same
+    question (is a d neighbour of the vertex stranded, its top bit clear
+    in c2b + up?), answered once per node.  A label 2 drops from d the
+    neighbours whose top bit it sets in c2b.  A child is cut when a
+    deficient vertex can no longer be covered, or when its weight plus 2
+    * max(largest need, ceil(t / most vertices of d one unassigned vertex
+    covers)) reaches the incumbent.  With h = (best - weight - 1) // 2,
+    the largest need is at most h exactly when every byte of d has its
+    top bit set in c2b + min(h, k) ones, and some unassigned vertex is
+    next to at least want vertices of d exactly when the top bits of
+    dp + (128 - want) ones meet ut.  want <= 1 always passes, since each
+    vertex of d has an unassigned neighbour.  No byte leaves [0, 255] for
+    n <= 128, so no carry crosses a byte; larger graphs are refused.
 
     Ahead of the need tests a child is cut by the residual form of the
     paper's bound gamma_kR >= ceil(2nk / (Delta + k)), with a slope per
@@ -355,75 +388,63 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     and top falls towards the leaves.  The recursion carries
     dem: assigning x takes k - c2(x) off it, and a 2 at x one more for
     each unassigned neighbour.  The test has no division: the child is
-    cut when 2 * dem > dn * (best - weight - 1).  The total need of the
-    dmask zeros is not in this test: a 2 in U can also cover dmask
-    vertices, so counting that need would bring back their degrees into
-    the slope, up to the global Delta; the largest-need and cover tests
-    still cut on it.  Like the other cuts it removes only subtrees with
-    no leaf lighter than the incumbent, so the value and the witness do
-    not depend on it.
+    cut when 2 * dem > dn * (best - weight - 1).  The total need of d is
+    not in this test: a 2 in U can also cover vertices of d, so counting
+    that need would bring back their degrees into the slope, up to the
+    global Delta; the largest-need and cover tests still cut on it.  Like
+    the other cuts it removes only subtrees with no leaf lighter than the
+    incumbent, so the value and the witness do not depend on it.
     """
     n = g.n
-    adj = g.adj
+    if n > 128:
+        raise GuardError(f"the Roman branch and bound counts neighbours in "
+                         f"bytes, so it needs n <= 128, got {n}")
+    nb = _packed_rows(g.adj)
+    mul = _multiples(n)
+    kk = min(k, n)
+    bias = 128 - kk
 
     values = [0] * n
     witness: Labeling | None = None
     nodes = 0
     stop = -1             # a leaf this light ends the pass
 
-    def rec(pos: int, wt: int, v2mask: int, dmask: int, total: int,
-            maxneed: int, dem: int) -> None:
+    def rec(pos: int, wt: int, c2b: int, d: int, dp: int, t: int,
+            dem: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if pos == n:
-            # the child test below admits a leaf only with dmask empty
-            # and weight below best
+            # the child test below admits a leaf only with d empty and
+            # weight below best
             best = wt
             witness = tuple(values)
             if wt <= stop:
                 raise _Found
             return
-        x = order[pos]
-        rest = later[pos]
-        row = adj[x]
-        hit = row & dmask
-        c2x = (row & v2mask).bit_count()     # x's 2-neighbours
+        x, row, rowtop, sh, bit, up, ut, degr, slope = steps[pos]
+        hit = rowtop & d
+        c2x = (c2b >> sh & 255) - bias       # x's 2-neighbours
         base = dem - k + c2x                 # dem once x is assigned
-        degr = (row & rest).bit_count()      # x's unassigned neighbours
-        slope = dn[pos]
-        # a label 0 or 1 at x would leave a dmask neighbour uncoverable:
-        # its 2-neighbours and unassigned neighbours together fall short
-        stranded = False
-        reach = rest | v2mask
-        h = hit
-        while h:
-            low = h & -h
-            if (adj[low.bit_length() - 1] & reach).bit_count() < k:
-                stranded = True
-                break
-            h ^= low
+        # a label 0 or 1 at x would leave a d neighbour uncoverable: its
+        # 2-neighbours and unassigned neighbours together fall short
+        stranded = hit and hit & ~(c2b + up)
         for val in labels:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
             values[x] = val
-            v2, d, t, m, e = v2mask, dmask, total, maxneed, base
+            c2, dd, p, tt, e = c2b, d, dp, t, base
             if val == 2:
-                v2 |= 1 << x
+                c2 += row
                 e -= degr
-                t -= hit.bit_count()
                 if hit:
-                    # re-read the needs: drop the newly covered vertices
-                    m = 0
-                    h = d
-                    while h:
-                        low = h & -h
-                        r = k - (adj[low.bit_length() - 1] & v2).bit_count()
-                        if r <= 0:
-                            d ^= low
-                        elif r > m:
-                            m = r
-                        h ^= low
+                    tt -= hit.bit_count()
+                    cov = dd & c2        # the neighbours now covered
+                    dd ^= cov
+                    while cov:
+                        low = cov & -cov
+                        p -= nb[(low.bit_length() - 1) >> 3]
+                        cov ^= low
             else:
                 if stranded:
                     continue
@@ -432,40 +453,37 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                     if q > degr:
                         continue
                     if q > 0:
-                        d |= 1 << x
-                        t += q
-                        if q > m:
-                            m = q
+                        dd |= bit
+                        tt += q
+                        p += row
             if 2 * e > slope * (best - new_wt - 1):
                 pass      # the residual degree bound cuts the child
-            elif not d:
-                rec(pos + 1, new_wt, v2, d, t, m, e)
-            elif new_wt + 2 * m < best:
-                # 2 * ceil(t / cover) < best - new_wt holds iff some
-                # unassigned vertex covers at least want of dmask
-                want = -(-t // ((best - new_wt - 1) // 2))
-                if want <= 1:
-                    rec(pos + 1, new_wt, v2, d, t, m, e)
-                else:
-                    for urow in tails[pos]:
-                        if (urow & d).bit_count() >= want:
-                            rec(pos + 1, new_wt, v2, d, t, m, e)
-                            break
+            elif not dd:
+                rec(pos + 1, new_wt, c2, dd, p, tt, e)
+            else:
+                h = (best - new_wt - 1) // 2
+                if (c2 + mul[h if h < kk else kk]) & dd == dd:
+                    # 2 * ceil(tt / cover) < best - new_wt holds iff some
+                    # unassigned vertex covers at least want of d
+                    want = -(-tt // h)
+                    if want <= 1 or want < n and (p + mul[128 - want]) & ut:
+                        rec(pos + 1, new_wt, c2, dd, p, tt, e)
 
     identity = range(n)
-    degrees = [row.bit_count() for row in adj]
+    degrees = [row.bit_count() for row in g.adj]
     floor = 2 * k if 1 in alphabet else 0
+    root = (0, 0, mul[bias], 0, 0, 0, k * n)
     if degrees != sorted(degrees):
-        order = sorted(identity, key=degrees.__getitem__)
         labels = tuple(sorted(alphabet))
-        later, tails, dn = _pass_tables(adj, order, k, floor)
-        rec(0, 0, 0, 0, 0, 0, k * n)
+        steps = _positions(nb, sorted(identity, key=degrees.__getitem__), k,
+                           floor)
+        rec(*root)
         stop = best
         best += 1
-    order, labels = identity, alphabet
-    later, tails, dn = _pass_tables(adj, order, k, floor)
+    labels = alphabet
+    steps = _positions(nb, identity, k, floor)
     try:
-        rec(0, 0, 0, 0, 0, 0, k * n)
+        rec(*root)
     except _Found:
         pass
     assert witness is not None
