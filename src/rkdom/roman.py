@@ -251,14 +251,14 @@ def gamma_kr_exact(g: Graph, k: int,
     to the unassigned vertices with their own largest degree among
     themselves for Delta, cannot beat the incumbent.  The deficiency
     state (which assigned zeros are still short of k 2-neighbours, and by
-    how much) is passed down with each label placed, and only a 2 next to
-    such a zero makes a node re-read it.  One pass assigns the vertices in
-    ascending-degree order and proves the value; a second pass assigns
-    them in index order, with the value as its incumbent, and stops at its
-    first leaf.  The returned witness is therefore the lexicographically
-    least optimal labeling, and nodes_explored counts both passes (one
-    pass on a graph whose degrees do not decrease along the index order,
-    such as a regular graph).
+    how much) is passed down with each label placed, as byte-packed
+    counts.  One pass assigns the vertices in peeling order (each next
+    vertex has the fewest neighbours among those left) and proves the
+    value; a second pass assigns them in index order, with the value as
+    its incumbent, and stops at its first leaf.  The returned witness is
+    therefore the lexicographically least optimal labeling, and
+    nodes_explored counts both passes (one pass on a graph whose peeling
+    order is the index order, such as K_n, E_n and C_n).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -282,9 +282,14 @@ def _packed_rows(adj: Sequence[int]) -> list[int]:
     """Per vertex v, the sum of 1 << 8w over the neighbours w of v."""
     if len(adj) <= 8:
         return [_SPREAD[row] for row in adj]
-    shifts = range(0, len(adj), 8)
-    return [sum(_SPREAD[row >> s & 255] << 8 * s for s in shifts)
-            for row in adj]
+    shifts = [(s, 8 * s) for s in range(0, len(adj), 8)]
+    out = []
+    for row in adj:
+        packed = 0
+        for s, t in shifts:
+            packed |= _SPREAD[row >> s & 255] << t
+        out.append(packed)
+    return out
 
 
 @functools.cache
@@ -294,33 +299,49 @@ def _multiples(n: int) -> list[int]:
     return [j * ones for j in range(256)]
 
 
-def _positions(nb: Sequence[int], order: Sequence[int], k: int,
-               floor: int) -> list[tuple[int, ...]]:
+def _positions(nb: Sequence[int], k: int, floor: int,
+               peel: bool) -> list[tuple[int, ...]]:
     """Per position of one `_roman_bb` pass, what a node there reads: its
     vertex x, the packed row of x and its top bits, x's byte offset and
     top bit, the packed rows summed over the vertices after the position
     and their top bits, x's neighbours among those vertices, and the
     slope max(floor, k + top), where top is the most neighbours any of
-    them has among them.  Built backwards: the vertex sets grow and top
-    only rises."""
+    them has among them.
+
+    The order is the index order, or with peel the peeling order of
+    Matula and Beck (smallest-last, unreversed): each next vertex has the
+    fewest neighbours among the vertices not yet placed, ties going to
+    the lowest index.  r sums nb over those vertices, so its byte v counts
+    v's neighbours among them, and the top bit of byte v of r + j ones is
+    set exactly when that count is at least 128 - j.  So the candidates
+    are the left vertices with no more than c, the fewest any of them
+    has, which placing one vertex lowers by at most one; and top, from n
+    down, falls while no left vertex has that many left neighbours."""
     mul = _multiples(len(nb))
+    left = mul[128]
+    r = sum(nb)
+    c = 0
+    top = len(nb)
     out = []
-    up = ut = top = 0
-    for x in reversed(order):
-        # raise top while some later vertex has more than top later
-        # neighbours: byte u of up + (127 - top) ones has its top bit set
-        # exactly then
-        while (up + mul[127 - top]) & ut:
-            top += 1
+    for pos in range(len(nb)):
+        if peel:
+            while not (bit := left & ~(r + mul[127 - c])):
+                c += 1
+            bit &= -bit
+            x = (bit.bit_length() - 1) >> 3
+            c -= c > 0
+        else:
+            x = pos
+            bit = 128 << 8 * x
+        left ^= bit
         row = nb[x]
+        r -= row
+        while top and not left & (r + mul[128 - top]):
+            top -= 1
         sh = 8 * x
-        bit = 128 << sh
         slope = k + top
-        out.append((x, row, row << 7, sh, bit, up, ut, up >> sh & 255,
+        out.append((x, row, row << 7, sh, bit, r, left, r >> sh & 255,
                     slope if slope > floor else floor))
-        up += row
-        ut |= bit
-    out.reverse()
     return out
 
 
@@ -330,18 +351,19 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     Returns (weight, first optimal labeling in index order, nodes).  One
     recursion runs in up to two passes; each labels the vertices in a
-    position-to-vertex order.  The first pass takes the vertices in
-    ascending-degree order (stable, so ties keep index order), tries the
+    position-to-vertex order.  The first pass takes the vertices in peeling
+    order (`_positions`: each next vertex has the fewest neighbours among
+    the vertices not yet placed, ties going to the lowest index), tries the
     labels lightest first and runs from best to exhaustion, which proves
-    the optimum v; on random graphs its proof tree is far smaller than
-    the index-order one.  The second pass runs in index order, tries the
-    labels in the order given, starts from best = v + 1 and stops at its
-    first leaf, the least optimal labeling in that order.  When the degree
-    order is the identity (every regular graph), the first pass is
+    the optimum v; on random graphs its proof tree is far smaller than the
+    index-order one.  The second pass runs in index order, tries the labels
+    in the order given, starts from best = v + 1 and stops at its first
+    leaf, the least optimal labeling in that order.  When the peeling order
+    is the identity (K_n, E_n and C_n among others), the first pass is
     skipped: the one pass is the index-order search in the given label
-    order, and its last improving leaf is that labeling.  The proof
-    pass's label order therefore never reaches the witness.  nodes counts
-    both passes.  Some labeling of weight below best must exist.
+    order, and its last improving leaf is that labeling.  The proof pass's
+    label order therefore never reaches the witness.  nodes counts both
+    passes.  Some labeling of weight below best must exist.
 
     Counts are packed one byte per vertex, byte v at bit 8v, so a test
     over all vertices is a few integer operations.  nb[v] has a 1 in the
@@ -366,11 +388,12 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     * max(largest need, ceil(t / most vertices of d one unassigned vertex
     covers)) reaches the incumbent.  With h = (best - weight - 1) // 2,
     the largest need is at most h exactly when every byte of d has its
-    top bit set in c2b + min(h, k) ones, and some unassigned vertex is
+    top bit set in c2b + min(h, k, n) ones, and some unassigned vertex is
     next to at least want vertices of d exactly when the top bits of
     dp + (128 - want) ones meet ut.  want <= 1 always passes, since each
-    vertex of d has an unassigned neighbour.  No byte leaves [0, 255] for
-    n <= 128, so no carry crosses a byte; larger graphs are refused.
+    vertex of d has an unassigned neighbour.  The two min() keep every
+    byte in [0, 255] for n <= 128, whatever the incumbent, so no carry
+    crosses a byte; larger graphs are refused.
 
     Ahead of the need tests a child is cut by the residual form of the
     paper's bound gamma_kR >= ceil(2nk / (Delta + k)), with a slope per
@@ -462,6 +485,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 rec(pos + 1, new_wt, c2, dd, p, tt, e)
             else:
                 h = (best - new_wt - 1) // 2
+                # new_wt + 2 * (largest need of dd) < best
                 if (c2 + mul[h if h < kk else kk]) & dd == dd:
                     # 2 * ceil(tt / cover) < best - new_wt holds iff some
                     # unassigned vertex covers at least want of d
@@ -469,19 +493,16 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                     if want <= 1 or want < n and (p + mul[128 - want]) & ut:
                         rec(pos + 1, new_wt, c2, dd, p, tt, e)
 
-    identity = range(n)
-    degrees = [row.bit_count() for row in g.adj]
     floor = 2 * k if 1 in alphabet else 0
     root = (0, 0, mul[bias], 0, 0, 0, k * n)
-    if degrees != sorted(degrees):
+    steps = _positions(nb, k, floor, True)
+    if any(step[0] != x for x, step in enumerate(steps)):
         labels = tuple(sorted(alphabet))
-        steps = _positions(nb, sorted(identity, key=degrees.__getitem__), k,
-                           floor)
         rec(*root)
         stop = best
         best += 1
+        steps = _positions(nb, k, floor, False)
     labels = alphabet
-    steps = _positions(nb, identity, k, floor)
     try:
         rec(*root)
     except _Found:
@@ -500,8 +521,8 @@ def gamma_k_exact(g: Graph, k: int,
 
     A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
     this is the gamma_kR search over the labels (2, 0) at half the weight,
-    with the same two passes: ascending-degree order, exclusion branch
-    first, proves the value, and index order, inclusion branch first,
+    with the same two passes: peeling order, exclusion branch first,
+    proves the value, and index order, inclusion branch first,
     finds the first optimum.  That is the lexicographically least optimal
     set, returned as a 0/1 membership mask tuple, and nodes_explored
     counts both passes.  The residual Delta bound of gamma_kR cuts here

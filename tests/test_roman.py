@@ -15,6 +15,8 @@ from rkdom import (GuardError, complement, enumerate_rkdfs, gamma_k_exact,
                    gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
                    labeling_from_string, labeling_to_string, validate_rkdf,
                    weight)
+from rkdom import roman
+from rkdom.graphs import FamilySpec, Graph, generate
 from rkdom.roman import naive_rkdfs
 
 
@@ -304,41 +306,42 @@ class TestGammaKrExact:
 # labeling, nodes).  Values and witnesses were recorded when the two
 # solvers were separate searches; the node counts were re-recorded when
 # the value came to be proven in ascending-degree order before the
-# witness pass, again when the residual Delta bound became a cut, and
-# again when that cut took a per-position slope and the proof pass the
-# lightest label first.
+# witness pass, again when the residual Delta bound became a cut, again
+# when that cut took a per-position slope and the proof pass the
+# lightest label first, and again when the proof pass took the peeling
+# order.
 PINNED_SOLVES = [
     ((12, 0.3, 1, 1), (3, "010000110000", 36), (5, "010000220000", 26)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 36), (11, "012101221100", 198)),
-    ((13, 0.25, 7, 1), (6, "1111001000100", 58),
-     (8, "0100101002012", 107)),
-    ((13, 0.25, 7, 2), (8, "0110111010110", 112),
-     (12, "0102101202012", 147)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 55),
-     (8, "00002020000220", 138)),
-    ((12, 0.5, 2, 2), (4, "101100001000", 82), (7, "000012020002", 106)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 41), (11, "012101221100", 185)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 78),
+     (8, "0100101002012", 131)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 114),
+     (12, "0102101202012", 140)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 48),
+     (8, "00002020000220", 65)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 90), (7, "000012020002", 150)),
     # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 90), (12, "020210202201", 324)),
-    ((13, 0.5, 8, 4), (7, "1111000101001", 88),
-     (13, "0002002202221", 295)),
-    ((14, 0.3, 2, 3), (10, "01110101111101", 150),
-     (14, "00110021121221", 112)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 120),
-     (9, "000001222000002", 149)),
-    ((15, 0.15, 4, 3), (13, "111111101111110", 42),
+    ((12, 0.4, 5, 3), (6, "010110101100", 85), (12, "020210202201", 282)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 96),
+     (13, "0002002202221", 346)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 147),
+     (14, "00110021121221", 109)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 119),
+     (9, "000001222000002", 125)),
+    ((15, 0.15, 4, 3), (13, "111111101111110", 49),
      (15, "111111111111111", 38)),
-    ((15, 0.5, 6, 2), (4, "101000001000100", 130),
-     (8, "000000200002202", 411)),
-    ((15, 0.5, 6, 3), (6, "111110001000000", 204),
-     (10, "002120002000102", 886)),
-    ((16, 0.15, 9, 2), (10, "1100010011101111", 252),
-     (15, "0120010220102211", 450)),
-    ((16, 0.5, 11, 3), (7, "1101101100010000", 375),
-     (12, "0001202100022020", 1650)),
-    ((16, 0.5, 11, 4), (8, "1101101100011000", 275),
-     (14, "2001202100022020", 3324)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 221),
+     (8, "000000200002202", 1061)),
+    ((15, 0.5, 6, 3), (6, "111110001000000", 323),
+     (10, "002120002000102", 1136)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 254),
+     (15, "0120010220102211", 467)),
+    ((16, 0.5, 11, 3), (7, "1101101100010000", 374),
+     (12, "0001202100022020", 1726)),
+    ((16, 0.5, 11, 4), (8, "1101101100011000", 242),
+     (14, "2001202100022020", 2970)),
     ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 22)),
 ]
 
@@ -398,9 +401,10 @@ CORPUS_VALUES_PIN = \
 
 # One SHA-256 over value, witness and nodes, re-recorded when the value
 # came to be proven in ascending-degree order, when the residual Delta
-# bound became a cut and when it took a per-position slope.  Any change
-# to a cut, a label order, a vertex order or the node count changes it.
-CORPUS_PIN = "1d152d8bf43a0833aadedb5b77c4ae0aa5e2ece30a234310a507855f4df043cd"
+# bound became a cut, when it took a per-position slope and when the
+# proof pass took the peeling order.  Any change to a cut, a label
+# order, a vertex order or the node count changes it.
+CORPUS_PIN = "8669eba532ce5b8d2876a6e0e3f2568145a3d0a1b7542bcdd0f6e67201622377"
 
 
 def test_corpus_values_pin():
@@ -427,6 +431,18 @@ def _first_optimum(labelings, cost, valid):
     return best, first
 
 
+def _peeling_order(g):
+    """Each next vertex has the fewest neighbours among the vertices not
+    yet taken, ties going to the lowest index."""
+    left, order = (1 << g.n) - 1, []
+    while left:
+        x = min((v for v in range(g.n) if left >> v & 1),
+                key=lambda v: (g.adj[v] & left).bit_count())
+        order.append(x)
+        left ^= 1 << x
+    return order
+
+
 def _witness_corpus():
     for n in range(1, 5):
         yield from all_graphs(n)
@@ -434,8 +450,10 @@ def _witness_corpus():
         for prob in (0.25, 0.5, 0.75):
             for seed in range(4):
                 yield gnp(n, prob, 300 + 10 * n + seed)
-    # regular graphs: the degree order is the index order, so the one pass
-    # is the witness pass and must try the labels in the caller's order
+    # cycles: the peeling order is the index order, so the one pass is the
+    # witness pass and must try the labels in the caller's order;
+    # bipartite(p, p) is regular too, but once vertex 0 is taken the other
+    # side has fewer neighbours left, so it takes both passes
     for n in (5, 6, 7, 8):
         yield cycle(n)
     for p in (3, 4):
@@ -447,7 +465,10 @@ def test_witnesses_are_first_optima_in_brute_force_order():
     # is the first optimal RkDF in product((0, 1, 2)) order, gamma_k's the
     # first optimal k-dominating mask in product((1, 0)) order, although
     # the proof pass tries the labels lightest first
-    for g in _witness_corpus():
+    corpus = list(_witness_corpus())
+    one_pass = [_peeling_order(g) == list(range(g.n)) for g in corpus]
+    assert any(one_pass) and not all(one_pass)    # both paths are covered
+    for g in corpus:
         for k in (1, 2, 3):
             gkr = gamma_kr_exact(g, k)
             first = min(naive_rkdfs(g, k), key=sum)  # first of equal sums
@@ -521,11 +542,12 @@ class TestGammaK:
 
 
 def _root_tops(g):
-    """For each pass of the solvers (ascending-degree order, then index
-    order), the largest number of neighbours a vertex after the first
-    position has among the vertices after it.  The slope of the residual
-    Delta bound at a position is k + top there, at least 2k for gamma_kR;
-    top only falls as the positions advance."""
+    """For each pass of the solvers (peeling order, then index order), the
+    largest number of neighbours a vertex after the first position has
+    among the vertices after it.  The peeling order starts at the lowest
+    vertex of least degree.  The slope of the residual Delta bound at a
+    position is k + top there, at least 2k for gamma_kR; top only falls
+    as the positions advance."""
     n = g.n
     degrees = [row.bit_count() for row in g.adj]
     for first in (sorted(range(n), key=degrees.__getitem__)[0], 0):
@@ -571,6 +593,114 @@ class TestDeltaCut:
         for g, k in self._corpus():
             assert gamma_k_exact(g, k).value == _gamma_k_brute(g, k), \
                 (g.label, k)
+
+
+def _large_gnp(n, prob, seed):
+    return generate(FamilySpec("random-gnp", n=n, prob=prob, seed=seed),
+                    max_n=128)
+
+
+class TestPackedCounts:
+    """The branch and bound counts neighbours in one byte per vertex; its
+    tables against their definitions, and its solves at the limits of the
+    bytes."""
+
+    def _graphs(self):
+        # the packed rows are built one way up to 8 vertices, another up
+        # to 16 and a third above
+        for n in range(1, 5):
+            yield from all_graphs(n)
+        for n, prob in ((7, 0.5), (8, 0.3), (9, 0.5), (16, 0.3), (17, 0.2),
+                        (40, 0.1), (128, 0.05)):
+            for seed in range(3):
+                yield _large_gnp(n, prob, 600 + seed)
+        yield from (cycle(9), bipartite(3, 3), bipartite(4, 5))
+
+    def test_peeling_order(self):
+        for g in self._graphs():
+            nb = roman._packed_rows(g.adj)
+            order = [step[0] for step in roman._positions(nb, 1, 0, True)]
+            assert order == _peeling_order(g), g.label
+        assert _peeling_order(bipartite(3, 3)) == [0, 3, 1, 4, 2, 5]
+        for g in (cycle(9), complete(9), empty(9)):
+            assert _peeling_order(g) == list(range(9))
+
+    def test_position_tables(self):
+        for g in self._graphs():
+            n = g.n
+            nb = roman._packed_rows(g.adj)
+            assert nb == [sum(1 << 8 * w for w in range(n) if row >> w & 1)
+                          for row in g.adj]
+            for k, floor in ((1, 2), (3, 0)):
+                for peel in (True, False):
+                    after = (1 << n) - 1
+                    for x, row, rowtop, sh, bit, up, ut, degr, slope in \
+                            roman._positions(nb, k, floor, peel):
+                        after ^= 1 << x
+                        later = [u for u in range(n) if after >> u & 1]
+                        top = max(((g.adj[u] & after).bit_count()
+                                   for u in later), default=0)
+                        assert (row, rowtop, sh, bit) == \
+                               (nb[x], nb[x] << 7, 8 * x, 1 << 8 * x + 7)
+                        assert up == sum(nb[u] for u in later)
+                        assert ut == sum(1 << 8 * u + 7 for u in later)
+                        assert degr == (g.adj[x] & after).bit_count()
+                        assert slope == max(floor, k + top), g.label
+
+    def test_refuses_more_than_128_vertices_before_any_search(
+            self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search started")
+        monkeypatch.setattr(roman, "_positions", no_search)
+        g = Graph(129, [], label="E_129")
+        for solve in (gamma_kr_exact, gamma_k_exact):
+            with pytest.raises(GuardError, match="n <= 128"):
+                solve(g, 1, max_n=129)
+
+    def test_128_vertices(self):
+        g = Graph(128, [], label="E_128")
+        for solve in (gamma_kr_exact, gamma_k_exact):
+            res = solve(g, 1, max_n=128)
+            assert (res.value, res.witness) == (128, (1,) * 128)
+
+    def test_k_far_above_n(self):
+        # the 2-neighbour bytes are biased by 128 - min(k, n), not 128 - k
+        for solve in (gamma_kr_exact, gamma_k_exact):
+            res = solve(complete(6), 300)
+            assert (res.value, res.witness) == (6, (1,) * 6)
+
+    def test_loose_incumbent(self):
+        # any incumbent above the optimum gives the same value and
+        # witness; with 400 on 64 vertices, h = (best - weight - 1) // 2
+        # reaches 199, and only the min(h, k) clamp keeps the need test's
+        # bytes below 256
+        g = _large_gnp(64, 0.9, 1)
+        for k, gk, gkr in ((1, 2, 3), (2, 3, 6)):
+            for alphabet, value, tight in (((2, 0), 2 * gk, 2 * g.n + 1),
+                                           ((0, 1, 2), gkr, g.n + 1)):
+                loose = roman._roman_bb(g, k, alphabet, 400)
+                assert loose[:2] == roman._roman_bb(g, k, alphabet,
+                                                    tight)[:2]
+                assert loose[0] == value
+
+    # (n, p, seed, k) -> gamma_k value and set, gamma_kR value and
+    # labeling, recorded before the counts were packed
+    @pytest.mark.parametrize("case,gk,gkr", [
+        ((24, 0.1, 4, 1), (9, "111011101010001000000000"),
+         (13, "001011022210002000010000")),
+        ((24, 0.15, 0, 2), (12, "111011010000010111000110"),
+         (21, "101001000120001212021222")),
+        ((30, 0.08, 0, 1), (11, "110000011000101101101000001000"),
+         (18, "101000002000102002000102201102")),
+        ((30, 0.06, 5, 2), (19, "111011001010101101010111011110"),
+         (30, "111000001211021222202111012102")),
+    ])
+    def test_sparse_graphs_above_the_guard(self, case, gk, gkr):
+        n, prob, seed, k = case
+        g = _large_gnp(n, prob, seed)
+        for res, pinned in ((gamma_k_exact(g, k, max_n=n), gk),
+                            (gamma_kr_exact(g, k, max_n=n), gkr)):
+            assert (res.value, labeling_to_string(res.witness)) == pinned
 
 
 class TestKnownInequalities:
