@@ -126,7 +126,9 @@ def d_rk_exact(g: Graph, k: int,
                          f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
     cands, packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n)
-    weights = [sum(f) for f in cands]
+    # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
+    # its weight, at most n + 1 < 255 here
+    weights = [key % 255 for key in packed]
     gkr = weights[0]
     delta, Delta = g.min_degree(), g.max_degree()
     ub = min(delta + 2 * k,
