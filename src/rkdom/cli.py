@@ -109,10 +109,11 @@ def _listed(flags: Sequence[str]) -> str:
 
 def _require(what: str, flags: Sequence[str], optional: Sequence[str],
              args) -> None:
-    """Usage error naming every flag in flags unless all were given, or
-    else every flag of optional outside flags that was given."""
-    if any(getattr(args, flag) is None for flag in flags):
-        raise _UsageError(f"{what} needs {_listed(flags)}")
+    """Usage error naming every flag in flags that was not given, or else
+    every flag of optional outside flags that was given."""
+    missing = [flag for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise _UsageError(f"{what} needs {_listed(missing)}")
     unused = [flag for flag in optional
               if flag not in flags and getattr(args, flag) is not None]
     if unused:
