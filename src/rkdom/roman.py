@@ -488,7 +488,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 # new_wt + 2 * (largest need of dd) < best
                 if (c2 + mul[h if h < kk else kk]) & dd == dd:
                     # 2 * ceil(tt / cover) < best - new_wt holds iff some
-                    # unassigned vertex covers at least want of d
+                    # unassigned vertex covers at least want of dd
                     want = -(-tt // h)
                     if want <= 1 or want < n and (p + mul[128 - want]) & ut:
                         rec(pos + 1, new_wt, c2, dd, p, tt, e)
