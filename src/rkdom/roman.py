@@ -252,13 +252,15 @@ def gamma_kr_exact(g: Graph, k: int,
     themselves for Delta, cannot beat the incumbent.  The deficiency
     state (which assigned zeros are still short of k 2-neighbours, and by
     how much) is passed down with each label placed, as byte-packed
-    counts.  One pass assigns the vertices in peeling order (each next
-    vertex has the fewest neighbours among those left) and proves the
-    value; a second pass assigns them in index order, with the value as
-    its incumbent, and stops at its first leaf.  The returned witness is
-    therefore the lexicographically least optimal labeling, and
-    nodes_explored counts both passes (one pass on a graph whose peeling
-    order is the index order, such as K_n, E_n and C_n).
+    counts.  One pass assigns vertices 0, 1 and 2 first and then the
+    others in peeling order (each next vertex has the fewest neighbours
+    among those left); it proves the value and settles the labels of 0, 1
+    and 2.  A second pass assigns the vertices in index order, with those
+    three labels fixed and the value as its incumbent, and stops at its
+    first leaf.  The returned witness is therefore the lexicographically
+    least optimal labeling, and nodes_explored counts both passes (one
+    pass when the first pass's order is the index order, as on every
+    graph with n <= 5 and on K_n, E_n and C_n).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -267,6 +269,13 @@ def gamma_kr_exact(g: Graph, k: int,
     # the all-1 labeling guarantees a solution of weight n
     best, witness, nodes = _roman_bb(g, k, (0, 1, 2), g.n + 1)
     return SolveResult("gamma_kr", best, witness, nodes)
+
+
+# The proof pass of `_roman_bb` places vertices 0 to _PREFIX - 1 first, in
+# index order, so it settles the witness's labels there.  3 was the
+# fastest length on random graphs of order 12-16; a longer prefix makes the
+# proof pass pay for the index order it spares the witness pass.
+_PREFIX = 3
 
 
 class _Found(Exception):
@@ -300,7 +309,7 @@ def _multiples(n: int) -> list[int]:
 
 
 def _positions(nb: Sequence[int], k: int, floor: int,
-               peel: bool) -> list[tuple[int, ...]]:
+               prefix: int) -> list[tuple[int, ...]]:
     """Per position of one `_roman_bb` pass, what a node there reads: its
     vertex x, the packed row of x and its top bits, x's byte offset and
     top bit, the packed rows summed over the vertices after the position
@@ -308,15 +317,18 @@ def _positions(nb: Sequence[int], k: int, floor: int,
     slope max(floor, k + top), where top is the most neighbours any of
     them has among them.
 
-    The order is the index order, or with peel the peeling order of
-    Matula and Beck (smallest-last, unreversed): each next vertex has the
-    fewest neighbours among the vertices not yet placed, ties going to
-    the lowest index.  r sums nb over those vertices, so its byte v counts
-    v's neighbours among them, and the top bit of byte v of r + j ones is
-    set exactly when that count is at least 128 - j.  So the candidates
-    are the left vertices with no more than c, the fewest any of them
-    has, which placing one vertex lowers by at most one; and top, from n
-    down, falls while no left vertex has that many left neighbours."""
+    The first prefix positions take the vertices 0, 1, ... in index
+    order (a prefix of n or more gives the index order), and the others
+    follow in the peeling order of Matula and Beck (smallest-last,
+    unreversed): each next vertex has the fewest neighbours among the
+    vertices not yet placed, ties going to the lowest index.  r sums nb
+    over those vertices, so its byte v counts v's neighbours among them,
+    and the top bit of byte v of r + j ones is set exactly when that
+    count is at least 128 - j.  So the candidates are the left vertices
+    with no more than c, the fewest any of them has, which placing one
+    vertex lowers by at most one (the prefix is placed while c is still
+    0); and top, from n down, falls while no left vertex has that many
+    left neighbours."""
     mul = _multiples(len(nb))
     left = mul[128]
     r = sum(nb)
@@ -324,15 +336,15 @@ def _positions(nb: Sequence[int], k: int, floor: int,
     top = len(nb)
     out = []
     for pos in range(len(nb)):
-        if peel:
+        if pos < prefix:
+            x = pos
+            bit = 128 << 8 * x
+        else:
             while not (bit := left & ~(r + mul[127 - c])):
                 c += 1
             bit &= -bit
             x = (bit.bit_length() - 1) >> 3
             c -= c > 0
-        else:
-            x = pos
-            bit = 128 << 8 * x
         left ^= bit
         row = nb[x]
         r -= row
@@ -351,19 +363,22 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     Returns (weight, first optimal labeling in index order, nodes).  One
     recursion runs in up to two passes; each labels the vertices in a
-    position-to-vertex order.  The first pass takes the vertices in peeling
-    order (`_positions`: each next vertex has the fewest neighbours among
-    the vertices not yet placed, ties going to the lowest index), tries the
-    labels lightest first and runs from best to exhaustion, which proves
-    the optimum v; on random graphs its proof tree is far smaller than the
-    index-order one.  The second pass runs in index order, tries the labels
-    in the order given, starts from best = v + 1 and stops at its first
-    leaf, the least optimal labeling in that order.  When the peeling order
-    is the identity (K_n, E_n and C_n among others), the first pass is
-    skipped: the one pass is the index-order search in the given label
-    order, and its last improving leaf is that labeling.  The proof pass's
-    label order therefore never reaches the witness.  nodes counts both
-    passes.  Some labeling of weight below best must exist.
+    position-to-vertex order and reads the labels to try per position.
+    The first pass places vertices 0 to _PREFIX - 1 in index order with
+    the labels in the order given, then the others in peeling order
+    (`_positions`) with the labels lightest first, and runs from best to
+    exhaustion, which proves the optimum v; on random graphs its proof
+    tree is far smaller than the index-order one.  No cut removes a leaf
+    lighter than the incumbent, so its last improving leaf is its first
+    optimal leaf; on the prefix its order is the witness's, so that leaf
+    carries the witness's prefix.  The second pass runs in index order
+    with that prefix fixed and the labels in the order given, starts from
+    best = v + 1 and stops at its first leaf, the least optimal labeling
+    in that order.  When the first pass's order is the identity (every
+    graph with n <= 5, and K_n, E_n and C_n among others), it alone runs,
+    in the given label order, and its last improving leaf is that
+    labeling.  nodes counts both passes.  Some labeling of weight below
+    best must exist.
 
     Counts are packed one byte per vertex, byte v at bit 8v, so a test
     over all vertices is a few integer operations.  nb[v] has a 1 in the
@@ -451,7 +466,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         # a label 0 or 1 at x would leave a d neighbour uncoverable: its
         # 2-neighbours and unassigned neighbours together fall short
         stranded = hit and hit & ~(c2b + up)
-        for val in labels:
+        for val in labels[pos]:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
@@ -495,14 +510,16 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     floor = 2 * k if 1 in alphabet else 0
     root = (0, 0, mul[bias], 0, 0, 0, k * n)
-    steps = _positions(nb, k, floor, True)
+    m = min(_PREFIX, n)
+    steps = _positions(nb, k, floor, m)
+    labels = [alphabet] * n
     if any(step[0] != x for x, step in enumerate(steps)):
-        labels = tuple(sorted(alphabet))
+        labels[m:] = [tuple(sorted(alphabet))] * (n - m)
         rec(*root)
         stop = best
         best += 1
-        steps = _positions(nb, k, floor, False)
-    labels = alphabet
+        steps = _positions(nb, k, floor, n)
+        labels = [(val,) for val in witness[:m]] + [alphabet] * (n - m)
     try:
         rec(*root)
     except _Found:
@@ -521,17 +538,18 @@ def gamma_k_exact(g: Graph, k: int,
 
     A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
     this is the gamma_kR search over the labels (2, 0) at half the weight,
-    with the same two passes: peeling order, exclusion branch first,
-    proves the value, and index order, inclusion branch first,
-    finds the first optimum.  That is the lexicographically least optimal
-    set, returned as a 0/1 membership mask tuple, and nodes_explored
-    counts both passes.  The residual Delta bound of gamma_kR cuts here
-    too, since a set of size s is an RkDF of weight 2s.  With no label 1
-    its slope has no 2k floor: each member absorbs at most k plus its
-    neighbours among the unassigned vertices, so on sparse graphs with k
-    above their residual degrees the cut is steeper than gamma_kR's.  V
-    itself always k-dominates (the condition quantifies over V minus the
-    set), so a solution exists.
+    with the same two passes: vertices 0, 1 and 2 with the inclusion
+    branch first, then the others in peeling order with the exclusion
+    branch first, proves the value and settles the first three members;
+    index order, inclusion branch first, then finds the first optimum.
+    That is the lexicographically least optimal set, returned as a 0/1
+    membership mask tuple, and nodes_explored counts both passes.  The
+    residual Delta bound of gamma_kR cuts here too, since a set of size s
+    is an RkDF of weight 2s.  With no label 1 its slope has no 2k floor:
+    each member absorbs at most k plus its neighbours among the unassigned
+    vertices, so on sparse graphs with k above their residual degrees the
+    cut is steeper than gamma_kR's.  V itself always k-dominates (the
+    condition quantifies over V minus the set), so a solution exists.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

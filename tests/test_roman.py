@@ -308,40 +308,41 @@ class TestGammaKrExact:
 # the value came to be proven in ascending-degree order before the
 # witness pass, again when the residual Delta bound became a cut, again
 # when that cut took a per-position slope and the proof pass the
-# lightest label first, and again when the proof pass took the peeling
-# order.
+# lightest label first, again when the proof pass took the peeling
+# order, and again when it came to place vertices 0-2 first, in index
+# order, and the witness pass to take their labels from it.
 PINNED_SOLVES = [
-    ((12, 0.3, 1, 1), (3, "010000110000", 36), (5, "010000220000", 26)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 41), (11, "012101221100", 185)),
-    ((13, 0.25, 7, 1), (6, "1111001000100", 78),
-     (8, "0100101002012", 131)),
-    ((13, 0.25, 7, 2), (8, "0110111010110", 114),
-     (12, "0102101202012", 140)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 48),
-     (8, "00002020000220", 65)),
-    ((12, 0.5, 2, 2), (4, "101100001000", 90), (7, "000012020002", 150)),
+    ((12, 0.3, 1, 1), (3, "010000110000", 56), (5, "010000220000", 26)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 72), (11, "012101221100", 250)),
+    ((13, 0.25, 7, 1), (6, "1111001000100", 74),
+     (8, "0100101002012", 53)),
+    ((13, 0.25, 7, 2), (8, "0110111010110", 83),
+     (12, "0102101202012", 161)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 83),
+     (8, "00002020000220", 114)),
+    ((12, 0.5, 2, 2), (4, "101100001000", 65), (7, "000012020002", 99)),
     # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 85), (12, "020210202201", 282)),
-    ((13, 0.5, 8, 4), (7, "1111000101001", 96),
-     (13, "0002002202221", 346)),
-    ((14, 0.3, 2, 3), (10, "01110101111101", 147),
-     (14, "00110021121221", 109)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 119),
-     (9, "000001222000002", 125)),
+    ((12, 0.4, 5, 3), (6, "010110101100", 88), (12, "020210202201", 326)),
+    ((13, 0.5, 8, 4), (7, "1111000101001", 111),
+     (13, "0002002202221", 412)),
+    ((14, 0.3, 2, 3), (10, "01110101111101", 102),
+     (14, "00110021121221", 239)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 155),
+     (9, "000001222000002", 150)),
     ((15, 0.15, 4, 3), (13, "111111101111110", 49),
-     (15, "111111111111111", 38)),
-    ((15, 0.5, 6, 2), (4, "101000001000100", 221),
-     (8, "000000200002202", 1061)),
-    ((15, 0.5, 6, 3), (6, "111110001000000", 323),
-     (10, "002120002000102", 1136)),
-    ((16, 0.15, 9, 2), (10, "1100010011101111", 254),
-     (15, "0120010220102211", 467)),
-    ((16, 0.5, 11, 3), (7, "1101101100010000", 374),
-     (12, "0001202100022020", 1726)),
-    ((16, 0.5, 11, 4), (8, "1101101100011000", 242),
-     (14, "2001202100022020", 2970)),
+     (15, "111111111111111", 40)),
+    ((15, 0.5, 6, 2), (4, "101000001000100", 228),
+     (8, "000000200002202", 480)),
+    ((15, 0.5, 6, 3), (6, "111110001000000", 408),
+     (10, "002120002000102", 533)),
+    ((16, 0.15, 9, 2), (10, "1100010011101111", 180),
+     (15, "0120010220102211", 308)),
+    ((16, 0.5, 11, 3), (7, "1101101100010000", 273),
+     (12, "0001202100022020", 953)),
+    ((16, 0.5, 11, 4), (8, "1101101100011000", 211),
+     (14, "2001202100022020", 897)),
     ((10, 0.2, 3, 4), (10, "1111111111", 22), (10, "1111111111", 22)),
 ]
 
@@ -401,10 +402,11 @@ CORPUS_VALUES_PIN = \
 
 # One SHA-256 over value, witness and nodes, re-recorded when the value
 # came to be proven in ascending-degree order, when the residual Delta
-# bound became a cut, when it took a per-position slope and when the
-# proof pass took the peeling order.  Any change to a cut, a label
+# bound became a cut, when it took a per-position slope, when the proof
+# pass took the peeling order and when it came to settle the witness's
+# first three labels.  Any change to a cut, a label
 # order, a vertex order or the node count changes it.
-CORPUS_PIN = "8669eba532ce5b8d2876a6e0e3f2568145a3d0a1b7542bcdd0f6e67201622377"
+CORPUS_PIN = "e8295fee3322cbe67d1ed1deb21f66ebe2c37a0e11b5cb5eb4fb622b77d7e255"
 
 
 def test_corpus_values_pin():
@@ -431,10 +433,12 @@ def _first_optimum(labelings, cost, valid):
     return best, first
 
 
-def _peeling_order(g):
-    """Each next vertex has the fewest neighbours among the vertices not
-    yet taken, ties going to the lowest index."""
-    left, order = (1 << g.n) - 1, []
+def _peeling_order(g, prefix=roman._PREFIX):
+    """Vertices 0 to prefix - 1 first, then each next vertex has the
+    fewest neighbours among the vertices not yet taken, ties going to the
+    lowest index."""
+    order = list(range(min(prefix, g.n)))
+    left = (1 << g.n) - 1 ^ (1 << len(order)) - 1
     while left:
         x = min((v for v in range(g.n) if left >> v & 1),
                 key=lambda v: (g.adj[v] & left).bit_count())
@@ -450,35 +454,47 @@ def _witness_corpus():
         for prob in (0.25, 0.5, 0.75):
             for seed in range(4):
                 yield gnp(n, prob, 300 + 10 * n + seed)
-    # cycles: the peeling order is the index order, so the one pass is the
-    # witness pass and must try the labels in the caller's order;
-    # bipartite(p, p) is regular too, but once vertex 0 is taken the other
-    # side has fewer neighbours left, so it takes both passes
+    # up to 5 vertices, and on cycles, the proof order is the index order,
+    # so the one pass is the witness pass and must try the labels in the
+    # caller's order; bipartite(3, 3) takes one pass too, since once 0, 1
+    # and 2 are placed the other side has no neighbours left, but
+    # bipartite(4, 4) takes two: vertex 3 then has four, the rest one
     for n in (5, 6, 7, 8):
         yield cycle(n)
     for p in (3, 4):
         yield bipartite(p, p)
 
 
-def test_witnesses_are_first_optima_in_brute_force_order():
+def test_witnesses_are_first_optima_in_brute_force_order(monkeypatch):
     # the solvers' vertex order must not leak into the witness: gamma_kR's
     # is the first optimal RkDF in product((0, 1, 2)) order, gamma_k's the
     # first optimal k-dominating mask in product((1, 0)) order, although
-    # the proof pass tries the labels lightest first
-    corpus = list(_witness_corpus())
-    one_pass = [_peeling_order(g) == list(range(g.n)) for g in corpus]
-    assert any(one_pass) and not all(one_pass)    # both paths are covered
-    for g in corpus:
+    # the proof pass tries the labels lightest first after its prefix
+    tables = []     # one `_positions` table per pass
+    positions = roman._positions
+    monkeypatch.setattr(roman, "_positions",
+                        lambda *args: tables.append(args) or positions(*args))
+    passes = set()
+    for g in _witness_corpus():
+        two = _peeling_order(g) != list(range(g.n))
         for k in (1, 2, 3):
+            tables.clear()
             gkr = gamma_kr_exact(g, k)
+            passes.add(("gamma_kr", len(tables)))
+            assert len(tables) == 1 + two, (g.label, k)
             first = min(naive_rkdfs(g, k), key=sum)  # first of equal sums
             assert (gkr.value, gkr.witness) == (sum(first), first), \
                 (g.label, k)
+            tables.clear()
             gk = gamma_k_exact(g, k)
+            passes.add(("gamma_k", len(tables)))
+            assert len(tables) == 1 + two, (g.label, k)
             assert (gk.value, gk.witness) == _first_optimum(
                 product((1, 0), repeat=g.n), sum,
                 lambda s: is_k_dominating(
                     g, k, [v for v in range(g.n) if s[v]])), (g.label, k)
+    # both paths are covered for both alphabets
+    assert passes == {(q, p) for q in ("gamma_kr", "gamma_k") for p in (1, 2)}
 
 
 def _gamma_k_brute(g, k):
@@ -541,19 +557,14 @@ class TestGammaK:
             gamma_k_exact(empty(21), 1)
 
 
-def _root_tops(g):
-    """For each pass of the solvers (peeling order, then index order), the
-    largest number of neighbours a vertex after the first position has
-    among the vertices after it.  The peeling order starts at the lowest
-    vertex of least degree.  The slope of the residual Delta bound at a
-    position is k + top there, at least 2k for gamma_kR; top only falls
-    as the positions advance."""
-    n = g.n
-    degrees = [row.bit_count() for row in g.adj]
-    for first in (sorted(range(n), key=degrees.__getitem__)[0], 0):
-        after = ((1 << n) - 1) ^ (1 << first)
-        yield max((g.adj[u] & after).bit_count()
-                  for u in range(n) if u != first)
+def _root_top(g):
+    """The largest number of neighbours a vertex after the first position
+    has among the vertices after it.  Both passes of the solvers place
+    vertex 0 first.  The slope of the residual Delta bound at a position
+    is k + top there, at least 2k for gamma_kR; top only falls as the
+    positions advance."""
+    after = (1 << g.n) - 2
+    return max((g.adj[u] & after).bit_count() for u in range(1, g.n))
 
 
 class TestDeltaCut:
@@ -579,8 +590,7 @@ class TestDeltaCut:
         # above the 2k floor (top > k), and slopes below 2k (top < k),
         # where gamma_kR's sits at its floor and gamma_k's, which has no
         # floor, is k + top; the sparse G(n, 0.15) graphs at k 3-4 have it
-        tops = [(top, k) for g, k in self._corpus() if g.n >= 6
-                for top in _root_tops(g)]
+        tops = [(_root_top(g), k) for g, k in self._corpus() if g.n >= 6]
         assert any(top > k for top, k in tops)
         assert any(top < k for top, k in tops)
 
@@ -619,11 +629,26 @@ class TestPackedCounts:
     def test_peeling_order(self):
         for g in self._graphs():
             nb = roman._packed_rows(g.adj)
-            order = [step[0] for step in roman._positions(nb, 1, 0, True)]
-            assert order == _peeling_order(g), g.label
-        assert _peeling_order(bipartite(3, 3)) == [0, 3, 1, 4, 2, 5]
+            for prefix in (0, 1, roman._PREFIX, g.n):
+                order = [step[0] for step in
+                         roman._positions(nb, 1, 0, prefix)]
+                assert order == _peeling_order(g, prefix), (g.label, prefix)
+        assert _peeling_order(bipartite(3, 3), 0) == [0, 3, 1, 4, 2, 5]
+        assert _peeling_order(bipartite(3, 3)) == list(range(6))
+        assert _peeling_order(bipartite(4, 4)) == [0, 1, 2, 4, 5, 6, 3, 7]
         for g in (cycle(9), complete(9), empty(9)):
-            assert _peeling_order(g) == list(range(9))
+            assert _peeling_order(g, 0) == _peeling_order(g) == list(range(9))
+        # up to 5 vertices the proof order is the index order: the prefix
+        # takes all of n <= 3, and after it one vertex is left at n = 4,
+        # and at n = 5 two, which tie
+        assert roman._PREFIX == 3
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                nb = roman._packed_rows(g.adj)
+                assert [step[0] for step in roman._positions(
+                    nb, 1, 0, min(roman._PREFIX, n))] == list(range(n))
+        # six can take two passes: 3 has two neighbours left, 4 and 5 one
+        assert _peeling_order(Graph(6, [(3, 4), (3, 5)])) == [0, 1, 2, 4, 3, 5]
 
     def test_position_tables(self):
         for g in self._graphs():
@@ -632,10 +657,10 @@ class TestPackedCounts:
             assert nb == [sum(1 << 8 * w for w in range(n) if row >> w & 1)
                           for row in g.adj]
             for k, floor in ((1, 2), (3, 0)):
-                for peel in (True, False):
+                for prefix in (0, roman._PREFIX, n):
                     after = (1 << n) - 1
                     for x, row, rowtop, sh, bit, up, ut, degr, slope in \
-                            roman._positions(nb, k, floor, peel):
+                            roman._positions(nb, k, floor, prefix):
                         after ^= 1 << x
                         later = [u for u in range(n) if after >> u & 1]
                         top = max(((g.adj[u] & after).bit_count()
