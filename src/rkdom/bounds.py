@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
     encode_graph6
-from .roman import gamma_k_exact, gamma_kr_exact, weight
+from .roman import gamma_k_exact, weight
 
 DEFAULT_WITNESS_LIMIT = 10
 
@@ -58,16 +58,19 @@ class SolvedValues:
 
 
 def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
-    """Run all four exact solvers on one (graph, k) pair.
+    """Solve all four quantities exactly on one (graph, k) pair.
 
-    max_n raises or lowers every solver's n guard at once (the CLI's
-    MAX_N knob); None keeps each solver's own limit.
+    d_R^k, gamma_k and d_k come from their exact solvers.  gamma_kR is
+    not searched for separately: it is the weight of the lightest RkDF,
+    which d_rk_exact reads off the first weight level of its pool.  max_n
+    raises or lowers every solver's n guard at once (the CLI's MAX_N
+    knob); None keeps each solver's own limit.
     """
     kw = {} if max_n is None else {"max_n": max_n}
     drk = d_rk_exact(g, k, **kw)
     return SolvedValues(
         gamma_k=gamma_k_exact(g, k, **kw).value,
-        gamma_kr=gamma_kr_exact(g, k, **kw).value,
+        gamma_kr=drk.gamma_kr,
         d_k=d_k_exact(g, k, **kw).value,
         d_rk=drk.value,
         d_rk_family=drk.witness,

@@ -103,20 +103,23 @@ def d_rk_exact(g: Graph, k: int,
                max_n: int = DEFAULT_DRK_N_LIMIT) -> SolveResult:
     """Exact Roman (k,k)-domatic number with an optimal family witness.
 
-    The candidates are the valid RkDFs in (weight, values) order; the
-    search branches on inclusion with per-vertex residual capacities.
-    They are generated lazily, by weight level.  The first enumerator
-    walk gives the lightest level, whose weight is gamma_kR, and the
-    gamma_kR + 1 level.  Every level from gamma_kR to 2n is non-empty:
-    raising one label of an RkDF by one keeps it an RkDF (0 -> 1 removes
-    a zero, 1 -> 2 only adds a 2-neighbour).  So one walk of the next
-    heavier level, up to 2n, always lengthens the list; it is made only
-    when a node runs past the end of the list and the remaining-capacity/
-    weight quotient at that level's weight could still beat the
-    incumbent, so heavy levels that no family can use are never
-    enumerated.  Depth is cut by the proven upper bounds min-degree+2k,
-    max(Delta,k-1)+k and 2kn/gamma_kR, and by the quotient.  The witness
-    is the first optimal family in the include-first search order.
+    The candidates are the valid RkDFs in (weight, values) order, held as
+    the byte-packed keys of enumerate_rkdfs; the search branches on
+    inclusion with per-vertex residual capacities, records the indices
+    of the members it chose and decodes only the family it returns.  The
+    candidates are generated lazily, by weight level.  The first
+    enumerator walk gives the lightest level, whose weight is gamma_kR
+    (returned as the result's gamma_kr), and the gamma_kR + 1 level.
+    Every level from gamma_kR to 2n is non-empty: raising one label of
+    an RkDF by one keeps it an RkDF (0 -> 1 removes a zero, 1 -> 2 only
+    adds a 2-neighbour).  So one walk of the next heavier level, up to
+    2n, always lengthens the list; it is made only when a node runs past
+    the end of the list and the remaining-capacity/weight quotient at
+    that level's weight could still beat the incumbent, so heavy levels
+    that no family can use are never enumerated.  Depth is cut by the
+    proven upper bounds min-degree+2k, max(Delta,k-1)+k and 2kn/gamma_kR,
+    and by the quotient.  The witness is the first optimal family in the
+    include-first search order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -125,7 +128,7 @@ def d_rk_exact(g: Graph, k: int,
         raise GuardError(f"d_rk solver guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
-    cands, packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n)
+    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
     # its weight, at most n + 1 < 255 here
     weights = [key % 255 for key in packed]
@@ -143,10 +146,9 @@ def d_rk_exact(g: Graph, k: int,
         w = weights[-1] + 1
         if w > 2 * n or count + captotal // w <= best:
             return False
-        level, keys = enumerate_rkdfs(g, k, w, w, max_n)
-        cands.extend(level)
+        keys = enumerate_rkdfs(g, k, w, w, max_n).keys
         packed.extend(keys)
-        weights.extend([w] * len(level))
+        weights.extend([w] * len(keys))
         return True
 
     # One search: each strict improvement records its family, so the last
@@ -156,19 +158,19 @@ def d_rk_exact(g: Graph, k: int,
     nodes = 0
     best = 0
     chosen: list[int] = []
-    found: Family | None = None
+    found: tuple[int, ...] = ()
 
     def search(idx: int, rescap: int, count: int, captotal: int) -> bool:
         nonlocal best, nodes, found
         nodes += 1
         if count > best:
             best = count
-            found = tuple(cands[i] for i in chosen)
+            found = tuple(chosen)
             if best == ub:
                 return True
         base = rescap | high
         i = idx
-        while i < len(cands) or grow(count, captotal):
+        while i < len(packed) or grow(count, captotal):
             if count + captotal // weights[i] <= best:
                 break
             left = base - packed[i]
@@ -182,8 +184,10 @@ def d_rk_exact(g: Graph, k: int,
         return False
 
     search(0, 2 * k * (high >> 7), 0, 2 * k * n)
-    assert found is not None
-    return SolveResult("d_rk", best, found, nodes)
+    assert found
+    family: Family = tuple(tuple(packed[i].to_bytes(n, "big"))
+                           for i in found)
+    return SolveResult("d_rk", best, family, nodes, gamma_kr=gkr)
 
 
 # ---------------------------------------------------------------------------

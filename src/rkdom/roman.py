@@ -37,13 +37,16 @@ class SolveResult:
 
     quantity is one of "gamma_k", "gamma_kr", "d_k", "d_rk".  The witness
     certifies the value: it passes the matching validator and its
-    weight/size equals the value.
+    weight/size equals the value.  A d_rk result also carries gamma_kr,
+    the weight of the lightest RkDF, which its search reads off its pool;
+    the other quantities leave it None.
     """
 
     quantity: str
     value: int
     witness: Any
     nodes_explored: int
+    gamma_kr: int | None = None
 
 
 def weight(f: Iterable[int]) -> int:
@@ -111,8 +114,21 @@ def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 class EnumerationResult(NamedTuple):
-    labelings: list[Labeling]
-    keys: list[int]     # int.from_bytes(bytes(f), "big") for each labeling f
+    """RkDFs as sorted byte-packed keys, one byte per vertex with vertex 0
+    the most significant: the key of f is int.from_bytes(bytes(f), "big").
+
+    n is the order of the graph, which fixes the key width.  Callers that
+    search the pool read the keys alone; labelings decodes them, anew on
+    each read.
+    """
+
+    keys: list[int]
+    n: int
+
+    @property
+    def labelings(self) -> list[Labeling]:
+        """The labelings of keys, in the same (lexicographic) order."""
+        return [tuple(key.to_bytes(self.n, "big")) for key in self.keys]
 
 
 def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
@@ -124,9 +140,10 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     empty when no RkDF weighs between lo and hi.  No RkDF weighs less
     than min(n, 2k), and the all-1 labeling weighs n, so [min(n, 2k),
     n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w] gives
-    level w alone.  Each labeling f also comes as its key, one byte per
-    vertex with vertex 0 the most significant: int.from_bytes(bytes(f),
-    "big").  So keys sort in the order of their labelings.
+    level w alone.  Each labeling f comes as its key, one byte per vertex
+    with vertex 0 the most significant: int.from_bytes(bytes(f), "big").
+    So keys sort in the order of their labelings.  Only the keys and n
+    are returned; the result decodes the labelings when they are read.
 
     An RkDF is fixed by its support S, the vertices labelled 2, and by
     the vertices of C(S) it labels 0, where C(S) is the vertices outside
@@ -208,11 +225,10 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
                                       map(sum, combinations(zeros, z))))
         size += 1
     if not levels:
-        return EnumerationResult([], [])
+        return EnumerationResult([], n)
     light = min(levels)
-    keys = sorted(levels[light]) + sorted(levels.get(light + 1, ()))
-    return EnumerationResult([tuple(key.to_bytes(n, "big")) for key in keys],
-                             keys)
+    return EnumerationResult(
+        sorted(levels[light]) + sorted(levels.get(light + 1, ())), n)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,17 @@ class TestSolveAll:
         assert vals.d_rk_family is not None
         assert len(vals.d_rk_family) == 3
 
+    def test_gamma_kr_read_off_the_pool_matches_the_search(self):
+        # solve_all takes gamma_kR from d_rk_exact's lightest weight level,
+        # so the enumerator is cross-checked against the branch and bound
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [gnp(n, p, seed) for n in (6, 7, 8)
+                   for p in (0.2, 0.35, 0.5, 0.65, 0.8) for seed in (1, 2)]
+        for g in graphs:
+            for k in (1, 2, 3):
+                assert solve_all(g, k).gamma_kr == \
+                    gamma_kr_exact(g, k).value, (g.label, k)
+
 
 class TestCheckGraph:
     def test_k3_product_equality(self):

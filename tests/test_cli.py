@@ -401,9 +401,9 @@ class TestVerify:
         assert lines[0].startswith("name,graph6,n,delta,Delta,regular,k,")
         assert len(lines) > 10
 
-    def test_one_gamma_kr_search_per_nordhaus_gaddum_op(self, monkeypatch):
-        # solve_all solves gamma_kR; d_rk_exact on the graph and on its
-        # complement reads it off the RkDF weight levels instead
+    def test_no_gamma_kr_search_per_nordhaus_gaddum_op(self, monkeypatch):
+        # solve_all reads gamma_kR off d_rk_exact's lightest RkDF weight
+        # level, so the branch and bound runs only for gamma_k
         import rkdom.cli as cli
         import rkdom.roman as roman
         from conftest import complete, cycle, gnp
@@ -418,7 +418,8 @@ class TestVerify:
         for g, k in ((complete(3), 1), (cycle(5), 2), (gnp(7, 0.5, 3), 3)):
             alphabets.clear()
             cli._verify_records(g, k, None, True)
-            assert alphabets.count((0, 1, 2)) == 1, (g.label, k)
+            assert alphabets.count((0, 1, 2)) == 0, (g.label, k)
+            assert alphabets.count((2, 0)) == 1, (g.label, k)
 
     def test_verify_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "--graph", "-", "--k", "2", "--nordhaus-gaddum"]
@@ -551,7 +552,50 @@ class TestArgumentValidation:
 
 
 class TestRepeatedCalls:
-    """main() reuses one parser; a call must not depend on earlier ones."""
+    """main() reuses one parser and keeps recent argvs parsed; a call must
+    not depend on earlier ones."""
+
+    GAMMA_KR = ["compute", "--graph", "-", "--k", "1", "--quantity",
+                "gamma-kr"]
+
+    def test_same_argv_reads_each_stdin_graph(self, capsys, monkeypatch):
+        # K_3 then C_5 under one argv: gamma_1R is 2, then 4
+        for stdin, value in ((K3, 2), ("Dhc\n", 4), (K3, 2)):
+            code, out, _ = run(capsys, self.GAMMA_KR, stdin=stdin,
+                               monkeypatch=monkeypatch)
+            assert code == 0
+            assert json.loads(out)["results"][0]["value"] == value
+
+    def test_bad_argv_is_reported_on_every_call(self, capsys):
+        for _ in range(2):
+            code, out, err = run(capsys, [*self.GAMMA_KR, "--bogus"])
+            assert code == 2 and out == ""
+            assert err.startswith("usage: rkdom")
+            assert err.endswith("unrecognized arguments: --bogus\n")
+
+    def test_env_knob_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("RKDOM_MAX_N", "2")
+        code, _, err = run(capsys, self.GAMMA_KR, stdin=K3,
+                           monkeypatch=monkeypatch)
+        assert code == 3 and "guard" in err
+        monkeypatch.delenv("RKDOM_MAX_N")
+        code, out, _ = run(capsys, self.GAMMA_KR, stdin=K3,
+                           monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["results"][0]["value"] == 2
+
+    def test_a_command_mutating_its_arguments_leaks_nothing(self, capsys,
+                                                            monkeypatch):
+        import rkdom.cli as cli
+        real = cli._spec_from_args
+
+        def bumping(args):
+            args.n += 1
+            return real(args)
+
+        monkeypatch.setattr(cli, "_spec_from_args", bumping)
+        argv = ["gen", "--family", "complete", "--n", "3"]
+        outs = [run(capsys, argv)[1] for _ in range(2)]
+        assert outs == ["C~\n", "C~\n"]   # K_4 both times, never K_5
 
     def test_mixed_calls_match_fresh_processes(self, capsys, tmp_path,
                                                monkeypatch):

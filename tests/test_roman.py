@@ -159,8 +159,11 @@ class TestEnumerate:
                 windows.append((min(g.n, 2 * k), g.n + 1))
                 for lo, hi in windows:
                     res = enumerate_rkdfs(g, k, lo, hi)
+                    assert res.n == g.n
                     assert res.keys == [int.from_bytes(bytes(f), "big")
                                         for f in res.labelings]
+                    assert res.labelings == [tuple(key.to_bytes(g.n, "big"))
+                                             for key in res.keys]
                     ws = [sum(f) for f in res.labelings]
                     assert all(a < b for a, b, wa, wb in zip(
                         res.keys, res.keys[1:], ws, ws[1:]) if wa == wb), \
