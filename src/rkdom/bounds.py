@@ -116,107 +116,34 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
 def _rec(theorem_id: str, applicable: bool, lhs: int, rhs: int,
          relation: str = "<=", notes: str = "") -> BoundRecord:
     holds = lhs <= rhs if relation == "<=" else lhs == rhs
-    return BoundRecord(theorem_id, applicable, lhs, rhs, holds,
-                       lhs == rhs, notes)
+    # the tuple BoundRecord(...) builds, minus its Python-level __new__
+    return tuple.__new__(BoundRecord, (theorem_id, applicable, lhs, rhs,
+                                       holds, lhs == rhs, notes))
 
 
 def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
     """Evaluate every per-graph bound for one solved (graph, k) pair.
 
-    Returns records sorted by theorem_id; complement-sum bounds live in
-    check_nordhaus_gaddum.
+    Returns records in theorem_id order, the order reports print them;
+    complement-sum bounds live in check_nordhaus_gaddum.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
     gk, gkr, dk, drk = vals.gamma_k, vals.gamma_kr, vals.d_k, vals.d_rk
-    records = []
 
-    records.append(_rec("eq1-lo", True, gk, gkr))
-    records.append(_rec("eq1-hi", True, gkr, 2 * gk))
-    records.append(_rec("eq23", True, 1 if k == 1 else 2, drk,
-                        notes="floor 1 at k=1, floor 2 once k >= 2"))
-
-    if n <= 2 * k:
-        records.append(_rec("V0", True, gkr, n, relation="==",
-                            notes="n <= 2k forces gamma_kr = n"))
-    else:
-        records.append(_rec("V0", True, 2 * k, gkr,
-                            notes="n >= 2k+1 forces gamma_kr >= 2k"))
-
-    ceil_bound = -(-2 * n * k // (Delta + k)) if Delta >= k else 0
-    records.append(_rec("Delta", Delta >= k, ceil_bound, gkr,
-                        notes="ceil(2nk/(Delta+k)) <= gamma_kr"
-                        if Delta >= k else "needs Delta >= k"))
-
-    records.append(_rec("gammast", True, gkr * drk, 2 * k * n))
-
-    gammast_eq = gkr * drk == 2 * k * n
-    if gammast_eq and vals.d_rk_family is not None:
-        fam = vals.d_rk_family
-        ok = (not validate_family(g, k, fam)
-              and all(weight(f) == gkr for f in fam)
-              and all(sum(f[v] for f in fam) == 2 * k for v in range(n)))
-        records.append(BoundRecord(
-            "gammast-eq", True, int(ok), 1, ok, ok,
-            "optimal family re-validated: uniform weight and full capacity"))
-    else:
-        records.append(BoundRecord(
-            "gammast-eq", False, 0, 1, True, False,
-            "product equality not attained" if not gammast_eq
-            else "no family witness supplied"))
-
-    records.append(_rec("c1", n >= 2, gkr + drk, n + 2 * k,
-                        notes="" if n >= 2 else "needs n >= 2"))
-    sum_eq = gkr + drk == n + 2 * k
-    split_eq = (gkr == n and drk == 2 * k) or (gkr == 2 * k and drk == n)
-    records.append(_rec("c1-eq", n >= 2, int(sum_eq), int(split_eq),
-                        relation="==",
-                        notes="biconditional as 0/1 indicators"))
-
-    records.append(_rec("kdelta", True, drk, delta + 2 * k))
-    records.append(_rec("reg", delta == Delta, drk,
-                        max(2 * k - 1, delta + k),
-                        notes="" if delta == Delta else "graph not regular"))
-    records.append(_rec("Delta1", True, drk, max(Delta, k - 1) + k))
-
-    records.append(_rec("cor1-lo", True, dk, drk))
-    records.append(_rec("cor1-hi", True, drk * min(n, gk + k), 2 * k * n,
-                        notes="cross-multiplied rational bound"))
-
-    records.append(_rec("obs", k >= Delta + 1, drk, 2 * k - 1,
-                        notes="" if k >= Delta + 1 else "needs k >= Delta+1"))
-    obs2_app = k >= 2 and n >= 2 * k - 2
-    records.append(_rec("obs2", obs2_app, 2 * k - 1, drk,
-                        notes="" if obs2_app else "needs k >= 2, n >= 2k-2"))
-    cor_app = obs2_app and k >= Delta + 1
-    records.append(_rec("obs2-cor", cor_app, drk, 2 * k - 1, relation="==",
-                        notes="" if cor_app
-                        else "needs k >= 2, n >= 2k-2, k >= Delta+1"))
-
-    records.append(_rec("mapping", k >= 2 ** n, drk, 2 ** n, relation="==",
-                        notes="" if k >= 2 ** n else "needs k >= 2^n"))
-
-    records.append(_rec("SV", k == 1, int(drk == 1), int(g.is_empty()),
-                        relation="==",
-                        notes="biconditional as 0/1 indicators"
-                        if k == 1 else "stated for k = 1 only"))
-
+    app_1dn = k == 1 and n >= 2
     complete = g.is_complete()
     notes_1dn = "biconditional as 0/1 indicators"
-    if k == 1 and n >= 2 and complete:
+    if app_1dn and complete:
         notes_1dn += ("; consistent reading d_rk(K_n) = n adopted over the "
                       "superseded transcription d_rk(K_n) = 1")
-    records.append(_rec("1d=n", k == 1 and n >= 2, int(drk == n),
-                        int(complete), relation="==",
-                        notes=notes_1dn if k == 1 and n >= 2
-                        else "stated for k = 1 and n >= 2 only"))
 
     parts = complete_bipartite_parts(g)
     if parts is None:
-        records.append(BoundRecord("Kpq", False, drk, 0, True, False,
-                                   "graph is not complete bipartite"))
+        kpq = BoundRecord("Kpq", False, drk, 0, True, False,
+                          "graph is not complete bipartite")
     else:
         p, q = parts
         cases = []
@@ -227,32 +154,99 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
         if p >= 3 * k:
             cases.append(("p>=3k", (p + q) // 2))
         bound = min(b for _, b in cases)
-        records.append(_rec("Kpq", True, drk, bound,
-                            notes="cases: " + ", ".join(c for c, _ in cases)))
+        kpq = _rec("Kpq", True, drk, bound,
+                   notes="cases: " + ", ".join(c for c, _ in cases))
 
     if n <= DEFAULT_WITNESS_LIMIT:
         witness = surplus_bipartite_witness(g, k)
-        records.append(_rec("V1", True, int(gkr < n), int(witness is not None),
-                            relation="==",
-                            notes="biconditional as 0/1 indicators"))
         th2_app = n >= 2 and gkr == n and drk == 2 * k
-        records.append(_rec("Th2", th2_app, int(witness is None), 1,
-                            relation="==",
-                            notes="gamma_kr = n and d_rk = 2k exclude a "
-                                  "surplus witness" if th2_app
-                            else "hypotheses gamma_kr = n, d_rk = 2k not met"))
+        th2 = _rec("Th2", th2_app, int(witness is None), 1, relation="==",
+                   notes="gamma_kr = n and d_rk = 2k exclude a surplus "
+                         "witness" if th2_app
+                   else "hypotheses gamma_kr = n, d_rk = 2k not met")
+        v1 = _rec("V1", True, int(gkr < n), int(witness is not None),
+                  relation="==", notes="biconditional as 0/1 indicators")
     else:
         guard = f"witness search guard is n <= {DEFAULT_WITNESS_LIMIT}"
-        records.append(BoundRecord("V1", False, 0, 0, True, True, guard))
-        records.append(BoundRecord("Th2", False, 0, 0, True, True, guard))
+        th2 = BoundRecord("Th2", False, 0, 0, True, True, guard)
+        v1 = BoundRecord("V1", False, 0, 0, True, True, guard)
 
-    return sorted(records, key=lambda r: r.theorem_id)
+    if n <= 2 * k:
+        v0 = _rec("V0", True, gkr, n, relation="==",
+                  notes="n <= 2k forces gamma_kr = n")
+    else:
+        v0 = _rec("V0", True, 2 * k, gkr,
+                  notes="n >= 2k+1 forces gamma_kr >= 2k")
+
+    sum_eq = gkr + drk == n + 2 * k
+    split_eq = (gkr == n and drk == 2 * k) or (gkr == 2 * k and drk == n)
+
+    gammast_eq = gkr * drk == 2 * k * n
+    if gammast_eq and vals.d_rk_family is not None:
+        fam = vals.d_rk_family
+        ok = (not validate_family(g, k, fam)
+              and all(weight(f) == gkr for f in fam)
+              and all(sum(f[v] for f in fam) == 2 * k for v in range(n)))
+        gammast_rec = BoundRecord(
+            "gammast-eq", True, int(ok), 1, ok, ok,
+            "optimal family re-validated: uniform weight and full capacity")
+    else:
+        gammast_rec = BoundRecord(
+            "gammast-eq", False, 0, 1, True, False,
+            "product equality not attained" if not gammast_eq
+            else "no family witness supplied")
+
+    ceil_bound = -(-2 * n * k // (Delta + k)) if Delta >= k else 0
+    obs2_app = k >= 2 and n >= 2 * k - 2
+    cor_app = obs2_app and k >= Delta + 1
+    return [    # in theorem_id order
+        _rec("1d=n", app_1dn, int(drk == n), int(complete), relation="==",
+             notes=notes_1dn if app_1dn
+             else "stated for k = 1 and n >= 2 only"),
+        _rec("Delta", Delta >= k, ceil_bound, gkr,
+             notes="ceil(2nk/(Delta+k)) <= gamma_kr"
+             if Delta >= k else "needs Delta >= k"),
+        _rec("Delta1", True, drk, max(Delta, k - 1) + k),
+        kpq,
+        _rec("SV", k == 1, int(drk == 1), int(g.is_empty()), relation="==",
+             notes="biconditional as 0/1 indicators"
+             if k == 1 else "stated for k = 1 only"),
+        th2,
+        v0,
+        v1,
+        _rec("c1", n >= 2, gkr + drk, n + 2 * k,
+             notes="" if n >= 2 else "needs n >= 2"),
+        _rec("c1-eq", n >= 2, int(sum_eq), int(split_eq), relation="==",
+             notes="biconditional as 0/1 indicators"),
+        _rec("cor1-hi", True, drk * min(n, gk + k), 2 * k * n,
+             notes="cross-multiplied rational bound"),
+        _rec("cor1-lo", True, dk, drk),
+        _rec("eq1-hi", True, gkr, 2 * gk),
+        _rec("eq1-lo", True, gk, gkr),
+        _rec("eq23", True, 1 if k == 1 else 2, drk,
+             notes="floor 1 at k=1, floor 2 once k >= 2"),
+        _rec("gammast", True, gkr * drk, 2 * k * n),
+        gammast_rec,
+        _rec("kdelta", True, drk, delta + 2 * k),
+        _rec("mapping", k >= 2 ** n, drk, 2 ** n, relation="==",
+             notes="" if k >= 2 ** n else "needs k >= 2^n"),
+        _rec("obs", k >= Delta + 1, drk, 2 * k - 1,
+             notes="" if k >= Delta + 1 else "needs k >= Delta+1"),
+        _rec("obs2", obs2_app, 2 * k - 1, drk,
+             notes="" if obs2_app else "needs k >= 2, n >= 2k-2"),
+        _rec("obs2-cor", cor_app, drk, 2 * k - 1, relation="==",
+             notes="" if cor_app
+             else "needs k >= 2, n >= 2k-2, k >= Delta+1"),
+        _rec("reg", delta == Delta, drk, max(2 * k - 1, delta + k),
+             notes="" if delta == Delta else "graph not regular"),
+    ]
 
 
 def check_nordhaus_gaddum(g: Graph, k: int,
                           vals: SolvedValues,
                           max_n: int | None = None) -> list[BoundRecord]:
-    """Complement-sum bounds for one solved (graph, k) pair.
+    """Complement-sum bounds for one solved (graph, k) pair, in
+    theorem_id order.
 
     d_rk of the graph comes from vals; d_rk is solved only on the
     complement, which must fit the d_rk guards (GuardError otherwise).
@@ -264,27 +258,24 @@ def check_nordhaus_gaddum(g: Graph, k: int,
     delta, Delta = g.min_degree(), g.max_degree()
     drk_co = d_rk_exact(complement(g), k, **kw).value
     total = vals.d_rk + drk_co
-    records = []
-
-    records.append(_rec("knord", True, total, n + 4 * k - 2))
     at_equality = total == n + 4 * k - 2
-    records.append(_rec("knord-eq", at_equality, Delta - delta, 1,
-                        relation="==",
-                        notes="equality requires Delta - delta = 1"
-                        if at_equality else "sum below the ceiling"))
-    records.append(_rec("knord-k1", k == 1, total, n + 2,
-                        notes="" if k == 1 else "stated for k = 1 only"))
-
     regular = delta == Delta
     reg_bound = max(4 * k - 2, n + 2 * k - 1, n + 3 * k - 2 - delta,
                     3 * k + delta - 1)
-    records.append(_rec("regnord", regular, total, reg_bound,
-                        notes="" if regular else "graph not regular"))
     fc_app = regular and k >= 2 and n >= 2
-    records.append(_rec("final-cor", fc_app, total, n + 4 * k - 4,
-                        notes="" if fc_app
-                        else "needs a regular graph, k >= 2 and n >= 2"))
-    return sorted(records, key=lambda r: r.theorem_id)
+    return [
+        _rec("final-cor", fc_app, total, n + 4 * k - 4,
+             notes="" if fc_app
+             else "needs a regular graph, k >= 2 and n >= 2"),
+        _rec("knord", True, total, n + 4 * k - 2),
+        _rec("knord-eq", at_equality, Delta - delta, 1, relation="==",
+             notes="equality requires Delta - delta = 1"
+             if at_equality else "sum below the ceiling"),
+        _rec("knord-k1", k == 1, total, n + 2,
+             notes="" if k == 1 else "stated for k = 1 only"),
+        _rec("regnord", regular, total, reg_bound,
+             notes="" if regular else "graph not regular"),
+    ]
 
 
 def violations(records: list[BoundRecord]) -> list[BoundRecord]:
@@ -371,6 +362,17 @@ _RECORD_TEMPLATE = """    {
     }"""
 
 
+@functools.lru_cache(maxsize=1024)
+def _record_json(r: BoundRecord) -> str:
+    """One record's text in report_json.  Records that compare equal
+    print the same text, and a run of reports repeats few of them: the
+    900 of a verify-ng benchmark pass hold under 500 distinct records."""
+    esc, flag = encode_basestring_ascii, _JSON_BOOL
+    return _RECORD_TEMPLATE % (esc(r.theorem_id), flag[r.applicable], r.lhs,
+                               r.rhs, flag[r.holds], flag[r.equality],
+                               esc(r.notes))
+
+
 def report_json(g: Graph, k: int, vals: SolvedValues,
                 records: list[BoundRecord]) -> str:
     """The report_dict text as json.dumps(..., indent=2) prints it, with
@@ -380,11 +382,7 @@ def report_json(g: Graph, k: int, vals: SolvedValues,
     table would print a flag of 1 as true where json.dumps prints 1.
     """
     esc, flag = encode_basestring_ascii, _JSON_BOOL
-    body = ",\n".join([
-        _RECORD_TEMPLATE % (esc(r.theorem_id), flag[r.applicable], r.lhs,
-                            r.rhs, flag[r.holds], flag[r.equality],
-                            esc(r.notes))
-        for r in records])
+    body = ",\n".join(map(_record_json, records))
     return _REPORT_TEMPLATE % (
         esc(g.label or ""), esc(encode_graph6(g)), g.n, g.min_degree(),
         g.max_degree(), flag[g.is_regular()], k, vals.gamma_k, vals.gamma_kr,

@@ -31,10 +31,11 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Instances are constructed once and never mutated afterwards; they are
-    safe to share between concurrent readers.
+    safe to share between concurrent readers.  The degree statistics are
+    computed on first use and kept.
     """
 
-    __slots__ = ("n", "adj", "label")
+    __slots__ = ("n", "adj", "label", "_stats")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  label: str | None = None):
@@ -88,18 +89,27 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
+    def _degree_stats(self) -> tuple[int, int, int]:
+        """(min degree, max degree, edge count), built on the first call."""
+        try:
+            return self._stats
+        except AttributeError:
+            d = self.degrees()
+            self._stats = (min(d), max(d), sum(d) // 2)
+            return self._stats
+
     def min_degree(self) -> int:
-        return min(self.degrees())
+        return self._degree_stats()[0]
 
     def max_degree(self) -> int:
-        return max(self.degrees())
+        return self._degree_stats()[1]
 
     def is_regular(self) -> bool:
-        d = self.degrees()
-        return min(d) == max(d)
+        delta, Delta, _ = self._degree_stats()
+        return delta == Delta
 
     def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
+        return self._degree_stats()[2]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):

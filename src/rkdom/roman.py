@@ -191,24 +191,26 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
             row ^= low
         rows.append(packed)
     tops = ones << 7
-    levels: dict[int, list[int]] = {}
+    # levels[w] holds the keys of weight w <= 2n, and levels[w + 1] exists
+    levels: list[list[int]] = [[] for _ in range(2 * n + 2)]
     size = max(0, lo - n)   # a support of this size weighs at most n + size
     while size <= n and 2 * size <= hi:
-        need = n + size - hi    # fewest zeros that keep a level <= hi
+        top = n + size          # the weight of S with no vertex at 0
+        need = top - hi         # fewest zeros that keep a level <= hi
         for packed in map(sum, combinations(rows, size), repeat(bias)):
             cover = packed & tops
             c = cover.bit_count()
             if c < need:
                 continue
-            first = max(lo, n + size - c)
+            first = top - c if top - c > lo else lo
             if first + 1 < hi:
                 hi = first + 1
-                need = n + size - hi
+                need = top - hi
             base = ones + (packed >> shift)
             zeros = None    # the unit of each vertex of C(S), built on demand
-            for w in range(first, min(hi, n + size) + 1):
-                z = n + size - w    # how many vertices of C(S) get a 0
-                bucket = levels.setdefault(w, [])
+            for w in range(first, (hi if hi < top else top) + 1):
+                z = top - w         # how many vertices of C(S) get a 0
+                bucket = levels[w]
                 if z == c:          # all of C(S) at 0: one labeling
                     bucket.append(base - (cover >> 7))
                 elif not z:         # none of it: one labeling
@@ -224,11 +226,10 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
                     bucket.extend(map(base.__sub__,
                                       map(sum, combinations(zeros, z))))
         size += 1
-    if not levels:
-        return EnumerationResult([], n)
-    light = min(levels)
-    return EnumerationResult(
-        sorted(levels[light]) + sorted(levels.get(light + 1, ())), n)
+    for w, keys in enumerate(levels):    # the lightest level, then w + 1
+        if keys:
+            return EnumerationResult(sorted(keys) + sorted(levels[w + 1]), n)
+    return EnumerationResult([], n)
 
 
 # ---------------------------------------------------------------------------

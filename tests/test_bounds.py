@@ -336,8 +336,39 @@ class TestReportJson:
                 for case in note[len("cases: "):].split(", ")} == KPQ_CASES
         assert notes - ALL_FIXED_NOTES == kpq
 
+    def test_records_come_in_theorem_id_order(self):
+        # reports print records as built: the 23 per-graph records, then
+        # the 5 complement-sum ones, each part in theorem_id order
+        for *_, records in _report_corpus():
+            assert len(records) in (23, 28)
+            for part in (records[:23], records[23:]):
+                ids = [r.theorem_id for r in part]
+                assert ids == sorted(ids)
+
     def test_equals_json_dumps_indent_2(self):
         for g, k, vals, records in _report_corpus():
+            expected = json.dumps(report_dict(g, k, vals, records), indent=2)
+            assert report_json(g, k, vals, records) == expected, (g.label, k)
+
+    def test_equals_json_dumps_after_the_record_cache_overflows(self):
+        # render the corpus, then make more than maxsize misses with
+        # other graphs' records, so that corpus records are evicted from
+        # the bounded record-text cache and rendered anew
+        from rkdom.bounds import _record_json
+        corpus = _report_corpus()
+        for g, k, vals, records in corpus:
+            report_json(g, k, vals, records)
+        info = _record_json.cache_info()
+        for i in range(info.maxsize):
+            if _record_json.cache_info().misses > info.misses + info.maxsize:
+                break
+            g = gnp(7 + i % 3, 0.5, 3000 + i)
+            vals = SolvedValues(50 + i, 60 + i, 70 + i, 80 + i)
+            report_json(g, 1, vals, check_graph(g, 1, vals))
+        after = _record_json.cache_info()
+        assert after.misses > info.misses + info.maxsize
+        assert after.currsize == info.maxsize
+        for g, k, vals, records in corpus:
             expected = json.dumps(report_dict(g, k, vals, records), indent=2)
             assert report_json(g, k, vals, records) == expected, (g.label, k)
 

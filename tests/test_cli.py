@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import io
 import json
 import os
@@ -11,8 +13,9 @@ import sys
 import pytest
 
 import rkdom
+from conftest import gnp
 from rkdom.cli import main
-from rkdom.graphs import FAMILIES
+from rkdom.graphs import FAMILIES, encode_graph6
 
 K3 = "Bw\n"
 
@@ -373,6 +376,23 @@ class TestConstruct:
         assert out == "" and "forced" in err
 
 
+NORDHAUS_GADDUM_IDS = [
+    "1d=n", "Delta", "Delta1", "Kpq", "SV", "Th2", "V0", "V1", "c1", "c1-eq",
+    "cor1-hi", "cor1-lo", "eq1-hi", "eq1-lo", "eq23", "gammast",
+    "gammast-eq", "kdelta", "mapping", "obs", "obs2", "obs2-cor", "reg",
+    "final-cor", "knord", "knord-eq", "knord-k1", "regnord"]
+
+PROBS = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+# One SHA-256 over the exit code and stdout of verify on 30 seeded G(n,p)
+# graphs (n 4-7, k 1-3), as JSON and as CSV, each with and without
+# --nordhaus-gaddum: 120 calls.  Recorded while check_graph and
+# check_nordhaus_gaddum still sorted their records on every call and
+# report_json formatted every record anew.
+VERIFY_STDOUT_PIN = \
+    "cf24e70f3a40289bb1f976716b6b2a3610a1ceddfed37d2e0dc040d49289399d"
+
+
 class TestVerify:
     def test_trivial_graph_all_hold(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["verify", "--graph", "-", "--k", "2",
@@ -426,6 +446,31 @@ class TestVerify:
         code1, out1, _ = run(capsys, argv, stdin=K3, monkeypatch=monkeypatch)
         code2, out2, _ = run(capsys, argv, stdin=K3, monkeypatch=monkeypatch)
         assert code1 == code2 == 0 and out1 == out2
+
+    def test_nordhaus_gaddum_record_order(self, capsys, monkeypatch):
+        # the per-graph records sorted by id, then the complement-sum
+        # records sorted by id, in JSON and CSV alike
+        argv = ["verify", "--graph", "-", "--k", "2", "--nordhaus-gaddum"]
+        code, out, _ = run(capsys, argv, stdin="Dhc\n",
+                           monkeypatch=monkeypatch)
+        ids = [r["theorem_id"] for r in json.loads(out)["records"]]
+        assert code == 0 and ids == NORDHAUS_GADDUM_IDS
+        code, out, _ = run(capsys, [*argv, "--output", "csv"],
+                           stdin="Dhc\n", monkeypatch=monkeypatch)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert code == 0 and [row[11] for row in rows] == NORDHAUS_GADDUM_IDS
+
+    def test_verify_stdout_pin(self, capsys, monkeypatch):
+        digest = hashlib.sha256()
+        for i in range(30):
+            stdin = encode_graph6(gnp(4 + i % 4, PROBS[i % 5], 1100 + i))
+            argv = ["verify", "--graph", "-", "--k", str(1 + i % 3)]
+            for extra in ([], ["--nordhaus-gaddum"], ["--output", "csv"],
+                          ["--output", "csv", "--nordhaus-gaddum"]):
+                code, out, _ = run(capsys, argv + extra, stdin=stdin + "\n",
+                                   monkeypatch=monkeypatch)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == VERIFY_STDOUT_PIN
 
 
 class TestSweep:

@@ -329,6 +329,46 @@ class TestComplement:
         assert g.max_degree() + co.min_degree() == n - 1
 
 
+class TestDegreeStats:
+    """Graph keeps its min and max degree and edge count after the first
+    call that needs them; every answer must still match its rows."""
+
+    ACCESSORS = ("min_degree", "max_degree", "is_regular", "edge_count",
+                 "is_complete", "is_empty")
+
+    @staticmethod
+    def _from_rows(g):
+        degrees = [bin(row).count("1") for row in g.adj]
+        m = sum(degrees) // 2
+        return degrees, {
+            "min_degree": min(degrees), "max_degree": max(degrees),
+            "is_regular": min(degrees) == max(degrees), "edge_count": m,
+            "is_complete": m == g.n * (g.n - 1) // 2, "is_empty": m == 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_match_the_rows_however_built(self, n, prob, seed):
+        spec = FamilySpec("random-gnp", n=n, prob=prob, seed=seed)
+        builds = (lambda: generate(spec),
+                  lambda: Graph(n, generate(spec).edges()),
+                  lambda: Graph.from_rows(generate(spec).adj),
+                  lambda: parse_graph6(encode_graph6(generate(spec))),
+                  lambda: complement(generate(spec)))
+        for build in builds:
+            # each accessor in turn is the first call on a fresh graph
+            for first in self.ACCESSORS:
+                g = build()
+                degrees, want = self._from_rows(g)
+                assert getattr(g, first)() == want[first]
+                assert {name: getattr(g, name)() for name in self.ACCESSORS} \
+                    == want
+            listed = g.degrees()
+            assert listed == degrees
+            listed.append(-1)
+            assert g.degrees() == degrees and g.degrees() is not listed
+
+
 class TestCompleteBipartiteDetection:
     def test_positive(self):
         assert complete_bipartite_parts(bipartite(2, 3)) == (2, 3)
