@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
-    encode_graph6
+    encode_graph6, vertex_mask
 from .roman import gamma_k_exact, weight
 
 DEFAULT_WITNESS_LIMIT = 10
@@ -102,9 +102,7 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     for y in _sorted_subsets(n):
         if len(y) < k or 2 * len(y) + 1 > n:
             continue
-        ymask = 0
-        for v in y:
-            ymask |= 1 << v
+        ymask = vertex_mask(y)
         pool = [v for v in range(n)
                 if not ymask >> v & 1
                 and (g.adj[v] & ymask).bit_count() >= k]

@@ -138,41 +138,41 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_QUANTITIES = ("gamma-k", "gamma-kr", "d-k", "d-rk")
+# quantity -> (exact solve, witness renderer, oracle solve or None).  The
+# lambdas look the names up when they run, so rebinding one takes effect.
+_SOLVERS = {
+    "gamma-k": (lambda g, k, **kw: gamma_k_exact(g, k, **kw),
+                labeling_to_string, None),
+    "gamma-kr": (lambda g, k, **kw: gamma_kr_exact(g, k, **kw),
+                 labeling_to_string,
+                 lambda g, k, **kw: gamma_kr_oracle(g, k, **kw)),
+    "d-k": (lambda g, k, **kw: d_k_exact(g, k, **kw),
+            lambda blocks: [list(b) for b in blocks], None),
+    "d-rk": (lambda g, k, **kw: d_rk_exact(g, k, **kw),
+             lambda fam: [labeling_to_string(f) for f in fam],
+             lambda g, k, **kw: d_rk_oracle(g, k, **kw)),
+}
 
 
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> dict:
     kw = {} if max_n is None else {"max_n": max_n}
+    solve, show, check = _SOLVERS[quantity]
     if oracle:
-        if quantity == "gamma-kr":
-            value = gamma_kr_oracle(g, k, **kw)
-        elif quantity == "d-rk":
-            value = d_rk_oracle(g, k, **kw)
-        else:
+        if check is None:
             raise _UsageError(f"no oracle for quantity {quantity}")
         return {"quantity": quantity.replace("-", "_"), "method": "oracle",
-                "value": value, "witness": None, "nodes_explored": None}
-    if quantity == "gamma-k":
-        res = gamma_k_exact(g, k, **kw)
-        witness = "".join(str(b) for b in res.witness)
-    elif quantity == "gamma-kr":
-        res = gamma_kr_exact(g, k, **kw)
-        witness = labeling_to_string(res.witness)
-    elif quantity == "d-k":
-        res = d_k_exact(g, k, **kw)
-        witness = [list(block) for block in res.witness]
-    else:
-        res = d_rk_exact(g, k, **kw)
-        witness = [labeling_to_string(f) for f in res.witness]
+                "value": check(g, k, **kw), "witness": None,
+                "nodes_explored": None}
+    res = solve(g, k, **kw)
     return {"quantity": res.quantity, "method": "exact", "value": res.value,
-            "witness": witness, "nodes_explored": res.nodes_explored}
+            "witness": show(res.witness), "nodes_explored": res.nodes_explored}
 
 
 def _cmd_compute(args) -> int:
     g = _read_graph(args)
     max_n = _max_n(args)
-    wanted = _QUANTITIES if args.quantity == "all" else (args.quantity,)
+    wanted = _SOLVERS if args.quantity == "all" else (args.quantity,)
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
     payload = {"schema": "1", "graph": {"graph6": encode_graph6(g), "n": g.n},
                "k": args.k, "results": results}
@@ -363,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="graph6")
     p_compute.add_argument("--k", type=int, required=True)
     p_compute.add_argument("--quantity", required=True,
-                           choices=_QUANTITIES + ("all",))
+                           choices=(*_SOLVERS, "all"))
     p_compute.add_argument("--oracle", action="store_true",
                            help="use the brute-force oracle instead")
     p_compute.add_argument("--max-n", type=int, dest="max_n")

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .domatic import Family
-from .graphs import FamilySpec, Graph, GuardError, generate, kdelta_copy_order
+from .graphs import (FamilySpec, Graph, GuardError, generate,
+                     kdelta_copy_order, vertex_mask)
 from .roman import Labeling
 
 DEFAULT_KDELTA_K_LIMIT = 2
@@ -229,9 +230,7 @@ def family_from_balanced_subgraphs(
             raise ConstructionError(f"subgraph {i}: X is empty")
         if len(x) != len(y):
             raise ConstructionError(f"subgraph {i}: |X|={len(x)} but |Y|={len(y)}")
-        ymask = 0
-        for v in y:
-            ymask |= 1 << v
+        ymask = vertex_mask(y)
         for v in x:
             if (g.adj[v] & ymask).bit_count() < k:
                 raise ConstructionError(

@@ -10,9 +10,10 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, Sequence
 
-from .graphs import Graph, GuardError
-from .roman import (Labeling, SolveResult, Violation, enumerate_rkdfs,
-                    is_k_dominating, naive_rkdfs, validate_rkdf)
+from .graphs import Graph, GuardError, vertex_mask
+from .roman import (Labeling, SolveResult, Violation, _decode, _multiples,
+                    enumerate_rkdfs, is_k_dominating, naive_rkdfs,
+                    validate_rkdf)
 
 DEFAULT_DRK_N_LIMIT = 8
 DEFAULT_DRK_K_LIMIT = 4
@@ -64,16 +65,6 @@ def validate_family(g: Graph, k: int,
 # ---------------------------------------------------------------------------
 # d_R^k: exact packing solver plus a brute-force oracle
 # ---------------------------------------------------------------------------
-
-# Residual capacities are packed like the keys of enumerate_rkdfs, one
-# byte per vertex with vertex 0 the most significant, so a candidate's key
-# is what it takes off the capacities: with the top bit H (128) of every
-# byte set, (rescap | H) - key keeps each H bit exactly when that field
-# does not underflow (fields stay at or below 2k <= 8, far below 128, so
-# borrows never cross).
-def _high_mask(n: int) -> int:
-    return int.from_bytes(b"\x80" * n, "big")
-
 
 def d_rk_oracle(g: Graph, k: int,
                 max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT) -> int:
@@ -138,7 +129,12 @@ def d_rk_exact(g: Graph, k: int,
              max(Delta, k - 1) + k,
              (2 * k * n) // gkr)
 
-    high = _high_mask(n)
+    # Residual capacities are packed like the keys, so a key is what its
+    # candidate takes off them: (rescap | high) - key keeps each top bit
+    # exactly when that field does not underflow; fields stay at or below
+    # 2k <= 8, far below 128, so no borrow crosses a byte.
+    mul = _multiples(n)
+    high = mul[128]
 
     def grow(count: int, captotal: int) -> bool:
         """Append the next weight level; False once it would pass 2n or
@@ -183,10 +179,9 @@ def d_rk_exact(g: Graph, k: int,
             i += 1
         return False
 
-    search(0, 2 * k * (high >> 7), 0, 2 * k * n)
+    search(0, mul[2 * k], 0, 2 * k * n)
     assert found
-    family: Family = tuple(tuple(packed[i].to_bytes(n, "big"))
-                           for i in found)
+    family: Family = tuple(_decode(packed[i], n) for i in found)
     return SolveResult("d_rk", best, family, nodes, gamma_kr=gkr)
 
 
@@ -275,9 +270,7 @@ def validate_partition(g: Graph, k: int,
     seen = 0
     blocks = [tuple(b) for b in blocks]
     for i, block in enumerate(blocks):
-        bmask = 0
-        for v in block:
-            bmask |= 1 << v
+        bmask = vertex_mask(block)
         if bmask & seen:
             violations.append(Violation("block-overlap", member=i,
                                         detail=f"block {i} overlaps earlier blocks"))

@@ -137,6 +137,14 @@ class Graph:
         return f"Graph({name}, n={self.n}, m={self.edge_count()})"
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of the listed vertices; one listed twice is set once."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def complement(g: Graph) -> Graph:
     """Complement graph: u~v in the result iff u != v and not u~v in g."""
     full = (1 << g.n) - 1

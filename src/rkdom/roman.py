@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, GuardError
+from .graphs import Graph, GuardError, vertex_mask
 
 Labeling = tuple[int, ...]
 
@@ -82,10 +82,7 @@ def validate_rkdf(g: Graph, k: int, f: Labeling) -> list[Violation]:
                     for v in range(g.n) if f[v] not in (0, 1, 2)]
     if out_of_range:
         return out_of_range
-    v2mask = 0
-    for v in range(g.n):
-        if f[v] == 2:
-            v2mask |= 1 << v
+    v2mask = vertex_mask(v for v in range(g.n) if f[v] == 2)
     violations = []
     for v in range(g.n):
         if f[v] == 0:
@@ -100,9 +97,7 @@ def validate_rkdf(g: Graph, k: int, f: Labeling) -> list[Violation]:
 
 def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
     """True iff every vertex outside the set has >= k neighbors inside it."""
-    smask = 0
-    for v in members:
-        smask |= 1 << v
+    smask = vertex_mask(members)
     for v in range(g.n):
         if not smask >> v & 1 and (g.adj[v] & smask).bit_count() < k:
             return False
@@ -110,16 +105,61 @@ def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Packed words and enumeration
 # ---------------------------------------------------------------------------
 
-class EnumerationResult(NamedTuple):
-    """RkDFs as sorted byte-packed keys, one byte per vertex with vertex 0
-    the most significant: the key of f is int.from_bytes(bytes(f), "big").
+def _packed_rows(adj: Sequence[int]) -> list[int]:
+    """Per vertex v, the key of the 0/1 labeling of its neighbourhood.
 
-    n is the order of the graph, which fixes the key width.  Callers that
-    search the pool read the keys alone; labelings decodes them, anew on
-    each read.
+    Every packed word holds one byte per vertex with vertex 0 the most
+    significant: the key of a labeling f is int.from_bytes(bytes(f),
+    "big"), and `_decode` inverts it.  So keys sort in the lexicographic
+    order of their labelings, which fixes the order of the RkDF pool and
+    so of every d_R^k candidate and witness.  Words add byte by byte
+    while no byte leaves [0, 255], so a count over all vertices is a few
+    integer operations, and the top bit (128) of a byte marks a vertex.
+    A byte holds a count of at most n - 1 neighbours plus a bias of at
+    most 128 that puts a threshold on its top bit, so graphs with more
+    than 128 vertices are refused here, before any search.
+    """
+    n = len(adj)
+    if n > 128:
+        raise GuardError(f"packed counts hold one byte per vertex, so they "
+                         f"need n <= 128, got {n}")
+    unit = _units(n)
+    rows = []
+    for row in adj:
+        packed = 0
+        while row:
+            low = row & -row
+            packed += unit[low.bit_length() - 1]
+            row ^= low
+        rows.append(packed)
+    return rows
+
+
+@functools.cache
+def _units(n: int) -> list[int]:
+    """Per vertex v, the n-byte word with a 1 in v's byte alone."""
+    return [1 << 8 * (n - 1 - v) for v in range(n)]
+
+
+@functools.cache
+def _multiples(n: int) -> list[int]:
+    """j times the n-byte word with a 1 in every byte, for j < 256."""
+    ones = int.from_bytes(b"\x01" * n, "big")
+    return [j * ones for j in range(256)]
+
+
+def _decode(key: int, n: int) -> Labeling:
+    """The labeling whose n-byte key is key (see `_packed_rows`)."""
+    return tuple(key.to_bytes(n, "big"))
+
+
+class EnumerationResult(NamedTuple):
+    """RkDFs as sorted keys (see `_packed_rows`); n, the order of the
+    graph, fixes the key width.  Callers that search the pool read the
+    keys alone; labelings decodes them, anew on each read.
     """
 
     keys: list[int]
@@ -128,7 +168,7 @@ class EnumerationResult(NamedTuple):
     @property
     def labelings(self) -> list[Labeling]:
         """The labelings of keys, in the same (lexicographic) order."""
-        return [tuple(key.to_bytes(self.n, "big")) for key in self.keys]
+        return [_decode(key, self.n) for key in self.keys]
 
 
 def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
@@ -140,9 +180,8 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     empty when no RkDF weighs between lo and hi.  No RkDF weighs less
     than min(n, 2k), and the all-1 labeling weighs n, so [min(n, 2k),
     n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w] gives
-    level w alone.  Each labeling f comes as its key, one byte per vertex
-    with vertex 0 the most significant: int.from_bytes(bytes(f), "big").
-    So keys sort in the order of their labelings.  Only the keys and n
+    level w alone.  Each labeling comes as its key (see `_packed_rows`),
+    so keys sort in the order of their labelings.  Only the keys and n
     are returned; the result decodes the labelings when they are read.
 
     An RkDF is fixed by its support S, the vertices labelled 2, and by
@@ -155,9 +194,8 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     lightest level found.  Nothing is kept across calls, and no table
     over all 2^n supports is built.
 
-    C(S) comes from one sum over S of packed rows, which counts every
-    vertex's neighbours in S in a byte of its own, so the cover test is a
-    few integer operations per support.
+    C(S) comes from one sum over S of packed rows, which counts each
+    vertex's neighbours in S in its own byte.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -167,12 +205,10 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     n = g.n
     if n > max_n:
         raise GuardError(f"enumeration guard is n <= {max_n}, got {n}")
-    if n > 128:
-        raise GuardError(f"enumeration counts neighbours in bytes, so it "
-                         f"needs n <= 128, got {n}")
+    nb = _packed_rows(g.adj)
+    mul = _multiples(n)
+    ones, tops = mul[1], mul[128]
     shift = 8 * n
-    unit = [1 << (shift - 8 - 8 * v) for v in range(n)]   # v's byte in a key
-    ones = sum(unit)
     # Per vertex v: v's key byte above n count bytes, with a 1 in the
     # count byte of each neighbour and -drop in v's own.  Summed over S
     # on top of bias, the count byte of a vertex outside S holds 128 - k
@@ -181,16 +217,9 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     # drop = n - k and stays in [128 - n, 127].  So the top bits mark
     # C(S).  With k >= n no vertex can reach k, and both are 0.  No byte
     # leaves [0, 255], so no carry or borrow crosses a byte.
-    bias, drop = ((128 - k) * ones, n - k) if k < n else (0, 0)
-    rows = []
-    for v, row in enumerate(g.adj):
-        packed = (unit[v] << shift) - drop * unit[v]
-        while row:
-            low = row & -row
-            packed += unit[low.bit_length() - 1]
-            row ^= low
-        rows.append(packed)
-    tops = ones << 7
+    bias, drop = (mul[128 - k], n - k) if k < n else (0, 0)
+    rows = [(unit << shift) - drop * unit + row
+            for unit, row in zip(_units(n), nb)]
     # levels[w] holds the keys of weight w <= 2n, and levels[w + 1] exists
     levels: list[list[int]] = [[] for _ in range(2 * n + 2)]
     size = max(0, lo - n)   # a support of this size weighs at most n + size
@@ -299,32 +328,6 @@ class _Found(Exception):
     """Unwinds the witness pass of `_roman_bb` at its first leaf."""
 
 
-# _SPREAD[b] moves bit i of the byte b to bit 8i: a row of up to 8
-# vertices as one count byte per neighbour
-_SPREAD = [sum(1 << 8 * i for i in range(8) if b >> i & 1) for b in range(256)]
-
-
-def _packed_rows(adj: Sequence[int]) -> list[int]:
-    """Per vertex v, the sum of 1 << 8w over the neighbours w of v."""
-    if len(adj) <= 8:
-        return [_SPREAD[row] for row in adj]
-    shifts = [(s, 8 * s) for s in range(0, len(adj), 8)]
-    out = []
-    for row in adj:
-        packed = 0
-        for s, t in shifts:
-            packed |= _SPREAD[row >> s & 255] << t
-        out.append(packed)
-    return out
-
-
-@functools.cache
-def _multiples(n: int) -> list[int]:
-    """j times the n-byte word with a 1 in every byte, for j < 256."""
-    ones = int.from_bytes(b"\x01" * n, "little")
-    return [j * ones for j in range(256)]
-
-
 def _positions(nb: Sequence[int], k: int, floor: int,
                prefix: int) -> list[tuple[int, ...]]:
     """Per position of one `_roman_bb` pass, what a node there reads: its
@@ -338,36 +341,37 @@ def _positions(nb: Sequence[int], k: int, floor: int,
     order (a prefix of n or more gives the index order), and the others
     follow in the peeling order of Matula and Beck (smallest-last,
     unreversed): each next vertex has the fewest neighbours among the
-    vertices not yet placed, ties going to the lowest index.  r sums nb
-    over those vertices, so its byte v counts v's neighbours among them,
-    and the top bit of byte v of r + j ones is set exactly when that
-    count is at least 128 - j.  So the candidates are the left vertices
-    with no more than c, the fewest any of them has, which placing one
-    vertex lowers by at most one (the prefix is placed while c is still
-    0); and top, from n down, falls while no left vertex has that many
-    left neighbours."""
-    mul = _multiples(len(nb))
+    vertices not yet placed, ties going to the lowest index, whose byte
+    is the highest.  r sums nb over those vertices, so its byte v counts
+    v's neighbours among them, and the top bit of byte v of r + j ones is
+    set exactly when that count is at least 128 - j.  So the candidates
+    are the left vertices with no more than c, the fewest any of them
+    has, which placing one vertex lowers by at most one (the prefix is
+    placed while c is still 0); and top, from n down, falls while no left
+    vertex has that many left neighbours."""
+    n = len(nb)
+    mul = _multiples(n)
     left = mul[128]
     r = sum(nb)
     c = 0
-    top = len(nb)
+    top = n
     out = []
-    for pos in range(len(nb)):
+    for pos in range(n):
         if pos < prefix:
             x = pos
-            bit = 128 << 8 * x
         else:
-            while not (bit := left & ~(r + mul[127 - c])):
+            while not (cand := left & ~(r + mul[127 - c])):
                 c += 1
-            bit &= -bit
-            x = (bit.bit_length() - 1) >> 3
+            # the lowest index has the highest bit, of bit_length 8(n - x)
+            x = n - (cand.bit_length() >> 3)
             c -= c > 0
+        sh = 8 * (n - 1 - x)    # x's byte
+        bit = 128 << sh
         left ^= bit
         row = nb[x]
         r -= row
         while top and not left & (r + mul[128 - top]):
             top -= 1
-        sh = 8 * x
         slope = k + top
         out.append((x, row, row << 7, sh, bit, r, left, r >> sh & 255,
                     slope if slope > floor else floor))
@@ -397,10 +401,9 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     labeling.  nodes counts both passes.  Some labeling of weight below
     best must exist.
 
-    Counts are packed one byte per vertex, byte v at bit 8v, so a test
-    over all vertices is a few integer operations.  nb[v] has a 1 in the
-    byte of each neighbour of v, and a set of vertices is kept as the top
-    bits (bit 8v + 7) of its bytes.  At position pos the unassigned
+    Counts are packed one byte per vertex (see `_packed_rows`).  nb[v]
+    has a 1 in the byte of each neighbour of v, and a set of vertices is
+    kept as the top bits of its bytes.  At position pos the unassigned
     vertices are the ones after it in the order; `_positions` gives their
     nb summed (up: each vertex's unassigned neighbours) and their top bits
     (ut), once per order.  The deficiency state is all in the arguments of
@@ -425,7 +428,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     dp + (128 - want) ones meet ut.  want <= 1 always passes, since each
     vertex of d has an unassigned neighbour.  The two min() keep every
     byte in [0, 255] for n <= 128, whatever the incumbent, so no carry
-    crosses a byte; larger graphs are refused.
+    crosses a byte.
 
     Ahead of the need tests a child is cut by the residual form of the
     paper's bound gamma_kR >= ceil(2nk / (Delta + k)), with a slope per
@@ -451,10 +454,8 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     incumbent, so the value and the witness do not depend on it.
     """
     n = g.n
-    if n > 128:
-        raise GuardError(f"the Roman branch and bound counts neighbours in "
-                         f"bytes, so it needs n <= 128, got {n}")
     nb = _packed_rows(g.adj)
+    by_byte = nb[::-1]    # the rows by byte, least significant first
     mul = _multiples(n)
     kk = min(k, n)
     bias = 128 - kk
@@ -498,7 +499,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                     dd ^= cov
                     while cov:
                         low = cov & -cov
-                        p -= nb[(low.bit_length() - 1) >> 3]
+                        p -= by_byte[(low.bit_length() - 1) >> 3]
                         cov ^= low
             else:
                 if stranded:

@@ -181,6 +181,25 @@ class TestCompute:
         assert result["method"] == "oracle" and result["value"] == 2
         assert result["witness"] is None
 
+    def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
+        # the benchmark tracer wraps solvers by rebinding their names in
+        # rkdom.cli; a table that held the functions would bypass it
+        called = []
+        for name in ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
+                     "d_rk_exact", "gamma_kr_oracle", "d_rk_oracle"):
+            solver = getattr(rkdom.cli, name)
+            monkeypatch.setattr(rkdom.cli, name,
+                                lambda *a, _name=name, _solver=solver, **kw:
+                                called.append(_name) or _solver(*a, **kw))
+        for quantity, oracle in (("all", []), ("gamma-kr", ["--oracle"]),
+                                 ("d-rk", ["--oracle"])):
+            code, _, _ = run(capsys, ["compute", "--graph", "-", "--k", "1",
+                                      "--quantity", quantity, *oracle],
+                             stdin=K3, monkeypatch=monkeypatch)
+            assert code == 0
+        assert called == ["gamma_k_exact", "gamma_kr_exact", "d_k_exact",
+                          "d_rk_exact", "gamma_kr_oracle", "d_rk_oracle"]
+
     def test_oracle_unavailable_for_d_k(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["compute", "--graph", "-", "--k", "1",
                                     "--quantity", "d-k", "--oracle"],

@@ -86,11 +86,17 @@ class TestDrkOracle:
             raise AssertionError("the oracle must not pack capacities")
 
         want = d_rk_exact(cycle(5), 2).value
-        # the solver's packing helper; its candidates arrive packed as the
-        # enumerator's keys, which the test above keeps from the oracle
-        monkeypatch.setattr(rkdom.domatic, "_high_mask", broken)
-        with pytest.raises(AssertionError):
-            d_rk_exact(cycle(5), 2)    # the patch reaches the solver
+        # the solver's packing helpers: the word table of its capacities
+        # and the key decoder of its family; its candidates arrive packed
+        # as the enumerator's keys, which the test above keeps from the
+        # oracle
+        for helper in ("_multiples", "_decode"):
+            with monkeypatch.context() as m:
+                m.setattr(rkdom.domatic, helper, broken)
+                with pytest.raises(AssertionError):
+                    d_rk_exact(cycle(5), 2)   # the patch reaches the solver
+        monkeypatch.setattr(rkdom.domatic, "_multiples", broken)
+        monkeypatch.setattr(rkdom.domatic, "_decode", broken)
         assert d_rk_oracle(complete(3), 1) == 3
         assert d_rk_oracle(cycle(5), 2) == want
 

@@ -221,9 +221,7 @@ class TestEnumerate:
         # k > Delta has no larger guard of its own
         with pytest.raises(GuardError):
             enumerate_rkdfs(empty(11), 1, 0, 22)
-        # neighbour counts are packed in bytes
-        with pytest.raises(GuardError):
-            enumerate_rkdfs(empty(129), 1, 0, 3, max_n=200)
+        # n > 128: TestPackedCounts
 
 
 class TestGammaKrOracle:
@@ -619,8 +617,8 @@ class TestPackedCounts:
     bytes."""
 
     def _graphs(self):
-        # the packed rows are built one way up to 8 vertices, another up
-        # to 16 and a third above
+        # every graph up to 4 vertices, then sparse to dense random graphs
+        # up to the 128 vertices that bytes allow, and a few named ones
         for n in range(1, 5):
             yield from all_graphs(n)
         for n, prob in ((7, 0.5), (8, 0.3), (9, 0.5), (16, 0.3), (17, 0.2),
@@ -657,7 +655,10 @@ class TestPackedCounts:
         for g in self._graphs():
             n = g.n
             nb = roman._packed_rows(g.adj)
-            assert nb == [sum(1 << 8 * w for w in range(n) if row >> w & 1)
+            # nb[v] is the key of the 0/1 labeling of N(v), the encoding of
+            # the enumerator's keys
+            assert nb == [int.from_bytes(bytes(row >> w & 1
+                                               for w in range(n)), "big")
                           for row in g.adj]
             for k, floor in ((1, 2), (3, 0)):
                 for prefix in (0, roman._PREFIX, n):
@@ -668,10 +669,12 @@ class TestPackedCounts:
                         later = [u for u in range(n) if after >> u & 1]
                         top = max(((g.adj[u] & after).bit_count()
                                    for u in later), default=0)
+                        sh_x = 8 * (n - 1 - x)     # x's byte, as in a key
                         assert (row, rowtop, sh, bit) == \
-                               (nb[x], nb[x] << 7, 8 * x, 1 << 8 * x + 7)
+                               (nb[x], nb[x] << 7, sh_x, 1 << sh_x + 7)
                         assert up == sum(nb[u] for u in later)
-                        assert ut == sum(1 << 8 * u + 7 for u in later)
+                        assert ut == sum(1 << 8 * (n - 1 - u) + 7
+                                         for u in later)
                         assert degr == (g.adj[x] & after).bit_count()
                         assert slope == max(floor, k + top), g.label
 
@@ -679,11 +682,18 @@ class TestPackedCounts:
             self, monkeypatch):
         def no_search(*args):
             raise AssertionError("the search started")
+        # every search reads the word table after the rows
+        monkeypatch.setattr(roman, "_multiples", no_search)
         monkeypatch.setattr(roman, "_positions", no_search)
         g = Graph(129, [], label="E_129")
-        for solve in (gamma_kr_exact, gamma_k_exact):
-            with pytest.raises(GuardError, match="n <= 128"):
+        messages = set()
+        for solve in (gamma_kr_exact, gamma_k_exact,
+                      lambda g, k, max_n: enumerate_rkdfs(g, k, 0, 3, max_n)):
+            with pytest.raises(GuardError) as refused:
                 solve(g, 1, max_n=129)
+            messages.add(str(refused.value))
+        assert messages == {"packed counts hold one byte per vertex, so "
+                            "they need n <= 128, got 129"}
 
     def test_128_vertices(self):
         g = Graph(128, [], label="E_128")
