@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -78,11 +79,13 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
 
 
 @functools.cache
-def _sorted_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every non-empty subset of range(n) as a sorted index tuple, in
-    lexicographic order; built once per order."""
-    return tuple(sorted(tuple(v for v in range(n) if mask >> v & 1)
-                        for mask in range(1, 1 << n)))
+def _witness_sides(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every subset Y of range(n) that can be a witness's Y, k <= |Y| and
+    2|Y| + 1 <= n, as (sorted index tuple, vertex mask), in lexicographic
+    order of the tuples; built once per (n, k) with 2k + 1 <= n."""
+    return tuple((y, vertex_mask(y)) for y in sorted(
+        combo for size in range(k, (n - 1) // 2 + 1)
+        for combo in combinations(range(n), size)))
 
 
 def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
@@ -99,10 +102,9 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     if n > DEFAULT_WITNESS_LIMIT:
         raise GuardError(f"witness search guard is n <= "
                          f"{DEFAULT_WITNESS_LIMIT}, got {n}")
-    for y in _sorted_subsets(n):
-        if len(y) < k or 2 * len(y) + 1 > n:
-            continue
-        ymask = vertex_mask(y)
+    if 2 * k + 1 > n:   # no Y fits; also keeps the cache bounded
+        return None
+    for y, ymask in _witness_sides(n, k):
         pool = [v for v in range(n)
                 if not ymask >> v & 1
                 and (g.adj[v] & ymask).bit_count() >= k]

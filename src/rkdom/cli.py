@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .bounds import (CSV_COLUMNS, check_graph, check_nordhaus_gaddum,
@@ -154,6 +155,36 @@ _SOLVERS = {
 }
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) prints it, without the
+    pure-Python encoder that any indent selects.
+
+    Takes the types a compute payload holds: dicts with str keys, lists,
+    str, int and None (a bool or float raises TypeError).  pad is the
+    newline and indent of the line the value starts on.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif kind is list:
+        items = [_json_text(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"no JSON text for a {kind.__name__}")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + pad + closing
+
+
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> dict:
     kw = {} if max_n is None else {"max_n": max_n}
@@ -176,7 +207,7 @@ def _cmd_compute(args) -> int:
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
     payload = {"schema": "1", "graph": {"graph6": encode_graph6(g), "n": g.n},
                "k": args.k, "results": results}
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     return EXIT_OK
 
 

@@ -31,11 +31,12 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Instances are constructed once and never mutated afterwards; they are
-    safe to share between concurrent readers.  The degree statistics are
-    computed on first use and kept.
+    safe to share between concurrent readers.  The degree statistics and
+    the graph6 text are computed on first use and kept; `parse_graph6`
+    keeps the text it parsed when that text is the canonical encoding.
     """
 
-    __slots__ = ("n", "adj", "label", "_stats")
+    __slots__ = ("n", "adj", "label", "_stats", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  label: str | None = None):
@@ -65,15 +66,18 @@ class Graph:
         n = len(adj)
         if n < 1:
             raise ValueError(f"graph order must be >= 1, got {n}")
+        width, swaps = _square(n)
+        matrix = 0
         for v, row in enumerate(adj):
             if row >> n:    # also true for a negative row
                 raise ValueError(f"row {v} has a vertex outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in range(v):
-                if (row >> u ^ adj[u] >> v) & 1:
-                    raise ValueError(f"rows {u} and {v} disagree on "
-                                     f"edge ({u},{v})")
+            matrix |= row << v * width
+        if _transpose(matrix, swaps) != matrix:
+            u, v = next((u, v) for v in range(n) for u in range(v)
+                        if (adj[v] >> u ^ adj[u] >> v) & 1)
+            raise ValueError(f"rows {u} and {v} disagree on edge ({u},{v})")
         g = object.__new__(cls)
         g.adj = adj
         g.n = n
@@ -135,6 +139,36 @@ class Graph:
     def __repr__(self) -> str:
         name = self.label or "graph"
         return f"Graph({name}, n={self.n}, m={self.edge_count()})"
+
+
+@functools.cache
+def _square(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The lane width w (n rounded up to a power of two) of an n-vertex
+    adjacency matrix held in one int, row v at bits v*w .. v*w + w - 1,
+    and the delta swaps that transpose it; built once per order.
+
+    Swap j exchanges the entries (r, c) and (r + j, c - j) for every r
+    without bit j and c with it: bit r*w + c and the bit d = j*(w - 1)
+    above it.  After the swaps for j = w/2, ..., 2, 1 every (r, c) has
+    gone to (c, r) (the bit-matrix transpose of Hacker's Delight, 7-3).
+    """
+    width = 1 << (n - 1).bit_length()
+    swaps = []
+    j = width >> 1
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        rows = sum(1 << r * width for r in range(width) if not r & j)
+        swaps.append((j * (width - 1), cols * rows))
+        j >>= 1
+    return width, tuple(swaps)
+
+
+def _transpose(matrix: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    """The transpose of a square bit matrix laid out as `_square` says."""
+    for d, mask in swaps:
+        t = (matrix ^ matrix >> d) & mask
+        matrix ^= t ^ t << d
+    return matrix
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -319,8 +353,19 @@ def generate(spec: FamilySpec, max_n: int = MAX_VERTICES) -> Graph:
 # graph6 codec
 # ---------------------------------------------------------------------------
 
+#: The six bits of each graph6 data character, most significant first.
+_GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
+
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph in the standard graph6 ASCII format."""
+    """Encode a graph in the standard graph6 ASCII format.
+
+    The text is built on the first call and kept on the graph.
+    """
+    try:
+        return g._graph6
+    except AttributeError:
+        pass
     n = g.n
     if n > _GRAPH6_LONG_MAX:
         raise ValueError(f"graph6 header supports n <= {_GRAPH6_LONG_MAX}")
@@ -339,7 +384,8 @@ def encode_graph6(g: Graph) -> str:
             group = nbits = 0
     if nbits:
         out.append(chr((group << (6 - nbits)) + 63))
-    return "".join(out)
+    g._graph6 = "".join(out)
+    return g._graph6
 
 
 def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
@@ -347,31 +393,32 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
 
     Accepts the optional ">>graph6<<" prefix.  Raises ParseError (with the
     byte offset into the stripped payload) on malformed input and
-    GuardError when the encoded order exceeds max_n.
+    GuardError when the encoded order exceeds max_n.  The graph keeps the
+    payload as its `encode_graph6` text when the header is the canonical
+    one (the short form exactly when n <= 62).
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
     if not s:
         raise ParseError("empty graph6 input")
-
-    data = [ord(c) for c in s]
-    for off, b in enumerate(data):
+    if not "?" <= min(s) <= max(s) <= "~":
+        off, b = next((off, ord(c)) for off, c in enumerate(s)
+                      if not 63 <= ord(c) <= 126)
         if b > 127:
             # decoded text: b is a code point, so no byte value to report
             raise ParseError(f"byte {off}: not ASCII")
-        if not 63 <= b <= 126:
-            raise ParseError(f"byte {off}: value {b} outside graph6 range 63..126")
+        raise ParseError(f"byte {off}: value {b} outside graph6 range 63..126")
 
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
+    if s[0] == "~":
+        if s[1:2] == "~":
             raise ParseError("byte 1: graph6 orders above 258047 not supported")
-        if len(data) < 4:
-            raise ParseError(f"byte {len(data)}: truncated long-form order")
-        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        if len(s) < 4:
+            raise ParseError(f"byte {len(s)}: truncated long-form order")
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         pos = 4
     else:
-        n = data[0] - 63
+        n = ord(s[0]) - 63
         pos = 1
     if n < 1:
         raise ParseError("byte 0: graphs of order 0 are not supported")
@@ -380,28 +427,32 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
-    if len(data) - pos < ngroups:
-        raise ParseError(f"byte {len(data)}: truncated bit vector "
-                         f"(need {ngroups} data bytes, got {len(data) - pos})")
-    if len(data) - pos > ngroups:
+    if len(s) - pos < ngroups:
+        raise ParseError(f"byte {len(s)}: truncated bit vector "
+                         f"(need {ngroups} data bytes, got {len(s) - pos})")
+    if len(s) - pos > ngroups:
         raise ParseError(f"byte {pos + ngroups}: trailing garbage after bit vector")
+    bits = s[pos:].translate(_GRAPH6_BITS)
+    if "1" in bits[nbits:]:     # the padding, all in the last byte
+        raise ParseError(f"byte {len(s) - 1}: nonzero padding bit")
 
-    pairs = graph6_pairs(n)
-    rows = [0] * n
-    bit = 0
-    for i in range(ngroups):
-        group = data[pos + i] - 63
-        for j in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> j & 1:
-                    raise ParseError(f"byte {pos + i}: nonzero padding bit")
-                continue
-            if group >> j & 1:
-                u, v = pairs[bit]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-    return Graph.from_rows(rows)
+    # Read reversed, the bit string is one int whose bit u + v(v-1)/2 is
+    # the pair u < v, so column v of the upper triangle is the v bits from
+    # v(v-1)/2 on.  Put in row v of a square matrix, the columns hold each
+    # edge in one row; the matrix or its transpose holds it in both.
+    width, swaps = _square(n)
+    pairs = int(bits[::-1] or "0", 2)
+    matrix = 0
+    start = 0
+    for v in range(1, n):
+        matrix |= (pairs >> start & (1 << v) - 1) << v * width
+        start += v
+    matrix |= _transpose(matrix, swaps)
+    full = (1 << n) - 1
+    g = Graph.from_rows([matrix >> v * width & full for v in range(n)])
+    if pos == 1 or n > 62:
+        g._graph6 = s
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -126,14 +126,13 @@ def _packed_rows(adj: Sequence[int]) -> list[int]:
     if n > 128:
         raise GuardError(f"packed counts hold one byte per vertex, so they "
                          f"need n <= 128, got {n}")
-    unit = _units(n)
+    tables = _row_tables(n)
     rows = []
     for row in adj:
         packed = 0
-        while row:
-            low = row & -row
-            packed += unit[low.bit_length() - 1]
-            row ^= low
+        for table in tables:
+            packed += table[row & 255]
+            row >>= 8
         rows.append(packed)
     return rows
 
@@ -142,6 +141,23 @@ def _packed_rows(adj: Sequence[int]) -> list[int]:
 def _units(n: int) -> list[int]:
     """Per vertex v, the n-byte word with a 1 in v's byte alone."""
     return [1 << 8 * (n - 1 - v) for v in range(n)]
+
+
+@functools.cache
+def _row_tables(n: int) -> tuple[list[int], ...]:
+    """Per byte i of an adjacency row (its vertices 8i .. 8i + 7), the
+    packed word of each of the 256 values of that byte: entry b is the
+    sum of the units of the vertices 8i + j with bit j of b set, those
+    at or above n left out.  Built once per order."""
+    unit = _units(n)
+    tables = []
+    for base in range(0, n, 8):
+        table = [0]
+        for v in range(base, base + 8):
+            step = unit[v] if v < n else 0
+            table += [word + step for word in table]
+        tables.append(table)
+    return tuple(tables)
 
 
 @functools.cache

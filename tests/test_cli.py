@@ -181,6 +181,36 @@ class TestCompute:
         assert result["method"] == "oracle" and result["value"] == 2
         assert result["witness"] is None
 
+    @pytest.mark.parametrize("quantity, oracle", [
+        ("gamma-k", False), ("gamma-kr", False), ("d-k", False),
+        ("d-rk", False), ("all", False), ("gamma-kr", True), ("d-rk", True)])
+    def test_stdout_is_json_dumps_indent_2(self, capsys, monkeypatch,
+                                           quantity, oracle):
+        # "E\\|O" holds a backslash, which the JSON text escapes
+        for text, k in (("E\\|O", 1), ("Bw", 1), ("D??", 2), ("@", 1),
+                        (encode_graph6(gnp(6, 0.6, 3)), 2)):
+            code, out, _ = run(capsys, ["compute", "--graph", "-", "--k",
+                                        str(k), "--quantity", quantity,
+                                        *(["--oracle"] if oracle else [])],
+                               stdin=text + "\n", monkeypatch=monkeypatch)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            results = json.loads(out)["results"]
+            assert all((r["method"] == "oracle") == oracle for r in results)
+            if oracle:
+                assert all(r["witness"] is None and
+                           r["nodes_explored"] is None for r in results)
+
+    def test_json_text_matches_json_dumps(self):
+        values = [{}, [], "", "caf\u00e9 \"\\\n\U0001d4b3", -7, 2 ** 70, None,
+                  {"a": [], "b": {}, "c": [[], [1, [2, None]], {"d": "e"}]},
+                  [[0], [1, 2]], ["002", "020"]]
+        for value in values:
+            assert rkdom.cli._json_text(value) == json.dumps(value, indent=2)
+        for value in (True, 1.5, (1,), [False]):
+            with pytest.raises(TypeError):
+                rkdom.cli._json_text(value)
+
     def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
         # the benchmark tracer wraps solvers by rebinding their names in
         # rkdom.cli; a table that held the functions would bypass it

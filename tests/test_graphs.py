@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
@@ -12,7 +13,8 @@ from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
 from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
                    complete_bipartite_parts, encode_graph6,
                    generate, parse_edge_list, parse_graph6)
-from rkdom.graphs import kdelta_copy_order, kdelta_order, vertex_mask
+from rkdom.graphs import (graph6_pairs, kdelta_copy_order, kdelta_order,
+                          vertex_mask)
 
 # The random-graph properties run every order in each example: a strategy
 # over the orders, under the derandomized profile, skips some of them.
@@ -143,6 +145,165 @@ class TestGraph6:
         for n in ORDERS:
             g = gnp(n, 0.5, seed)
             assert parse_graph6(encode_graph6(g)) == g, n
+
+
+def naive_encode_graph6(g: Graph) -> str:
+    """graph6 text one pair at a time, in `graph6_pairs` order."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    bits = "".join(str(int(g.has_edge(u, v))) for u, v in graph6_pairs(n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63)
+                          for i in range(0, len(bits), 6))
+
+
+def naive_parse_graph6(text: str, max_n: int = 64) -> Graph:
+    """graph6 decoding one bit at a time, with parse_graph6's errors."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):].strip()
+    if not s:
+        raise ParseError("empty graph6 input")
+    for off, ch in enumerate(s):
+        if ord(ch) > 127:
+            raise ParseError(f"byte {off}: not ASCII")
+        if not 63 <= ord(ch) <= 126:
+            raise ParseError(f"byte {off}: value {ord(ch)} outside graph6 "
+                             f"range 63..126")
+    data = [ord(ch) - 63 for ch in s]
+    if data[0] == 63:
+        if len(data) >= 2 and data[1] == 63:
+            raise ParseError("byte 1: graph6 orders above 258047 not "
+                             "supported")
+        if len(data) < 4:
+            raise ParseError(f"byte {len(data)}: truncated long-form order")
+        n, pos = data[1] << 12 | data[2] << 6 | data[3], 4
+    else:
+        n, pos = data[0], 1
+    if n < 1:
+        raise ParseError("byte 0: graphs of order 0 are not supported")
+    if n > max_n:
+        raise GuardError(f"graph6 order {n} exceeds guard {max_n}")
+    pairs = graph6_pairs(n)
+    ngroups = (len(pairs) + 5) // 6
+    if len(data) - pos < ngroups:
+        raise ParseError(f"byte {len(data)}: truncated bit vector "
+                         f"(need {ngroups} data bytes, got {len(data) - pos})")
+    if len(data) - pos > ngroups:
+        raise ParseError(f"byte {pos + ngroups}: trailing garbage after "
+                         f"bit vector")
+    edges = []
+    for t in range(6 * ngroups):
+        byte = pos + t // 6
+        if data[byte] >> (5 - t % 6) & 1:
+            if t >= len(pairs):
+                raise ParseError(f"byte {byte}: nonzero padding bit")
+            edges.append(pairs[t])
+    return Graph(n, edges)
+
+
+def _outcome(parse, text: str, **kw):
+    """The parsed graph, or the type and message of the error raised."""
+    try:
+        return parse(text, **kw)
+    except (ParseError, GuardError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_graph6(rng: random.Random, n: int) -> str:
+    """A valid graph6 text of order n with random bits, padding zero."""
+    nbits = n * (n - 1) // 2
+    bits = [rng.getrandbits(1) for _ in range(nbits)]
+    bits += [0] * (-nbits % 6)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    return head + "".join(
+        chr(int("".join(map(str, bits[i:i + 6])), 2) + 63)
+        for i in range(0, len(bits), 6))
+
+
+class TestGraph6AgainstNaiveCodec:
+    """The package codec against a pair-at-a-time one kept here."""
+
+    def test_every_canonical_text_up_to_order_5(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                text = naive_encode_graph6(g)
+                assert encode_graph6(g) == text
+                parsed = parse_graph6(text)
+                assert parsed == naive_parse_graph6(text) == g
+                assert encode_graph6(parsed) == text
+
+    def test_random_valid_texts(self):
+        rng = random.Random(23)
+        for n in [*range(6, 65), *(rng.randrange(6, 65) for _ in range(60))]:
+            text = _random_graph6(rng, n)
+            parsed = parse_graph6(text)
+            assert parsed == naive_parse_graph6(text), text
+            assert encode_graph6(parsed) == text
+            # built afresh, the graph encodes to the same canonical text
+            assert encode_graph6(Graph(n, parsed.edges())) == text
+
+    def test_random_malformed_texts(self):
+        rng = random.Random(29)
+        alphabet = "?@_w~" + chr(62) + chr(127) + "\x00 \u00e9\udcff"
+        texts = []
+        for _ in range(1000):
+            n = rng.randrange(1, 66)
+            text = list(_random_graph6(rng, n))
+            for _ in range(rng.randrange(1, 3)):
+                cut = rng.randrange(len(text) + 1)
+                action = rng.randrange(4)
+                if action == 0:     # drop a character
+                    del text[cut:cut + 1]
+                elif action == 1:   # insert one
+                    text.insert(cut, rng.choice(alphabet))
+                elif action == 2:   # replace one by any graph6 character
+                    text[cut:cut + 1] = chr(rng.randrange(63, 127))
+                else:               # set the last byte's bits, padding too
+                    text[-1:] = chr(63 + rng.randrange(64)) if text else ""
+            texts.append("".join(text))
+        texts += ["", " ", "~", "~~", "~?", "~??", "~???", "~~??????",
+                  "~??~", "~?@?", ">>graph6<<", ">>graph6<<~??_"]
+        errors = 0
+        for text in texts:
+            expect = _outcome(naive_parse_graph6, text)
+            assert _outcome(parse_graph6, text) == expect, repr(text)
+            errors += isinstance(expect, tuple)
+        assert errors > 600     # most edits break the text
+
+    def test_long_form_orders_63_and_64(self):
+        rng = random.Random(31)
+        for n in (63, 64):
+            for text in (_random_graph6(rng, n),
+                         naive_encode_graph6(Graph(n, [(0, n - 1)]))):
+                assert text[0] == "~"
+                g = parse_graph6(text)
+                assert g.n == n and g == naive_parse_graph6(text)
+                assert encode_graph6(g) == text
+                assert encode_graph6(Graph(n, g.edges())) == text
+
+    def test_long_form_header_below_63_reencodes_short(self):
+        for g in (complete(1), complete(3), cycle(5), gnp(12, 0.5, 3),
+                  gnp(62, 0.3, 4)):
+            short = encode_graph6(g)
+            n = g.n
+            long = "~" + chr(63) + chr((n >> 6) + 63) + chr((n & 63) + 63) \
+                + short[1:]
+            parsed = parse_graph6(long)
+            assert parsed == g == naive_parse_graph6(long)
+            assert encode_graph6(parsed) == short
+
+    def test_from_rows_names_the_pair_that_disagrees(self):
+        g = gnp(16, 0.4, 7)
+        for u, v in graph6_pairs(16):
+            rows = list(g.adj)
+            rows[v] ^= 1 << u
+            with pytest.raises(ValueError, match=rf"^rows {u} and {v} "
+                                                 rf"disagree on edge "
+                                                 rf"\({u},{v}\)$"):
+                Graph.from_rows(rows)
 
 
 class TestGraph6AgainstNetworkx:

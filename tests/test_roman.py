@@ -678,6 +678,22 @@ class TestPackedCounts:
                         assert degr == (g.adj[x] & after).bit_count()
                         assert slope == max(floor, k + top), g.label
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 64, 128])
+    def test_packed_rows_match_the_per_neighbour_sum(self, n):
+        # one table entry per row byte: the orders fill one byte, spill
+        # one vertex into the next, and reach the 128-vertex limit
+        unit = roman._units(n)
+        graphs = [Graph(n), Graph(n, combinations(range(n), 2)),
+                  *(_large_gnp(n, prob, 700 + n) for prob in (0.1, 0.5, 0.9))]
+        for g in graphs:
+            assert roman._packed_rows(g.adj) == [
+                sum(unit[u] for u in range(n) if row >> u & 1)
+                for row in g.adj]
+
+    def test_packed_rows_refuse_129_vertices(self):
+        with pytest.raises(GuardError, match=r"need n <= 128, got 129$"):
+            roman._packed_rows([0] * 129)
+
     def test_refuses_more_than_128_vertices_before_any_search(
             self, monkeypatch):
         def no_search(*args):
