@@ -76,7 +76,10 @@ def _max_n(args) -> int | None:
     return min(value, MAX_VERTICES)
 
 
-def _read_graph(args) -> Graph:
+def _read_graph(args) -> tuple[Graph, int | None]:
+    """The input graph and the MAX_N knob (`_max_n`), which it is parsed
+    under.  The knob is read after the input and before parsing, so an
+    unreadable input exits 4 and a bad knob exits 2 before a parse error."""
     source = args.graph
     if source == "-":
         try:
@@ -89,7 +92,8 @@ def _read_graph(args) -> Graph:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"byte {exc.start}: not ASCII") from None
-    limit = _max_n(args) or MAX_VERTICES
+    max_n = _max_n(args)
+    limit = max_n or MAX_VERTICES
     if args.format == "edgelist":
         g = parse_edge_list(text, max_n=limit)
     else:
@@ -100,7 +104,7 @@ def _read_graph(args) -> Graph:
     if not text.isascii():
         offset = next(i for i, ch in enumerate(text) if not ch.isascii())
         raise ParseError(f"byte {offset}: not ASCII")
-    return g
+    return g, max_n
 
 
 def _listed(flags: Sequence[str]) -> str:
@@ -201,8 +205,7 @@ def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
 
 
 def _cmd_compute(args) -> int:
-    g = _read_graph(args)
-    max_n = _max_n(args)
+    g, max_n = _read_graph(args)
     wanted = _SOLVERS if args.quantity == "all" else (args.quantity,)
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
     payload = {"schema": "1", "graph": {"graph6": encode_graph6(g), "n": g.n},
@@ -252,7 +255,7 @@ def _cmd_construct(args) -> int:
     flags, build = _CONSTRUCTIONS[args.name]
     _require(f"construct {args.name}", flags,
              ("n", "t", "graph", "subgraphs"), args)
-    g, fam = build(args, _read_graph(args) if "graph" in flags else None)
+    g, fam = build(args, _read_graph(args)[0] if "graph" in flags else None)
     # the built families carry the fixed guard 64; hold them to MAX_N too
     limit = _max_n(args)
     if limit is not None and g.n > limit:
@@ -279,9 +282,8 @@ def _verify_records(g: Graph, k: int, max_n: int | None, nordhaus: bool):
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args)
-    vals, records = _verify_records(g, args.k, _max_n(args),
-                                    args.nordhaus_gaddum)
+    g, max_n = _read_graph(args)
+    vals, records = _verify_records(g, args.k, max_n, args.nordhaus_gaddum)
     if args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

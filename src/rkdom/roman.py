@@ -468,6 +468,22 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     global Delta; the largest-need and cover tests still cut on it.  Like
     the other cuts it removes only subtrees with no leaf lighter than the
     incumbent, so the value and the witness do not depend on it.
+
+    Each child is tested before its state is built, cheapest test first,
+    with room = best - weight - 1 taken once per child: (1) its weight
+    against the incumbent; (2) for a 2, the residual test on dem - k +
+    c2(x) - (x's unassigned neighbours), before the row is added and the
+    covered neighbours leave d; for a 0 or a 1, the stranded test and the
+    residual test on dem - k + c2(x), which both labels share, and then,
+    for a 0, whether x has its need k - c2(x) in unassigned neighbours,
+    before x joins d; (3) the largest-need and cover tests on the built
+    state.  So no test reads state built for a child that a cheaper test
+    has already cut.  A child builds only the fields its label changes (a
+    1 passes c2b, d, dp and t on as they are) and writes its label into
+    values only when it is recursed into.  Each test reads only the child
+    and the incumbent, and the incumbent changes only inside a recursion,
+    so the order of the tests does not change which children are kept or
+    the node count.
     """
     n = g.n
     nb = _packed_rows(g.adj)
@@ -504,36 +520,37 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
-            values[x] = val
-            c2, dd, p, tt, e = c2b, d, dp, t, base
+            room = best - new_wt - 1
             if val == 2:
-                c2 += row
-                e -= degr
+                e = base - degr
+                if 2 * e > slope * room:
+                    continue  # the residual degree bound
+                c2 = c2b + row
+                dd, p, tt = d, dp, t
                 if hit:
                     tt -= hit.bit_count()
-                    cov = dd & c2        # the neighbours now covered
+                    cov = d & c2         # the neighbours now covered
                     dd ^= cov
                     while cov:
                         low = cov & -cov
                         p -= by_byte[(low.bit_length() - 1) >> 3]
                         cov ^= low
+            elif stranded or 2 * base > slope * room:
+                continue
             else:
-                if stranded:
-                    continue
+                c2, e = c2b, base
+                dd, p, tt = d, dp, t
                 if val == 0:
                     q = k - c2x
                     if q > degr:
                         continue
                     if q > 0:
-                        dd |= bit
-                        tt += q
-                        p += row
-            if 2 * e > slope * (best - new_wt - 1):
-                pass      # the residual degree bound cuts the child
-            elif not dd:
+                        dd, p, tt = d | bit, dp + row, t + q
+            values[x] = val
+            if not dd:
                 rec(pos + 1, new_wt, c2, dd, p, tt, e)
             else:
-                h = (best - new_wt - 1) // 2
+                h = room // 2
                 # new_wt + 2 * (largest need of dd) < best
                 if (c2 + mul[h if h < kk else kk]) & dd == dd:
                     # 2 * ceil(tt / cover) < best - new_wt holds iff some

@@ -644,6 +644,35 @@ class TestArgumentValidation:
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "RKDOM_MAX_N" in err
 
+    READ_ARGVS = (["compute", "--k", "1", "--quantity", "gamma-kr"],
+                  ["verify", "--k", "1"])
+
+    @pytest.mark.parametrize("argv", READ_ARGVS)
+    def test_missing_file_beats_bad_env(self, capsys, monkeypatch, tmp_path,
+                                        argv):
+        monkeypatch.setenv("RKDOM_MAX_N", "many")
+        code, _, err = run(capsys, argv + ["--graph",
+                                           str(tmp_path / "absent.g6")])
+        assert code == 4 and "absent.g6" in err
+
+    @pytest.mark.parametrize("argv", READ_ARGVS)
+    def test_bad_env_beats_malformed_graph(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("RKDOM_MAX_N", "many")
+        code, _, err = run(capsys, argv + ["--graph", "-"], stdin="B!\n",
+                           monkeypatch=monkeypatch)
+        assert code == 2 and "RKDOM_MAX_N" in err
+
+    @pytest.mark.parametrize("argv", READ_ARGVS)
+    def test_max_n_is_read_once(self, capsys, monkeypatch, argv):
+        import rkdom.cli
+        calls = []
+        real = rkdom.cli._max_n
+        monkeypatch.setattr(rkdom.cli, "_max_n",
+                            lambda args: calls.append(1) or real(args))
+        code, _, _ = run(capsys, argv + ["--graph", "-"], stdin=K3,
+                         monkeypatch=monkeypatch)
+        assert code == 0 and len(calls) == 1
+
 
 class TestRepeatedCalls:
     """main() reuses one parser and keeps recent argvs parsed; a call must

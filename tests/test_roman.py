@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
@@ -792,3 +793,70 @@ class TestKnownInequalities:
             if g.max_degree() >= k:
                 gkr = gamma_kr_exact(g, k).value
                 assert gkr >= -(-2 * g.n * k // (g.max_degree() + k))
+
+
+def _certified_value(g, k, quantity, witness):
+    """The weight (gamma_kr) or size (gamma_k) of witness, or None when it
+    does not validate on g."""
+    if quantity == "gamma_kr":
+        return None if validate_rkdf(g, k, witness) else weight(witness)
+    members = [v for v, x in enumerate(witness) if x]
+    return len(members) if is_k_dominating(g, k, members) else None
+
+
+class TestMetamorphic:
+    """Relations between solves that hold by the definitions, on graphs
+    above the oracle guard (n > 10), where the values are otherwise
+    checked only against pins recorded from the solvers themselves.
+    Seeded loops, so every order and k in range is drawn."""
+
+    SOLVERS = (gamma_kr_exact, gamma_k_exact)
+    PROBS = (0.2, 0.3, 0.4, 0.5)
+
+    def _gnp(self, n, rng):
+        return gnp(n, rng.choice(self.PROBS), rng.getrandbits(32))
+
+    def test_disjoint_union_adds_up(self):
+        rng = random.Random(2401)
+        for i in range(60):
+            n1, n2, k = 5 + i % 4, 5 + i // 4 % 4, 1 + i % 3
+            g1, g2 = self._gnp(n1, rng), self._gnp(n2, rng)
+            union = Graph(n1 + n2, [*g1.edges(), *((u + n1, v + n1)
+                                                   for u, v in g2.edges())])
+            for solve in self.SOLVERS:
+                r1, r2, r = solve(g1, k), solve(g2, k), solve(union, k)
+                # the optimal labelings of the union are the products of
+                # the parts' ones, so the lex-least is their concatenation
+                assert (r.value, r.witness) == (r1.value + r2.value,
+                                                r1.witness + r2.witness), \
+                    (g1.adj, g2.adj, k, solve.__name__)
+
+    def test_relabelling_keeps_the_value(self):
+        rng = random.Random(2402)
+        for i in range(60):
+            n, k = 12 + i % 3, 1 + i // 3 % 3
+            g = self._gnp(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for solve in self.SOLVERS:
+                r, s = solve(g, k), solve(h, k)
+                moved = [0] * n
+                for v, val in enumerate(r.witness):
+                    moved[perm[v]] = val
+                assert (s.value,
+                        _certified_value(h, k, s.quantity, s.witness),
+                        _certified_value(h, k, r.quantity, tuple(moved))) \
+                    == (r.value,) * 3, (g.adj, perm, k, solve.__name__)
+
+    def test_adding_an_edge_never_raises_the_value(self):
+        rng = random.Random(2403)
+        for i in range(60):
+            n, k = 12 + i % 3, 1 + i // 3 % 3
+            g = self._gnp(n, rng)
+            missing = [(u, v) for v in range(n) for u in range(v)
+                       if not g.has_edge(u, v)]
+            plus = Graph(n, [*g.edges(), rng.choice(missing)])
+            for solve in self.SOLVERS:
+                assert solve(plus, k).value <= solve(g, k).value, \
+                    (g.adj, plus.adj, k, solve.__name__)
