@@ -47,8 +47,8 @@ class BipartiteWitness:
 class SolvedValues:
     """Exactly solved quantities for one (graph, k) pair.
 
-    d_rk_family optionally carries the optimal family witness so equality
-    clauses can be re-validated.
+    d_rk_family optionally carries an optimal family so equality clauses
+    can be re-validated (solve_all's comes from the walk-order search).
     """
 
     gamma_k: int
@@ -66,9 +66,16 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     which d_rk_exact reads off the first weight level of its pool.  max_n
     raises or lowers every solver's n guard at once (the CLI's MAX_N
     knob); None keeps each solver's own limit.
+
+    d_R^k is searched in the enumerator's walk order (by_key=False), so
+    d_rk_family is an optimal family but not the documented (weight,
+    values)-first witness that `compute` prints.  Its one reader, the
+    gammast-eq record, holds for any optimal family: when gamma_kR *
+    d_R^k = 2kn, d members of weight at least gamma_kR sum to at most
+    2kn, so each weighs exactly gamma_kR and every capacity is full.
     """
     kw = {} if max_n is None else {"max_n": max_n}
-    drk = d_rk_exact(g, k, **kw)
+    drk = d_rk_exact(g, k, by_key=False, **kw)
     return SolvedValues(
         gamma_k=gamma_k_exact(g, k, **kw).value,
         gamma_kr=drk.gamma_kr,
@@ -250,13 +257,15 @@ def check_nordhaus_gaddum(g: Graph, k: int,
 
     d_rk of the graph comes from vals; d_rk is solved only on the
     complement, which must fit the d_rk guards (GuardError otherwise).
+    Only its value is read, so it is searched in the enumerator's walk
+    order (by_key=False), which finds a largest family sooner.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kw = {} if max_n is None else {"max_n": max_n}
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
-    drk_co = d_rk_exact(complement(g), k, **kw).value
+    drk_co = d_rk_exact(complement(g), k, by_key=False, **kw).value
     total = vals.d_rk + drk_co
     at_equality = total == n + 4 * k - 2
     regular = delta == Delta

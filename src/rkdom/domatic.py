@@ -90,12 +90,14 @@ def d_rk_oracle(g: Graph, k: int,
     return max(most.values())
 
 
-def d_rk_exact(g: Graph, k: int,
-               max_n: int = DEFAULT_DRK_N_LIMIT) -> SolveResult:
+def d_rk_exact(g: Graph, k: int, max_n: int = DEFAULT_DRK_N_LIMIT,
+               by_key: bool = True) -> SolveResult:
     """Exact Roman (k,k)-domatic number with an optimal family witness.
 
-    The candidates are the valid RkDFs in (weight, values) order, held as
-    the byte-packed keys of enumerate_rkdfs; the search branches on
+    The candidates are the valid RkDFs by weight, held as the byte-packed
+    keys of enumerate_rkdfs; within a weight level they come in
+    lexicographic order of values with by_key, else in the enumerator's
+    walk order (passed on to each of its calls).  The search branches on
     inclusion with per-vertex residual capacities, records the indices
     of the members it chose and decodes only the family it returns.  The
     candidates are generated lazily, by weight level.  The first
@@ -110,7 +112,11 @@ def d_rk_exact(g: Graph, k: int,
     that no family can use are never enumerated.  Depth is cut by the
     proven upper bounds min-degree+2k, max(Delta,k-1)+k and 2kn/gamma_kR,
     and by the quotient.  The witness is the first optimal family in the
-    include-first search order.
+    include-first search order: with by_key it is the documented one,
+    the first in (weight, values) order; without it, an optimal family
+    that walk order tends to reach in fewer scan steps, since its
+    smallest supports spread their weight most evenly over the
+    capacities.  The value and gamma_kR do not depend on the order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -119,7 +125,7 @@ def d_rk_exact(g: Graph, k: int,
         raise GuardError(f"d_rk solver guards are n <= {max_n}, "
                          f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
 
-    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n).keys
+    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n, by_key).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
     # its weight, at most n + 1 < 255 here
     weights = [key % 255 for key in packed]
@@ -142,7 +148,7 @@ def d_rk_exact(g: Graph, k: int,
         w = weights[-1] + 1
         if w > 2 * n or count + captotal // w <= best:
             return False
-        keys = enumerate_rkdfs(g, k, w, w, max_n).keys
+        keys = enumerate_rkdfs(g, k, w, w, max_n, by_key).keys
         packed.extend(keys)
         weights.extend([w] * len(keys))
         return True

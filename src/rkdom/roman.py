@@ -173,9 +173,10 @@ def _decode(key: int, n: int) -> Labeling:
 
 
 class EnumerationResult(NamedTuple):
-    """RkDFs as sorted keys (see `_packed_rows`); n, the order of the
-    graph, fixes the key width.  Callers that search the pool read the
-    keys alone; labelings decodes them, anew on each read.
+    """RkDFs as keys (see `_packed_rows`), sorted unless enumerate_rkdfs
+    was asked for its walk order; n, the order of the graph, fixes the
+    key width.  Callers that search the pool read the keys alone;
+    labelings decodes them, anew on each read.
     """
 
     keys: list[int]
@@ -183,22 +184,27 @@ class EnumerationResult(NamedTuple):
 
     @property
     def labelings(self) -> list[Labeling]:
-        """The labelings of keys, in the same (lexicographic) order."""
+        """The labelings of keys, in the same order."""
         return [_decode(key, self.n) for key in self.keys]
 
 
 def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
-                    max_n: int = DEFAULT_ENUM_LIMIT) -> EnumerationResult:
+                    max_n: int = DEFAULT_ENUM_LIMIT,
+                    by_key: bool = True) -> EnumerationResult:
     """The lightest non-empty weight level of RkDFs in [lo, hi], then the
     level one weight above it when that weight is at most hi.
 
-    Each level is in lexicographic order of value sequences; both are
-    empty when no RkDF weighs between lo and hi.  No RkDF weighs less
-    than min(n, 2k), and the all-1 labeling weighs n, so [min(n, 2k),
-    n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w] gives
-    level w alone.  Each labeling comes as its key (see `_packed_rows`),
-    so keys sort in the order of their labelings.  Only the keys and n
-    are returned; the result decodes the labelings when they are read.
+    Both are empty when no RkDF weighs between lo and hi.  No RkDF weighs
+    less than min(n, 2k), and the all-1 labeling weighs n, so [min(n,
+    2k), n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w]
+    gives level w alone.  Each labeling comes as its key (see
+    `_packed_rows`), so keys sort in the order of their labelings.  With
+    by_key each level is sorted, in lexicographic order of value
+    sequences; without it each level is in the order the walk below
+    reaches it (supports by size, smallest first, then in `combinations`
+    order), which is as deterministic and skips the sort.  Only the keys
+    and n are returned; the result decodes the labelings when they are
+    read.
 
     An RkDF is fixed by its support S, the vertices labelled 2, and by
     the vertices of C(S) it labels 0, where C(S) is the vertices outside
@@ -207,8 +213,11 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     the ways to label n + |S| - w vertices of C(S) 0.  All of those
     levels weigh at least 2|S|.  The supports are walked by size, and the
     walk stops once 2|S| passes the ceiling: hi, lowered to one above the
-    lightest level found.  Nothing is kept across calls, and no table
-    over all 2^n supports is built.
+    lightest level found.  A support of fewer than k vertices gives no
+    vertex k neighbours in it, so C(S) is empty and it lands in level
+    n + |S| alone; such a size is skipped whole once that level is above
+    the ceiling.  Nothing is kept across calls, and no table over all
+    2^n supports is built.
 
     C(S) comes from one sum over S of packed rows, which counts each
     vertex's neighbours in S in its own byte.
@@ -242,6 +251,9 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     while size <= n and 2 * size <= hi:
         top = n + size          # the weight of S with no vertex at 0
         need = top - hi         # fewest zeros that keep a level <= hi
+        if size < k and need > 0:   # C(S) is empty, the ceiling only falls
+            size += 1
+            continue
         for packed in map(sum, combinations(rows, size), repeat(bias)):
             cover = packed & tops
             c = cover.bit_count()
@@ -273,7 +285,10 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
         size += 1
     for w, keys in enumerate(levels):    # the lightest level, then w + 1
         if keys:
-            return EnumerationResult(sorted(keys) + sorted(levels[w + 1]), n)
+            above = levels[w + 1]
+            if by_key:
+                keys, above = sorted(keys), sorted(above)
+            return EnumerationResult(keys + above, n)
     return EnumerationResult([], n)
 
 

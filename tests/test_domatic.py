@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
                    d_rk_oracle, enumerate_rkdfs, gamma_kr_exact,
-                   labeling_to_string, validate_family, validate_partition,
-                   weight)
+                   labeling_to_string, solve_all, validate_family,
+                   validate_partition, weight)
+from rkdom.graphs import Graph
 from rkdom.roman import naive_rkdfs
 
 
@@ -276,19 +279,72 @@ DRK_CORPUS_PIN = \
     "86d03182e48cdbcd664475715e740e508e24d02fd1e8648982b5315390bb85ae"
 
 
-def test_drk_corpus_pin():
+# The same digest over the walk-order search (by_key=False) that verify
+# and sweep run: it moves with any change to the enumerator's walk order,
+# the packing or a cut.
+DRK_WALK_CORPUS_PIN = \
+    "4f9677943543788cf2ba62c0e472cb6e7f6395866cbabc4d6e4f28fe2954439f"
+
+
+@functools.cache
+def drk_corpus():
     corpus = [(g, k) for n in range(1, 5) for g in all_graphs(n)
               for k in (1, 2, 3, 4)]
     for i in range(60):
         g = gnp(6 + i % 3, (0.3, 0.5, 0.7, 0.85)[i % 4], 700 + i)
         k = 1 + i // 3 % 4
         corpus += [(g, k), (complement(g), k)]
+    return corpus
+
+
+def drk_digest(by_key):
     digest = hashlib.sha256()
-    for g, k in corpus:
-        res = d_rk_exact(g, k)
+    for g, k in drk_corpus():
+        res = d_rk_exact(g, k, by_key=by_key)
         fam = " ".join(map(labeling_to_string, res.witness))
         digest.update(f"{res.value} {fam} {res.nodes_explored}\n".encode())
-    assert digest.hexdigest() == DRK_CORPUS_PIN
+    return digest.hexdigest()
+
+
+def test_drk_corpus_pin():
+    assert drk_digest(True) == DRK_CORPUS_PIN
+
+
+def test_drk_walk_corpus_pin():
+    assert drk_digest(False) == DRK_WALK_CORPUS_PIN
+
+
+def test_walk_order_finds_an_optimal_family():
+    # the value and gamma_kR do not depend on the candidate order; the
+    # family is a different optimal one, and the same on every call
+    for g, k in drk_corpus():
+        doc, walk = d_rk_exact(g, k), d_rk_exact(g, k, by_key=False)
+        assert (walk.value, walk.gamma_kr) == (doc.value, doc.gamma_kr), \
+            (g.adj, k)
+        assert len(walk.witness) == walk.value
+        assert validate_family(g, k, walk.witness) == [], (g.adj, k)
+        again = d_rk_exact(g, k, by_key=False)
+        assert (again.value, again.witness, again.nodes_explored) == \
+            (walk.value, walk.witness, walk.nodes_explored)
+
+
+def test_solve_all_family_fills_every_capacity_at_product_equality():
+    # gamma_kR * d_R^k = 2kn forces every optimal family, the walk-order
+    # one that solve_all keeps included, to have uniform weight gamma_kR
+    # and to fill every capacity: what the gammast-eq record re-checks
+    equalities = 0
+    for g, k in drk_corpus():
+        drk = d_rk_exact(g, k, by_key=False)
+        if drk.gamma_kr * drk.value != 2 * k * g.n:
+            continue
+        equalities += 1
+        vals = solve_all(g, k)
+        fam = vals.d_rk_family
+        assert fam == drk.witness and len(fam) == vals.d_rk
+        assert all(weight(f) == vals.gamma_kr for f in fam), (g.adj, k)
+        assert all(sum(f[v] for f in fam) == 2 * k
+                   for v in range(g.n)), (g.adj, k)
+    assert equalities == 19   # of the 420 solves; order-independent
 
 
 def test_one_walk_for_the_light_levels(monkeypatch):
@@ -389,6 +445,78 @@ class TestDkPinned:
         assert res.value == len(blocks)
         assert res.witness == blocks
         assert res.nodes_explored == nodes
+
+
+class TestMetamorphic:
+    """Relations between d_k and d_R^k solves that hold by the
+    definitions, on graphs of order 7-8: above the d_R^k oracle guard
+    (n <= 6) and within the d_R^k solver guard (n <= 8).  d_R^k runs in
+    both candidate orders.  Seeded loops, so every order and k in range
+    is drawn."""
+
+    PROBS = (0.3, 0.5, 0.7)
+
+    def _gnp(self, n, rng):
+        return gnp(n, rng.choice(self.PROBS), rng.getrandbits(32))
+
+    @staticmethod
+    def _values(g, k):
+        """d_k, then d_R^k in (weight, values) and in walk order."""
+        return (d_k_exact(g, k).value, d_rk_exact(g, k).value,
+                d_rk_exact(g, k, by_key=False).value)
+
+    def test_disjoint_union(self):
+        # a block of the union meets both parts (a part outside it would
+        # have no neighbours in it), so it restricts to a block of each;
+        # merging surplus blocks keeps k-domination, so d_k is the
+        # smaller of the parts' values.  Pairing up the members of two
+        # families gives one of the union, so d_R^k is at least the
+        # smaller.
+        rng = random.Random(2501)
+        for i in range(60):
+            n1 = 3 + i % 3
+            n2 = 7 + i // 3 % 2 - n1
+            k = 1 + i // 6 % 3
+            g1, g2 = self._gnp(n1, rng), self._gnp(n2, rng)
+            union = Graph(n1 + n2, [*g1.edges(), *((u + n1, v + n1)
+                                                   for u, v in g2.edges())])
+            dk1, drk1, _ = self._values(g1, k)
+            dk2, drk2, _ = self._values(g2, k)
+            dk, drk, drk_walk = self._values(union, k)
+            assert dk == min(dk1, dk2), (g1.adj, g2.adj, k)
+            assert drk == drk_walk >= min(drk1, drk2), (g1.adj, g2.adj, k)
+
+    def test_relabelling_keeps_the_values(self):
+        rng = random.Random(2502)
+        for i in range(60):
+            n, k = 7 + i % 2, 1 + i // 2 % 3
+            g = self._gnp(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            vals = self._values(g, k)
+            assert vals[1] == vals[2] and self._values(h, k) == vals, \
+                (g.adj, perm, k)
+            for by_key in (True, False):
+                fam = d_rk_exact(h, k, by_key=by_key).witness
+                assert validate_family(h, k, fam) == [], (g.adj, perm, k)
+            assert validate_partition(h, k, d_k_exact(h, k).witness) == []
+
+    def test_adding_an_edge_never_lowers_the_values(self):
+        # every k-dominating partition and RkDF family of G is one of G + e
+        rng = random.Random(2503)
+        for i in range(60):
+            n, k = 7 + i % 2, 1 + i // 2 % 3
+            g = self._gnp(n, rng)
+            missing = [(u, v) for v in range(n) for u in range(v)
+                       if not g.has_edge(u, v)]
+            if not missing:
+                continue
+            plus = Graph(n, [*g.edges(), rng.choice(missing)])
+            dk, drk, drk_walk = self._values(g, k)
+            dk_plus, drk_plus, drk_walk_plus = self._values(plus, k)
+            assert drk == drk_walk and drk_plus == drk_walk_plus, (g.adj, k)
+            assert dk_plus >= dk and drk_plus >= drk, (g.adj, plus.adj, k)
 
 
 class TestPartitionValidator:

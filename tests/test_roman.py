@@ -120,6 +120,42 @@ class TestEnumerate:
                         got = enumerate_rkdfs(g, k, lo, hi).labelings
                         assert got == want, (g.label, k, lo, hi)
 
+    def test_walk_order(self):
+        # by_key=False keeps each level in the order the walk reaches it:
+        # supports S by size, then in combinations order, and per support
+        # its zero sets, combinations of C(S) from the highest vertex down
+        def walk_level(g, k, w):
+            n = g.n
+            for size in range(n + 1):
+                for s in combinations(range(n), size):
+                    smask = sum(1 << v for v in s)
+                    cover = [v for v in reversed(range(n)) if v not in s
+                             and (g.adj[v] & smask).bit_count() >= k]
+                    z = n + size - w
+                    if 0 <= z <= len(cover):
+                        for zs in combinations(cover, z):
+                            yield tuple(2 if v in s else 0 if v in zs else 1
+                                        for v in range(n))
+
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+        graphs += [gnp(6, 0.5, 3), gnp(7, 0.3, 4), gnp(7, 0.7, 5)]
+        for g in graphs:
+            n = g.n
+            for k in (1, 2, 3):
+                windows = [(w, w) for w in range(2 * n + 2)]
+                windows += [(min(n, 2 * k), n + 1), (0, 2 * n + 1)]
+                for lo, hi in windows:
+                    got = enumerate_rkdfs(g, k, lo, hi, by_key=False)
+                    ws = [sum(f) for f in got.labelings]
+                    want = [f for w in sorted(set(ws))
+                            for f in walk_level(g, k, w)]
+                    assert got.labelings == want, (g.label, k, lo, hi)
+                    # the levels of by_key, each in another order; the
+                    # bytes of a key sum to its weight, and 256 = 1 mod 255
+                    by_weight = sorted(got.keys, key=lambda x: (x % 255, x))
+                    assert by_weight == enumerate_rkdfs(g, k, lo, hi).keys
+                    assert got == enumerate_rkdfs(g, k, lo, hi, by_key=False)
+
     def test_lexicographic_order(self):
         for w in range(11):
             level = enumerate_rkdfs(cycle(5), 1, w, w).labelings
