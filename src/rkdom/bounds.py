@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
-from .graphs import Graph, GuardError, complement, complete_bipartite_parts, \
-    encode_graph6, vertex_mask
+from .graphs import Graph, check_k, check_order, complement, \
+    complete_bipartite_parts, encode_graph6, vertex_mask
 from .roman import gamma_k_exact, weight
 
 DEFAULT_WITNESS_LIMIT = 10
@@ -74,12 +74,11 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     d_R^k = 2kn, d members of weight at least gamma_kR sum to at most
     2kn, so each weighs exactly gamma_kR and every capacity is full.
     """
-    kw = {} if max_n is None else {"max_n": max_n}
-    drk = d_rk_exact(g, k, by_key=False, **kw)
+    drk = d_rk_exact(g, k, by_key=False, max_n=max_n)
     return SolvedValues(
-        gamma_k=gamma_k_exact(g, k, **kw).value,
+        gamma_k=gamma_k_exact(g, k, max_n=max_n).value,
         gamma_kr=drk.gamma_kr,
-        d_k=d_k_exact(g, k, **kw).value,
+        d_k=d_k_exact(g, k, max_n=max_n).value,
         d_rk=drk.value,
         d_rk_family=drk.witness,
     )
@@ -95,7 +94,8 @@ def _witness_sides(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         for combo in combinations(range(n), size)))
 
 
-def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
+def surplus_bipartite_witness(g: Graph, k: int, max_n: int | None = None
+                              ) -> BipartiteWitness | None:
     """Search for disjoint X, Y with |X| > |Y| >= k and every X vertex
     having >= k neighbors in Y.
 
@@ -103,12 +103,9 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     sorted index tuples), or None when no pair exists.  Such a witness
     exists exactly when gamma_kr(g) < n.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = g.n
-    if n > DEFAULT_WITNESS_LIMIT:
-        raise GuardError(f"witness search guard is n <= "
-                         f"{DEFAULT_WITNESS_LIMIT}, got {n}")
+    check_order("witness search", n, max_n, DEFAULT_WITNESS_LIMIT)
     if 2 * k + 1 > n:   # no Y fits; also keeps the cache bounded
         return None
     for y, ymask in _witness_sides(n, k):
@@ -134,8 +131,7 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
     Returns records in theorem_id order, the order reports print them;
     complement-sum bounds live in check_nordhaus_gaddum.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
     gk, gkr, dk, drk = vals.gamma_k, vals.gamma_kr, vals.d_k, vals.d_rk
@@ -260,12 +256,10 @@ def check_nordhaus_gaddum(g: Graph, k: int,
     Only its value is read, so it is searched in the enumerator's walk
     order (by_key=False), which finds a largest family sooner.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    kw = {} if max_n is None else {"max_n": max_n}
+    check_k(k)
     n = g.n
     delta, Delta = g.min_degree(), g.max_degree()
-    drk_co = d_rk_exact(complement(g), k, by_key=False, **kw).value
+    drk_co = d_rk_exact(complement(g), k, by_key=False, max_n=max_n).value
     total = vals.d_rk + drk_co
     at_equality = total == n + 4 * k - 2
     regular = delta == Delta

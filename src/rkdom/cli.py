@@ -50,10 +50,6 @@ ENV_MAX_N = "RKDOM_MAX_N"
 _SWEEP_PROBS = (0.2, 0.35, 0.5, 0.65, 0.8)
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _fail(message: str, code: int) -> int:
     print(f"rkdom: error: {message}", file=sys.stderr)
     return code
@@ -68,11 +64,11 @@ def _max_n(args) -> int | None:
             try:
                 value = int(raw)
             except ValueError:
-                raise _UsageError(f"{ENV_MAX_N} must be an integer, got {raw!r}")
+                raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}")
     if value is None:
         return None
     if value < 1:
-        raise _UsageError("max-n must be >= 1")
+        raise ValueError("max-n must be >= 1")
     return min(value, MAX_VERTICES)
 
 
@@ -118,11 +114,11 @@ def _require(what: str, flags: Sequence[str], optional: Sequence[str],
     every flag of optional outside flags that was given."""
     missing = [flag for flag in flags if getattr(args, flag) is None]
     if missing:
-        raise _UsageError(f"{what} needs {_listed(missing)}")
+        raise ValueError(f"{what} needs {_listed(missing)}")
     unused = [flag for flag in optional
               if flag not in flags and getattr(args, flag) is not None]
     if unused:
-        raise _UsageError(f"{what} does not use {_listed(unused)}")
+        raise ValueError(f"{what} does not use {_listed(unused)}")
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -143,19 +139,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# quantity -> (exact solve, witness renderer, oracle solve or None).  The
-# lambdas look the names up when they run, so rebinding one takes effect.
+# quantity -> (exact solve, witness renderer, oracle solve or None); a
+# solve takes (graph, k, max_n).  The lambdas look the names up when they
+# run, so rebinding one takes effect.
 _SOLVERS = {
-    "gamma-k": (lambda g, k, **kw: gamma_k_exact(g, k, **kw),
+    "gamma-k": (lambda g, k, m: gamma_k_exact(g, k, max_n=m),
                 labeling_to_string, None),
-    "gamma-kr": (lambda g, k, **kw: gamma_kr_exact(g, k, **kw),
+    "gamma-kr": (lambda g, k, m: gamma_kr_exact(g, k, max_n=m),
                  labeling_to_string,
-                 lambda g, k, **kw: gamma_kr_oracle(g, k, **kw)),
-    "d-k": (lambda g, k, **kw: d_k_exact(g, k, **kw),
+                 lambda g, k, m: gamma_kr_oracle(g, k, max_n=m)),
+    "d-k": (lambda g, k, m: d_k_exact(g, k, max_n=m),
             lambda blocks: [list(b) for b in blocks], None),
-    "d-rk": (lambda g, k, **kw: d_rk_exact(g, k, **kw),
+    "d-rk": (lambda g, k, m: d_rk_exact(g, k, max_n=m),
              lambda fam: [labeling_to_string(f) for f in fam],
-             lambda g, k, **kw: d_rk_oracle(g, k, **kw)),
+             lambda g, k, m: d_rk_oracle(g, k, max_n=m)),
 }
 
 
@@ -191,15 +188,14 @@ def _json_text(value, pad: str = "\n") -> str:
 
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> dict:
-    kw = {} if max_n is None else {"max_n": max_n}
     solve, show, check = _SOLVERS[quantity]
     if oracle:
         if check is None:
-            raise _UsageError(f"no oracle for quantity {quantity}")
+            raise ValueError(f"no oracle for quantity {quantity}")
         return {"quantity": quantity.replace("-", "_"), "method": "oracle",
-                "value": check(g, k, **kw), "witness": None,
+                "value": check(g, k, max_n), "witness": None,
                 "nodes_explored": None}
-    res = solve(g, k, **kw)
+    res = solve(g, k, max_n)
     return {"quantity": res.quantity, "method": "exact", "value": res.value,
             "witness": show(res.witness), "nodes_explored": res.nodes_explored}
 
@@ -223,16 +219,16 @@ def _parse_subgraphs(text: str) -> list[tuple[list[int], list[int]]]:
             continue
         sides = part.split(":")
         if len(sides) != 2:
-            raise _UsageError(f"subgraph {part!r} must be 'X:Y'")
+            raise ValueError(f"subgraph {part!r} must be 'X:Y'")
         try:
             x = [int(t) for t in sides[0].split(",") if t.strip() != ""]
             y = [int(t) for t in sides[1].split(",") if t.strip() != ""]
         except ValueError:
-            raise _UsageError(f"subgraph {part!r} has non-integer vertices") \
+            raise ValueError(f"subgraph {part!r} has non-integer vertices") \
                 from None
         pairs.append((x, y))
     if not pairs:
-        raise _UsageError("no subgraphs given")
+        raise ValueError("no subgraphs given")
     return pairs
 
 
@@ -323,11 +319,11 @@ def _sweep_instances(args):
 
 def _cmd_sweep(args) -> int:
     if args.k_max < 1:
-        raise _UsageError("k-max must be >= 1")
+        raise ValueError("k-max must be >= 1")
     if args.count < 0:
-        raise _UsageError("count must be >= 0")
+        raise ValueError("count must be >= 0")
     if args.exhaustive_upto < 0:
-        raise _UsageError("exhaustive-upto must be >= 0")
+        raise ValueError("exhaustive-upto must be >= 0")
     max_n = _max_n(args)
     # every exhaustive order is solved, so a run past the guard ends in
     # exit 3 anyway, after 2^(M(M-1)/2) reports on M vertices alone
@@ -473,15 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = argparse.Namespace(**vars(parsed))
     try:
         return args.func(args)
-    except _UsageError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except GuardError as exc:
+    except (GuardError, ConstructionError) as exc:
         return _fail(str(exc), EXIT_GUARD)
-    except ConstructionError as exc:
-        return _fail(str(exc), EXIT_GUARD)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         return _fail(str(exc), EXIT_IO)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .domatic import Family
-from .graphs import (FamilySpec, Graph, GuardError, generate,
+from .graphs import (FamilySpec, Graph, GuardError, check_k, generate,
                      kdelta_copy_order, vertex_mask)
 from .roman import Labeling
 
@@ -30,8 +30,7 @@ def closed_form_gamma_kr(spec: FamilySpec, k: int) -> int | None:
     """Known exact gamma_kR for complete graphs, complete bipartite graphs
     and any family whose order is at most 2k.  None when no closed form
     applies."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = spec.order()
     if spec.kind == "complete":
         return min(n, 2 * k)
@@ -51,8 +50,7 @@ def closed_form_gamma_kr(spec: FamilySpec, k: int) -> int | None:
 def closed_form_d_rk(spec: FamilySpec, k: int) -> int | None:
     """Known exact d_R^k for complete graphs, the trivial graph, empty
     graphs at k=1, and any graph once k reaches 2^n.  None otherwise."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = spec.order()
     if n == 1:
         return 1 if k == 1 else 2
@@ -80,8 +78,7 @@ def family_complete(n: int, k: int) -> tuple[Graph, Family]:
     family, so the product bound gamma_kR * d_R^k = 2kn is attained.  The
     graph is built first, so its order guard fires before any member is.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if n < 2 * k:
         raise ConstructionError(f"cyclic complete-graph family needs n >= 2k, "
                                 f"got n={n}, k={k}")
@@ -102,8 +99,7 @@ def family_balanced_bipartite(t: int, k: int) -> tuple[Graph, Family]:
     (same offsets in both parts), 0 elsewhere; every vertex sums to 2k.
     Requires t >= 3, the regime where (p+q)/2 is the proven ceiling.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if t < 3:
         raise ConstructionError(f"balanced bipartite family needs t >= 3, got {t}")
     p = t * k
@@ -168,8 +164,7 @@ def family_kdelta_sharpness(k: int,
     one k-block of every other copy; the h-type functions label the apex 1
     and put 2 on one k-block near the top of every copy.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if k > max_k:
         raise GuardError(f"kdelta sharpness guard is k <= {max_k}, got {k}")
     m = kdelta_copy_order(k)
@@ -214,8 +209,7 @@ def family_from_balanced_subgraphs(
     on both sides in the 2k case, merely equal in the 2k-1 case); then
     every vertex sums to exactly 2k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     pairs = [(sorted(set(x)), sorted(set(y))) for x, y in subgraphs]
     d = len(pairs)
     if d not in (2 * k, 2 * k - 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, Sequence
 
-from .graphs import Graph, GuardError, vertex_mask
+from .graphs import Graph, GuardError, check_k, check_order, vertex_mask
 from .roman import (Labeling, SolveResult, Violation, _decode, _multiples,
                     enumerate_rkdfs, is_k_dominating, naive_rkdfs,
                     validate_rkdf)
@@ -67,7 +67,7 @@ def validate_family(g: Graph, k: int,
 # ---------------------------------------------------------------------------
 
 def d_rk_oracle(g: Graph, k: int,
-                max_n: int = DEFAULT_DRK_ORACLE_N_LIMIT) -> int:
+                max_n: int | None = None) -> int:
     """Maximum family size by a 0/1 knapsack over residual capacities.
 
     Takes the RkDFs of the naive 3^n filter (naive_rkdfs) one at a time
@@ -76,10 +76,10 @@ def d_rk_oracle(g: Graph, k: int,
     every state it fits under.  Independent check for d_rk_exact: it
     shares no enumeration, search or capacity packing with the solver.
     """
-    if g.n > max_n or k > DEFAULT_DRK_ORACLE_K_LIMIT:
-        raise GuardError(f"d_rk oracle guards are n <= {max_n}, "
-                         f"k <= {DEFAULT_DRK_ORACLE_K_LIMIT}; "
-                         f"got n={g.n}, k={k}")
+    check_order("d_rk oracle", g.n, max_n, DEFAULT_DRK_ORACLE_N_LIMIT)
+    if k > DEFAULT_DRK_ORACLE_K_LIMIT:
+        raise GuardError(f"d_rk oracle guard is k <= "
+                         f"{DEFAULT_DRK_ORACLE_K_LIMIT}, got {k}")
     most = {(2 * k,) * g.n: 0}
     for f in naive_rkdfs(g, k):
         # the snapshot keeps f out of the states it has just made
@@ -90,7 +90,7 @@ def d_rk_oracle(g: Graph, k: int,
     return max(most.values())
 
 
-def d_rk_exact(g: Graph, k: int, max_n: int = DEFAULT_DRK_N_LIMIT,
+def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
                by_key: bool = True) -> SolveResult:
     """Exact Roman (k,k)-domatic number with an optimal family witness.
 
@@ -118,14 +118,15 @@ def d_rk_exact(g: Graph, k: int, max_n: int = DEFAULT_DRK_N_LIMIT,
     smallest supports spread their weight most evenly over the
     capacities.  The value and gamma_kR do not depend on the order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = g.n
-    if n > max_n or k > DEFAULT_DRK_K_LIMIT:
-        raise GuardError(f"d_rk solver guards are n <= {max_n}, "
-                         f"k <= {DEFAULT_DRK_K_LIMIT}; got n={n}, k={k}")
+    # the enumerator runs under the same limit, so max_n lifts both guards
+    limit = check_order("d_rk solver", n, max_n, DEFAULT_DRK_N_LIMIT)
+    if k > DEFAULT_DRK_K_LIMIT:
+        raise GuardError(f"d_rk solver guard is k <= {DEFAULT_DRK_K_LIMIT}, "
+                         f"got {k}")
 
-    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, max_n, by_key).keys
+    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, limit, by_key).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
     # its weight, at most n + 1 < 255 here
     weights = [key % 255 for key in packed]
@@ -148,7 +149,7 @@ def d_rk_exact(g: Graph, k: int, max_n: int = DEFAULT_DRK_N_LIMIT,
         w = weights[-1] + 1
         if w > 2 * n or count + captotal // w <= best:
             return False
-        keys = enumerate_rkdfs(g, k, w, w, max_n, by_key).keys
+        keys = enumerate_rkdfs(g, k, w, w, limit, by_key).keys
         packed.extend(keys)
         weights.extend([w] * len(keys))
         return True
@@ -195,7 +196,7 @@ def d_rk_exact(g: Graph, k: int, max_n: int = DEFAULT_DRK_N_LIMIT,
 # d_k: partition into k-dominating sets
 # ---------------------------------------------------------------------------
 
-def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
+def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
     """Exact k-domatic number with a VertexPartition witness.
 
     V itself is always k-dominating (nothing lies outside it), so the
@@ -203,11 +204,9 @@ def d_k_exact(g: Graph, k: int, max_n: int = DEFAULT_DK_LIMIT) -> SolveResult:
     other block, giving the ceiling d <= min-degree//k + 1; block counts
     are tried downward from there over canonical block assignments.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     n = g.n
-    if n > max_n:
-        raise GuardError(f"d_k solver guard is n <= {max_n}, got {n}")
+    check_order("d_k solver", n, max_n, DEFAULT_DK_LIMIT)
     adj = g.adj
 
     ub = min(n, g.min_degree() // k + 1)

@@ -27,6 +27,21 @@ class GuardError(ValueError):
     """Input exceeds a configured size guard."""
 
 
+def check_k(k: int) -> None:
+    """Refuse k < 1: the paper defines every quantity for k >= 1 only."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def check_order(what: str, n: int, max_n: int | None, default: int) -> int:
+    """The vertex limit in force, max_n or else default; GuardError
+    naming what when n is above it."""
+    limit = default if max_n is None else max_n
+    if n > limit:
+        raise GuardError(f"{what} guard is n <= {limit}, got {n}")
+    return limit
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, GuardError, vertex_mask
+from .graphs import Graph, GuardError, check_k, check_order, vertex_mask
 
 Labeling = tuple[int, ...]
 
@@ -72,8 +72,7 @@ def validate_rkdf(g: Graph, k: int, f: Labeling) -> list[Violation]:
     Structural problems (wrong length, value outside {0,1,2}) abort the
     semantic check, mirroring how an index fault would otherwise occur.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if len(f) != g.n:
         return [Violation("length-mismatch",
                           detail=f"labeling has {len(f)} entries, graph has {g.n}")]
@@ -189,7 +188,7 @@ class EnumerationResult(NamedTuple):
 
 
 def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
-                    max_n: int = DEFAULT_ENUM_LIMIT,
+                    max_n: int | None = None,
                     by_key: bool = True) -> EnumerationResult:
     """The lightest non-empty weight level of RkDFs in [lo, hi], then the
     level one weight above it when that weight is at most hi.
@@ -222,14 +221,12 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     C(S) comes from one sum over S of packed rows, which counts each
     vertex's neighbours in S in its own byte.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if not 0 <= lo <= hi:
         raise ValueError(f"weight window needs 0 <= lo <= hi, "
                          f"got [{lo}, {hi}]")
     n = g.n
-    if n > max_n:
-        raise GuardError(f"enumeration guard is n <= {max_n}, got {n}")
+    check_order("enumeration", n, max_n, DEFAULT_ENUM_LIMIT)
     nb = _packed_rows(g.adj)
     mul = _multiples(n)
     ones, tops = mul[1], mul[128]
@@ -307,19 +304,18 @@ def naive_rkdfs(g: Graph, k: int) -> Iterator[Labeling]:
             if not validate_rkdf(g, k, f))
 
 
-def gamma_kr_oracle(g: Graph, k: int, max_n: int = DEFAULT_ORACLE_LIMIT) -> int:
+def gamma_kr_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
     """Minimum RkDF weight by exhausting all 3^n labelings.
 
     Deliberately naive: the only work beyond enumeration order is the
     validity filter.  Serves as the independent check for gamma_kr_exact.
     """
-    if g.n > max_n:
-        raise GuardError(f"oracle guard is n <= {max_n}, got {g.n}")
+    check_order("oracle", g.n, max_n, DEFAULT_ORACLE_LIMIT)
     return min(map(sum, naive_rkdfs(g, k)))  # the all-1 labeling is valid
 
 
 def gamma_kr_exact(g: Graph, k: int,
-                   max_n: int = DEFAULT_GAMMA_KR_LIMIT) -> SolveResult:
+                   max_n: int | None = None) -> SolveResult:
     """Exact Roman k-domination number with a minimum-weight witness.
 
     Branch and bound over labelings (`_roman_bb`): values are tried 0,1,2,
@@ -339,10 +335,8 @@ def gamma_kr_exact(g: Graph, k: int,
     pass when the first pass's order is the index order, as on every
     graph with n <= 5 and on K_n, E_n and C_n).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if g.n > max_n:
-        raise GuardError(f"gamma_kr solver guard is n <= {max_n}, got {g.n}")
+    check_k(k)
+    check_order("gamma_kr solver", g.n, max_n, DEFAULT_GAMMA_KR_LIMIT)
     # the all-1 labeling guarantees a solution of weight n
     best, witness, nodes = _roman_bb(g, k, (0, 1, 2), g.n + 1)
     return SolveResult("gamma_kr", best, witness, nodes)
@@ -599,7 +593,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def gamma_k_exact(g: Graph, k: int,
-                  max_n: int = DEFAULT_GAMMA_K_LIMIT) -> SolveResult:
+                  max_n: int | None = None) -> SolveResult:
     """Exact k-domination number by subset branch and bound.
 
     A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
@@ -617,10 +611,8 @@ def gamma_k_exact(g: Graph, k: int,
     cut is steeper than gamma_kR's.  V itself always k-dominates (the
     condition quantifies over V minus the set), so a solution exists.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if g.n > max_n:
-        raise GuardError(f"gamma_k solver guard is n <= {max_n}, got {g.n}")
+    check_k(k)
+    check_order("gamma_k solver", g.n, max_n, DEFAULT_GAMMA_K_LIMIT)
     # the all-2 labeling (S = V) guarantees a solution of weight 2n
     best, labels, nodes = _roman_bb(g, k, (2, 0), 2 * g.n + 1)
     return SolveResult("gamma_k", best // 2,

@@ -673,6 +673,26 @@ class TestArgumentValidation:
                          monkeypatch=monkeypatch)
         assert code == 0 and len(calls) == 1
 
+    # GuardError, ConstructionError and ParseError are ValueErrors too, so
+    # each is told apart only while its clause comes before ValueError's
+    @pytest.mark.parametrize("error, code", [
+        (rkdom.GuardError("guard"), 3),
+        (rkdom.ConstructionError("construction"), 3),
+        (rkdom.ParseError("parse"), 4),
+        (OSError("io"), 4),
+        (ValueError("usage"), 2),
+    ], ids=["guard", "construction", "parse", "os", "usage"])
+    def test_exit_code_table(self, capsys, monkeypatch, error, code):
+        import rkdom.cli
+
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(rkdom.cli, "_read_graph", failing)
+        got, out, err = run(capsys, ["compute", "--graph", "-", "--k", "1",
+                                     "--quantity", "gamma-kr"])
+        assert (got, out, err) == (code, "", f"rkdom: error: {error}\n")
+
 
 class TestRepeatedCalls:
     """main() reuses one parser and keeps recent argvs parsed; a call must

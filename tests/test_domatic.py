@@ -297,12 +297,30 @@ def drk_corpus():
     return corpus
 
 
-def drk_digest(by_key):
-    digest = hashlib.sha256()
+# The same two digests over value and family alone: they hold across a
+# cut that moves node counts but keeps every value and witness.
+DRK_VALUES_PIN = \
+    "e55a44faa42e7f818c1676791164edb0f7dca76acde799e560719be1c6c9cd76"
+DRK_WALK_VALUES_PIN = \
+    "5542b1d4a3abb34379a70b4a5151ab69d046a8bdcf3a494da6836ebe58132136"
+
+
+@functools.cache
+def drk_solves(by_key):
+    """(value, family, nodes) lines of d_rk_exact over the corpus."""
+    lines = []
     for g, k in drk_corpus():
         res = d_rk_exact(g, k, by_key=by_key)
         fam = " ".join(map(labeling_to_string, res.witness))
-        digest.update(f"{res.value} {fam} {res.nodes_explored}\n".encode())
+        lines.append((res.value, fam, res.nodes_explored))
+    return lines
+
+
+def drk_digest(by_key, nodes=True):
+    digest = hashlib.sha256()
+    for value, fam, count in drk_solves(by_key):
+        tail = f" {count}" if nodes else ""
+        digest.update(f"{value} {fam}{tail}\n".encode())
     return digest.hexdigest()
 
 
@@ -312,6 +330,14 @@ def test_drk_corpus_pin():
 
 def test_drk_walk_corpus_pin():
     assert drk_digest(False) == DRK_WALK_CORPUS_PIN
+
+
+def test_drk_values_pin():
+    assert drk_digest(True, nodes=False) == DRK_VALUES_PIN
+
+
+def test_drk_walk_values_pin():
+    assert drk_digest(False, nodes=False) == DRK_WALK_VALUES_PIN
 
 
 def test_walk_order_finds_an_optimal_family():

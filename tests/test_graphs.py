@@ -13,8 +13,16 @@ from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
 from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
                    complete_bipartite_parts, encode_graph6,
                    generate, parse_edge_list, parse_graph6)
+from rkdom import (d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
+                   gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, roman,
+                   surplus_bipartite_witness)
+from rkdom.bounds import DEFAULT_WITNESS_LIMIT
+from rkdom.domatic import (DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT,
+                           DEFAULT_DRK_ORACLE_N_LIMIT)
 from rkdom.graphs import (graph6_pairs, kdelta_copy_order, kdelta_order,
                           vertex_mask)
+from rkdom.roman import (DEFAULT_ENUM_LIMIT, DEFAULT_GAMMA_K_LIMIT,
+                         DEFAULT_GAMMA_KR_LIMIT, DEFAULT_ORACLE_LIMIT)
 
 # The random-graph properties run every order in each example: a strategy
 # over the orders, under the derandomized profile, skips some of them.
@@ -575,3 +583,38 @@ class TestCompleteBipartiteDetection:
                                                (full ^ x).bit_count())))
                         break
                 assert complete_bipartite_parts(g) == expect, g.label
+
+
+# Every guarded search, called on a graph of order n with max_n passed
+# through kw, and the limit it keeps when max_n is None.
+GUARDED = [
+    (lambda g, **kw: enumerate_rkdfs(g, 1, g.n, g.n, **kw), DEFAULT_ENUM_LIMIT),
+    (lambda g, **kw: gamma_kr_oracle(g, 1, **kw), DEFAULT_ORACLE_LIMIT),
+    (lambda g, **kw: gamma_kr_exact(g, 1, **kw), DEFAULT_GAMMA_KR_LIMIT),
+    (lambda g, **kw: gamma_k_exact(g, 1, **kw), DEFAULT_GAMMA_K_LIMIT),
+    (lambda g, **kw: d_rk_oracle(g, 1, **kw), DEFAULT_DRK_ORACLE_N_LIMIT),
+    (lambda g, **kw: d_rk_exact(g, 1, **kw), DEFAULT_DRK_N_LIMIT),
+    (lambda g, **kw: d_k_exact(g, 1, **kw), DEFAULT_DK_LIMIT),
+    (lambda g, **kw: surplus_bipartite_witness(g, 1, **kw),
+     DEFAULT_WITNESS_LIMIT),
+]
+
+
+@pytest.mark.parametrize("search, default", GUARDED,
+                         ids=["enumerate_rkdfs", "gamma_kr_oracle",
+                              "gamma_kr_exact", "gamma_k_exact",
+                              "d_rk_oracle", "d_rk_exact", "d_k_exact",
+                              "surplus_bipartite_witness"])
+def test_max_n_none_keeps_the_default_limit(monkeypatch, search, default):
+    # the oracle's 3^n filter takes seconds at n = 11; the all-1 labeling
+    # alone shows the guard let the graph through
+    monkeypatch.setattr(roman, "naive_rkdfs", lambda g, k: [(1,) * g.n])
+    over = empty(default + 1)
+    for kw in ({}, {"max_n": None}):
+        with pytest.raises(GuardError, match=f"guard is n <= {default}, "
+                                             f"got {default + 1}$"):
+            search(over, **kw)
+    search(over, max_n=default + 1)
+    search(empty(default))
+    with pytest.raises(GuardError, match=f"guard is n <= {default - 1}, "):
+        search(empty(default), max_n=default - 1)
