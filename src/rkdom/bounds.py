@@ -94,8 +94,7 @@ def _witness_sides(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         for combo in combinations(range(n), size)))
 
 
-def surplus_bipartite_witness(g: Graph, k: int, max_n: int | None = None
-                              ) -> BipartiteWitness | None:
+def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     """Search for disjoint X, Y with |X| > |Y| >= k and every X vertex
     having >= k neighbors in Y.
 
@@ -105,7 +104,7 @@ def surplus_bipartite_witness(g: Graph, k: int, max_n: int | None = None
     """
     check_k(k)
     n = g.n
-    check_order("witness search", n, max_n, DEFAULT_WITNESS_LIMIT)
+    check_order("witness search", n, None, DEFAULT_WITNESS_LIMIT)
     if 2 * k + 1 > n:   # no Y fits; also keeps the cache bounded
         return None
     for y, ymask in _witness_sides(n, k):

@@ -168,7 +168,9 @@ class TestSurplusWitness:
                 assert got == brute(g, k), (g.label, k)
 
     def test_guard(self):
-        with pytest.raises(GuardError):
+        # the witness scan's limit is fixed: no max_n lifts it
+        with pytest.raises(GuardError,
+                           match="^witness search guard is n <= 10, got 11$"):
             surplus_bipartite_witness(empty(11), 1)
 
 

@@ -14,9 +14,7 @@ from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
                    complete_bipartite_parts, encode_graph6,
                    generate, parse_edge_list, parse_graph6)
 from rkdom import (d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
-                   gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, roman,
-                   surplus_bipartite_witness)
-from rkdom.bounds import DEFAULT_WITNESS_LIMIT
+                   gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, roman)
 from rkdom.domatic import (DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT,
                            DEFAULT_DRK_ORACLE_N_LIMIT)
 from rkdom.graphs import (graph6_pairs, kdelta_copy_order, kdelta_order,
@@ -595,16 +593,13 @@ GUARDED = [
     (lambda g, **kw: d_rk_oracle(g, 1, **kw), DEFAULT_DRK_ORACLE_N_LIMIT),
     (lambda g, **kw: d_rk_exact(g, 1, **kw), DEFAULT_DRK_N_LIMIT),
     (lambda g, **kw: d_k_exact(g, 1, **kw), DEFAULT_DK_LIMIT),
-    (lambda g, **kw: surplus_bipartite_witness(g, 1, **kw),
-     DEFAULT_WITNESS_LIMIT),
 ]
 
 
 @pytest.mark.parametrize("search, default", GUARDED,
                          ids=["enumerate_rkdfs", "gamma_kr_oracle",
                               "gamma_kr_exact", "gamma_k_exact",
-                              "d_rk_oracle", "d_rk_exact", "d_k_exact",
-                              "surplus_bipartite_witness"])
+                              "d_rk_oracle", "d_rk_exact", "d_k_exact"])
 def test_max_n_none_keeps_the_default_limit(monkeypatch, search, default):
     # the oracle's 3^n filter takes seconds at n = 11; the all-1 labeling
     # alone shows the guard let the graph through
