@@ -289,24 +289,19 @@ def violations(records: list[BoundRecord]) -> list[BoundRecord]:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def graph_info(g: Graph) -> dict:
-    delta, Delta, regular = g.min_degree(), g.max_degree(), g.is_regular()
-    return {
-        "name": g.label or "",
-        "graph6": encode_graph6(g),
-        "n": g.n,
-        "delta": delta,
-        "Delta": Delta,
-        "regular": regular,
-    }
-
-
 def report_dict(g: Graph, k: int, vals: SolvedValues,
                 records: list[BoundRecord]) -> dict:
     """One (graph, k) report matching the documented JSON schema."""
     return {
         "schema": "1",
-        "graph": graph_info(g),
+        "graph": {
+            "name": g.label or "",
+            "graph6": encode_graph6(g),
+            "n": g.n,
+            "delta": g.min_degree(),
+            "Delta": g.max_degree(),
+            "regular": g.is_regular(),
+        },
         "k": k,
         "values": {
             "gamma_k": vals.gamma_k,
@@ -314,18 +309,7 @@ def report_dict(g: Graph, k: int, vals: SolvedValues,
             "d_k": vals.d_k,
             "d_rk": vals.d_rk,
         },
-        "records": [
-            {
-                "theorem_id": r.theorem_id,
-                "applicable": r.applicable,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "holds": r.holds,
-                "equality": r.equality,
-                "notes": r.notes,
-            }
-            for r in records
-        ],
+        "records": [r._asdict() for r in records],
     }
 
 
@@ -398,11 +382,8 @@ CSV_COLUMNS = ["name", "graph6", "n", "delta", "Delta", "regular", "k",
 
 def report_csv_rows(g: Graph, k: int, vals: SolvedValues,
                     records: list[BoundRecord]) -> list[list]:
-    """Flatten one report into CSV rows (one per record)."""
-    info = graph_info(g)
-    head = [info["name"], info["graph6"], info["n"], info["delta"],
-            info["Delta"], info["regular"], k, vals.gamma_k, vals.gamma_kr,
-            vals.d_k, vals.d_rk]
-    return [head + [r.theorem_id, r.applicable, r.lhs, r.rhs, r.holds,
-                    r.equality, r.notes]
-            for r in records]
+    """Flatten one report into CSV rows (one per record), its columns in
+    report_dict's order."""
+    report = report_dict(g, k, vals, [])
+    head = [*report["graph"].values(), k, *report["values"].values()]
+    return [head + list(r) for r in records]

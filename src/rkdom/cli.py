@@ -30,11 +30,11 @@ from .constructions import (ConstructionError, family_balanced_bipartite,
                             family_complete, family_from_balanced_subgraphs,
                             family_kdelta_sharpness, family_near_order,
                             family_nontrivial)
-from .domatic import (DEFAULT_DRK_K_LIMIT, DEFAULT_DRK_N_LIMIT, d_k_exact,
-                      d_rk_exact, d_rk_oracle, validate_family)
+from .domatic import (check_drk, d_k_exact, d_rk_exact, d_rk_oracle,
+                      validate_family)
 from .graphs import (FAMILIES, MAX_VERTICES, FamilySpec, Graph, GuardError,
-                     ParseError, encode_graph6, generate, graph6_pairs,
-                     parse_edge_list, parse_graph6)
+                     ParseError, check_order, encode_graph6, generate,
+                     graph6_pairs, parse_edge_list, parse_graph6)
 from .roman import (gamma_k_exact, gamma_kr_exact, gamma_kr_oracle,
                     labeling_to_string)
 
@@ -89,11 +89,8 @@ def _read_graph(args) -> tuple[Graph, int | None]:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"byte {exc.start}: not ASCII") from None
     max_n = _max_n(args)
-    limit = max_n or MAX_VERTICES
-    if args.format == "edgelist":
-        g = parse_edge_list(text, max_n=limit)
-    else:
-        g = parse_graph6(text, max_n=limit)
+    parse = parse_edge_list if args.format == "edgelist" else parse_graph6
+    g = parse(text, max_n)
     # The parsers strip and split on Unicode whitespace, so stdin text
     # can parse and still hold non-ASCII; a parse error keeps its message.
     # Every character before the first non-ASCII one is a single byte.
@@ -133,8 +130,7 @@ def _spec_from_args(args) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    g = generate(spec, max_n=_max_n(args) or MAX_VERTICES)
+    g = generate(_spec_from_args(args), _max_n(args))
     print(encode_graph6(g))
     return EXIT_OK
 
@@ -253,9 +249,7 @@ def _cmd_construct(args) -> int:
              ("n", "t", "graph", "subgraphs"), args)
     g, fam = build(args, _read_graph(args)[0] if "graph" in flags else None)
     # the built families carry the fixed guard 64; hold them to MAX_N too
-    limit = _max_n(args)
-    if limit is not None and g.n > limit:
-        raise GuardError(f"{g.label} has {g.n} vertices, guard is {limit}")
+    check_order(g.label, g.n, _max_n(args), MAX_VERTICES)
 
     problems = validate_family(g, args.k, fam)
     if problems:
@@ -325,24 +319,16 @@ def _cmd_sweep(args) -> int:
     if args.exhaustive_upto < 0:
         raise ValueError("exhaustive-upto must be >= 0")
     max_n = _max_n(args)
-    # every exhaustive order is solved, so a run past the guard ends in
-    # exit 3 anyway, after 2^(M(M-1)/2) reports on M vertices alone
-    limit = max_n or DEFAULT_DRK_N_LIMIT
-    if args.exhaustive_upto > limit:
-        raise GuardError(f"exhaustive-upto {args.exhaustive_upto} is above "
-                         f"the d_rk solver guard n <= {limit}")
-    # the seeded instances reach order ns[-1] and k = min(count, k_max);
-    # the exhaustive graphs take every k
+    # A corpus past the d_rk solver's guards is refused before the first
+    # report, not after the reports below it (2^(M(M-1)/2) on M vertices
+    # alone).  The seeded instances reach order ns[-1] and k = min(count,
+    # k_max); the exhaustive graphs take every k.
     ns = _sweep_orders(args)
-    if ns and ns[-1] > limit:
-        raise GuardError(f"sweep reaches n={ns[-1]}, above the d_rk "
-                         f"solver guard n <= {limit}")
-    k_top = min(args.count, args.k_max) if ns else 0
-    if args.exhaustive_upto:
-        k_top = args.k_max
-    if k_top > DEFAULT_DRK_K_LIMIT:
-        raise GuardError(f"sweep reaches k={k_top}, above the d_rk solver "
-                         f"guard k <= {DEFAULT_DRK_K_LIMIT}")
+    if args.exhaustive_upto or ns:
+        k_top = (args.k_max if args.exhaustive_upto
+                 else min(args.count, args.k_max))
+        check_drk(max(args.exhaustive_upto, ns[-1] if ns else 0), k_top,
+                  max_n)
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)

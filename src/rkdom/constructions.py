@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .domatic import Family
-from .graphs import (FamilySpec, Graph, GuardError, check_k, generate,
-                     kdelta_copy_order, vertex_mask)
+from .graphs import (FamilySpec, Graph, check_k, generate, kdelta_copy_order,
+                     vertex_mask)
 from .roman import Labeling
 
 DEFAULT_KDELTA_K_LIMIT = 2
@@ -123,6 +123,7 @@ def family_near_order(g: Graph, k: int) -> Family:
     with 1; the last member is all-1.  Distinguished vertices sum to
     exactly 2k, the rest to 2k-1.  Requires k >= 2 and n >= 2k-2.
     """
+    check_k(k)
     if k < 2:
         raise ConstructionError(f"near-order family needs k >= 2, got {k}")
     if g.n < 2 * k - 2:
@@ -143,6 +144,7 @@ def family_nontrivial(g: Graph, k: int) -> Family:
     With distinguished vertex 0: (1 at 0, 2 elsewhere), (2 at 0, 1
     elsewhere), and all-1.  Requires n >= 2 and k >= 2.
     """
+    check_k(k)
     if k < 2:
         raise ConstructionError(f"nontrivial family needs k >= 2, got {k}")
     if g.n < 2:
@@ -164,9 +166,7 @@ def family_kdelta_sharpness(k: int,
     one k-block of every other copy; the h-type functions label the apex 1
     and put 2 on one k-block near the top of every copy.
     """
-    check_k(k)
-    if k > max_k:
-        raise GuardError(f"kdelta sharpness guard is k <= {max_k}, got {k}")
+    check_k(k, "kdelta sharpness", max_k)
     m = kdelta_copy_order(k)
     n = k * m + 1
     g = generate(FamilySpec("kdelta-sharpness", k=k), max_n=max(n, 64))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, Sequence
 
-from .graphs import Graph, GuardError, check_k, check_order, vertex_mask
+from .graphs import Graph, check_k, check_order, vertex_mask
 from .roman import (Labeling, SolveResult, Violation, _decode, _multiples,
                     enumerate_rkdfs, is_k_dominating, naive_rkdfs,
                     validate_rkdf)
@@ -66,6 +66,13 @@ def validate_family(g: Graph, k: int,
 # d_R^k: exact packing solver plus a brute-force oracle
 # ---------------------------------------------------------------------------
 
+def check_drk(n: int, k: int, max_n: int | None) -> int:
+    """The vertex limit d_rk_exact runs under, max_n or else its own;
+    refuses k < 1 and, naming the solver, k or n above its guard."""
+    check_k(k, "d_rk solver", DEFAULT_DRK_K_LIMIT)
+    return check_order("d_rk solver", n, max_n, DEFAULT_DRK_N_LIMIT)
+
+
 def d_rk_oracle(g: Graph, k: int,
                 max_n: int | None = None) -> int:
     """Maximum family size by a 0/1 knapsack over residual capacities.
@@ -76,10 +83,8 @@ def d_rk_oracle(g: Graph, k: int,
     every state it fits under.  Independent check for d_rk_exact: it
     shares no enumeration, search or capacity packing with the solver.
     """
+    check_k(k, "d_rk oracle", DEFAULT_DRK_ORACLE_K_LIMIT)
     check_order("d_rk oracle", g.n, max_n, DEFAULT_DRK_ORACLE_N_LIMIT)
-    if k > DEFAULT_DRK_ORACLE_K_LIMIT:
-        raise GuardError(f"d_rk oracle guard is k <= "
-                         f"{DEFAULT_DRK_ORACLE_K_LIMIT}, got {k}")
     most = {(2 * k,) * g.n: 0}
     for f in naive_rkdfs(g, k):
         # the snapshot keeps f out of the states it has just made
@@ -118,13 +123,9 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
     smallest supports spread their weight most evenly over the
     capacities.  The value and gamma_kR do not depend on the order.
     """
-    check_k(k)
     n = g.n
     # the enumerator runs under the same limit, so max_n lifts both guards
-    limit = check_order("d_rk solver", n, max_n, DEFAULT_DRK_N_LIMIT)
-    if k > DEFAULT_DRK_K_LIMIT:
-        raise GuardError(f"d_rk solver guard is k <= {DEFAULT_DRK_K_LIMIT}, "
-                         f"got {k}")
+    limit = check_drk(n, k, max_n)
 
     packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, limit, by_key).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is

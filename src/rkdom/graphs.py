@@ -27,10 +27,13 @@ class GuardError(ValueError):
     """Input exceeds a configured size guard."""
 
 
-def check_k(k: int) -> None:
-    """Refuse k < 1: the paper defines every quantity for k >= 1 only."""
+def check_k(k: int, what: str = "", limit: int | None = None) -> None:
+    """Refuse k < 1, since the paper defines every quantity for k >= 1
+    only, and, given a limit, k above it (GuardError naming what)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if limit is not None and k > limit:
+        raise GuardError(f"{what} guard is k <= {limit}, got {k}")
 
 
 def check_order(what: str, n: int, max_n: int | None, default: int) -> int:
@@ -351,17 +354,16 @@ FAMILIES = {
 }
 
 
-def generate(spec: FamilySpec, max_n: int = MAX_VERTICES) -> Graph:
+def generate(spec: FamilySpec, max_n: int | None = None) -> Graph:
     """Materialize a named family member as a Graph.
 
-    Raises GuardError if the order exceeds max_n, ValueError for
-    parameter combinations the family does not admit (e.g. cycles with
-    n < 3).
+    Raises GuardError if the order exceeds max_n (None: MAX_VERTICES),
+    ValueError for parameter combinations the family does not admit
+    (e.g. cycles with n < 3).
     """
-    n = spec.order()
-    if n > max_n:
-        raise GuardError(f"{spec.name()} has {n} vertices, guard is {max_n}")
-    return Graph(n, FAMILIES[spec.kind].edges(spec, n), label=spec.name())
+    n, name = spec.order(), spec.name()
+    check_order(name, n, max_n, MAX_VERTICES)
+    return Graph(n, FAMILIES[spec.kind].edges(spec, n), label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +405,14 @@ def encode_graph6(g: Graph) -> str:
     return g._graph6
 
 
-def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
+def parse_graph6(text: str, max_n: int | None = None) -> Graph:
     """Parse one graph6 line into a Graph.
 
     Accepts the optional ">>graph6<<" prefix.  Raises ParseError (with the
     byte offset into the stripped payload) on malformed input and
-    GuardError when the encoded order exceeds max_n.  The graph keeps the
-    payload as its `encode_graph6` text when the header is the canonical
-    one (the short form exactly when n <= 62).
+    GuardError when the encoded order exceeds max_n (None: MAX_VERTICES).
+    The graph keeps the payload as its `encode_graph6` text when the
+    header is the canonical one (the short form exactly when n <= 62).
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -437,8 +439,7 @@ def parse_graph6(text: str, max_n: int = MAX_VERTICES) -> Graph:
         pos = 1
     if n < 1:
         raise ParseError("byte 0: graphs of order 0 are not supported")
-    if n > max_n:
-        raise GuardError(f"graph6 order {n} exceeds guard {max_n}")
+    check_order("graph6", n, max_n, MAX_VERTICES)
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
@@ -483,12 +484,13 @@ def _decimal(token: str, lineno: int, what: str) -> int:
     return int(token)
 
 
-def parse_edge_list(text: str, max_n: int = MAX_VERTICES) -> Graph:
+def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
     """Parse the plain edge-list format.
 
     First nonempty line is ``n <count>``; each following nonempty line is
     one edge ``u v`` with 0-based endpoints.  Duplicate edges collapse.
-    Raises ParseError with the offending 1-based line number.
+    Raises ParseError with the offending 1-based line number and
+    GuardError when n exceeds max_n (None: MAX_VERTICES).
     """
     n = None
     edges = []
@@ -503,8 +505,7 @@ def parse_edge_list(text: str, max_n: int = MAX_VERTICES) -> Graph:
             n = _decimal(tokens[1], lineno, "vertex count")
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be >= 1")
-            if n > max_n:
-                raise GuardError(f"edge-list order {n} exceeds guard {max_n}")
+            check_order("edge-list", n, max_n, MAX_VERTICES)
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")

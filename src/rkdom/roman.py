@@ -310,6 +310,7 @@ def gamma_kr_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
     Deliberately naive: the only work beyond enumeration order is the
     validity filter.  Serves as the independent check for gamma_kr_exact.
     """
+    check_k(k)
     check_order("oracle", g.n, max_n, DEFAULT_ORACLE_LIMIT)
     return min(map(sum, naive_rkdfs(g, k)))  # the all-1 labeling is valid
 

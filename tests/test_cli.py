@@ -15,7 +15,7 @@ import pytest
 import rkdom
 from conftest import gnp
 from rkdom.cli import main
-from rkdom.graphs import FAMILIES, encode_graph6
+from rkdom.graphs import FAMILIES, Graph, encode_graph6
 
 K3 = "Bw\n"
 
@@ -574,14 +574,17 @@ class TestSweep:
         (9, [], None), (5, ["--max-n", "4"], None), (4, [], "3")])
     def test_exhaustive_upto_above_guard_is_refused(self, capsys, monkeypatch,
                                                     upto, flags, env):
-        # refused before the first report, not after 2^(M(M-1)/2) of them
+        # refused before the first report, not after 2^(M(M-1)/2) of them;
+        # each upto is one above the limit in force
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
         if env is not None:
             monkeypatch.setenv("RKDOM_MAX_N", env)
         code, out, err = run(capsys, ["sweep", "--n-max", "3", "--k-max", "1",
                                       "--count", "1", "--seed", "1",
                                       "--exhaustive-upto", str(upto), *flags])
-        assert code == 3 and out == "" and "exhaustive-upto" in err
+        assert code == 3 and out == ""
+        assert err == (f"rkdom: error: d_rk solver guard is n <= {upto - 1}, "
+                       f"got {upto}\n")
 
     @pytest.mark.parametrize("argv, reached", [
         (["--n-max", "9", "--k-max", "1", "--count", "10",
@@ -595,10 +598,14 @@ class TestSweep:
     ])
     def test_corpus_past_a_guard_is_refused(self, capsys, monkeypatch, argv,
                                             reached):
-        # refused before the first report, not after the reports below it
+        # refused before the first report, not after the reports below it;
+        # each corpus reaches one above the limit in force
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
         code, out, err = run(capsys, ["sweep", "--seed", "1", *argv])
-        assert code == 3 and out == "" and f"reaches {reached}" in err
+        what, _, got = reached.partition("=")
+        assert code == 3 and out == ""
+        assert err == (f"rkdom: error: d_rk solver guard is {what} <= "
+                       f"{int(got) - 1}, got {got}\n")
 
     def test_count_short_of_the_guard_runs(self, capsys, monkeypatch):
         # orders 2..9 and k 1..5 are offered, but 4 instances reach only
@@ -636,6 +643,23 @@ class TestArgumentValidation:
                                     "--quantity", "gamma-kr"],
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "k must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--quantity", "gamma-kr", "--oracle"],
+        ["compute", "--quantity", "d-rk", "--oracle"],
+        ["construct", "--name", "near-order"],
+        ["construct", "--name", "nontrivial"],
+    ], ids=["gamma-kr-oracle", "d-rk-oracle", "near-order", "nontrivial"])
+    def test_k_zero_is_usage_error_on_every_path(self, capsys, monkeypatch,
+                                                 argv):
+        # 11 vertices: above both oracles' vertex guards, so k is checked
+        # before any guard or construction precondition
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        code, out, err = run(capsys, [*argv, "--graph", "-", "--k", "0"],
+                             stdin=encode_graph6(Graph(11)) + "\n",
+                             monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "rkdom: error: k must be >= 1, got 0\n"
 
     def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RKDOM_MAX_N", "many")

@@ -17,8 +17,8 @@ from rkdom import (d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
                    gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, roman)
 from rkdom.domatic import (DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT,
                            DEFAULT_DRK_ORACLE_N_LIMIT)
-from rkdom.graphs import (graph6_pairs, kdelta_copy_order, kdelta_order,
-                          vertex_mask)
+from rkdom.graphs import (MAX_VERTICES, graph6_pairs, kdelta_copy_order,
+                          kdelta_order, vertex_mask)
 from rkdom.roman import (DEFAULT_ENUM_LIMIT, DEFAULT_GAMMA_K_LIMIT,
                          DEFAULT_GAMMA_KR_LIMIT, DEFAULT_ORACLE_LIMIT)
 
@@ -190,7 +190,7 @@ def naive_parse_graph6(text: str, max_n: int = 64) -> Graph:
     if n < 1:
         raise ParseError("byte 0: graphs of order 0 are not supported")
     if n > max_n:
-        raise GuardError(f"graph6 order {n} exceeds guard {max_n}")
+        raise GuardError(f"graph6 guard is n <= {max_n}, got {n}")
     pairs = graph6_pairs(n)
     ngroups = (len(pairs) + 5) // 6
     if len(data) - pos < ngroups:
@@ -583,8 +583,8 @@ class TestCompleteBipartiteDetection:
                 assert complete_bipartite_parts(g) == expect, g.label
 
 
-# Every guarded search, called on a graph of order n with max_n passed
-# through kw, and the limit it keeps when max_n is None.
+# Every guarded search, parser and generator, called on a graph of order
+# n with max_n passed through kw, and the limit it keeps when max_n is None.
 GUARDED = [
     (lambda g, **kw: enumerate_rkdfs(g, 1, g.n, g.n, **kw), DEFAULT_ENUM_LIMIT),
     (lambda g, **kw: gamma_kr_oracle(g, 1, **kw), DEFAULT_ORACLE_LIMIT),
@@ -593,23 +593,27 @@ GUARDED = [
     (lambda g, **kw: d_rk_oracle(g, 1, **kw), DEFAULT_DRK_ORACLE_N_LIMIT),
     (lambda g, **kw: d_rk_exact(g, 1, **kw), DEFAULT_DRK_N_LIMIT),
     (lambda g, **kw: d_k_exact(g, 1, **kw), DEFAULT_DK_LIMIT),
+    (lambda g, **kw: parse_graph6(encode_graph6(g), **kw), MAX_VERTICES),
+    (lambda g, **kw: parse_edge_list(f"n {g.n}\n", **kw), MAX_VERTICES),
+    (lambda g, **kw: generate(FamilySpec("empty", n=g.n), **kw), MAX_VERTICES),
 ]
 
 
 @pytest.mark.parametrize("search, default", GUARDED,
                          ids=["enumerate_rkdfs", "gamma_kr_oracle",
                               "gamma_kr_exact", "gamma_k_exact",
-                              "d_rk_oracle", "d_rk_exact", "d_k_exact"])
+                              "d_rk_oracle", "d_rk_exact", "d_k_exact",
+                              "parse_graph6", "parse_edge_list", "generate"])
 def test_max_n_none_keeps_the_default_limit(monkeypatch, search, default):
     # the oracle's 3^n filter takes seconds at n = 11; the all-1 labeling
     # alone shows the guard let the graph through
     monkeypatch.setattr(roman, "naive_rkdfs", lambda g, k: [(1,) * g.n])
-    over = empty(default + 1)
+    over = Graph(default + 1)   # edgeless; empty() is itself guarded
     for kw in ({}, {"max_n": None}):
         with pytest.raises(GuardError, match=f"guard is n <= {default}, "
                                              f"got {default + 1}$"):
             search(over, **kw)
     search(over, max_n=default + 1)
-    search(empty(default))
+    search(Graph(default))
     with pytest.raises(GuardError, match=f"guard is n <= {default - 1}, "):
-        search(empty(default), max_n=default - 1)
+        search(Graph(default), max_n=default - 1)
