@@ -20,9 +20,10 @@ from .graphs import (FamilySpec, Graph, GuardError, ParseError, complement,
                      complete_bipartite_parts, encode_graph6,
                      generate, parse_edge_list, parse_graph6)
 from .roman import (EnumerationResult, Labeling, SolveResult, Violation,
-                    enumerate_rkdfs, gamma_k_exact, gamma_kr_exact,
-                    gamma_kr_oracle, is_k_dominating, labeling_from_string,
-                    labeling_to_string, validate_rkdf, weight)
+                    enumerate_rkdfs, gamma_k_exact, gamma_k_oracle,
+                    gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
+                    labeling_from_string, labeling_to_string, validate_rkdf,
+                    weight)
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,7 @@ __all__ = [
     "family_balanced_bipartite", "family_complete",
     "family_from_balanced_subgraphs", "family_kdelta_sharpness",
     "family_near_order", "family_nontrivial", "gamma_k_exact",
-    "gamma_kr_exact", "gamma_kr_oracle", "generate", "is_k_dominating",
+    "gamma_k_oracle", "gamma_kr_exact", "gamma_kr_oracle", "generate", "is_k_dominating",
     "labeling_from_string", "labeling_to_string", "parse_edge_list",
     "parse_graph6", "report_csv_rows", "report_dict", "report_json",
     "solve_all", "surplus_bipartite_witness", "validate_family",

@@ -19,7 +19,8 @@ from typing import NamedTuple
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, check_k, check_order, complement, \
     complete_bipartite_parts, encode_graph6, vertex_mask
-from .roman import gamma_k_exact, weight
+from .roman import (DEFAULT_ORACLE_LIMIT, gamma_k_exact, gamma_k_oracle,
+                    weight)
 
 DEFAULT_WITNESS_LIMIT = 10
 
@@ -61,11 +62,19 @@ class SolvedValues:
 def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     """Solve all four quantities exactly on one (graph, k) pair.
 
-    d_R^k, gamma_k and d_k come from their exact solvers.  gamma_kR is
-    not searched for separately: it is the weight of the lightest RkDF,
+    d_R^k and d_k come from their exact solvers.  gamma_kR is not
+    searched for separately: it is the weight of the lightest RkDF,
     which d_rk_exact reads off the first weight level of its pool.  max_n
     raises or lowers every solver's n guard at once (the CLI's MAX_N
-    knob); None keeps each solver's own limit.
+    knob); None keeps each solver's own limit.  d_rk_exact runs first,
+    so a graph above its guard is refused with its message.
+
+    Only gamma_k's value is read, never its witness, so up to the
+    oracle guard (n <= 10) it comes from gamma_k_oracle, the scan over
+    supports by size, which runs no witness pass; above it, from
+    gamma_k_exact.  The guard is also where the two cross over: per
+    solve on G(n, p) graphs the scan is no slower up to n = 10 and
+    slower from n = 11 (about 1.4x there, 2x at n = 12).
 
     d_R^k is searched in the enumerator's walk order (by_key=False), so
     d_rk_family is an optimal family but not the documented (weight,
@@ -76,7 +85,8 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     """
     drk = d_rk_exact(g, k, by_key=False, max_n=max_n)
     return SolvedValues(
-        gamma_k=gamma_k_exact(g, k, max_n=max_n).value,
+        gamma_k=(gamma_k_oracle(g, k) if g.n <= DEFAULT_ORACLE_LIMIT
+                 else gamma_k_exact(g, k, max_n=max_n).value),
         gamma_kr=drk.gamma_kr,
         d_k=d_k_exact(g, k, max_n=max_n).value,
         d_rk=drk.value,

@@ -35,8 +35,8 @@ from .domatic import (check_drk, d_k_exact, d_rk_exact, d_rk_oracle,
 from .graphs import (FAMILIES, MAX_VERTICES, FamilySpec, Graph, GuardError,
                      ParseError, check_order, encode_graph6, generate,
                      graph6_pairs, parse_edge_list, parse_graph6)
-from .roman import (gamma_k_exact, gamma_kr_exact, gamma_kr_oracle,
-                    labeling_to_string)
+from .roman import (gamma_k_exact, gamma_k_oracle, gamma_kr_exact,
+                    gamma_kr_oracle, labeling_to_string)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -140,7 +140,8 @@ def _cmd_gen(args) -> int:
 # run, so rebinding one takes effect.
 _SOLVERS = {
     "gamma-k": (lambda g, k, m: gamma_k_exact(g, k, max_n=m),
-                labeling_to_string, None),
+                labeling_to_string,
+                lambda g, k, m: gamma_k_oracle(g, k, max_n=m)),
     "gamma-kr": (lambda g, k, m: gamma_kr_exact(g, k, max_n=m),
                  labeling_to_string,
                  lambda g, k, m: gamma_kr_oracle(g, k, max_n=m)),
@@ -321,14 +322,14 @@ def _cmd_sweep(args) -> int:
     max_n = _max_n(args)
     # A corpus past the d_rk solver's guards is refused before the first
     # report, not after the reports below it (2^(M(M-1)/2) on M vertices
-    # alone).  The seeded instances reach order ns[-1] and k = min(count,
-    # k_max); the exhaustive graphs take every k.
-    ns = _sweep_orders(args)
-    if args.exhaustive_upto or ns:
-        k_top = (args.k_max if args.exhaustive_upto
-                 else min(args.count, args.k_max))
-        check_drk(max(args.exhaustive_upto, ns[-1] if ns else 0), k_top,
-                  max_n)
+    # alone).  The orders are checked in corpus order, so the refusal
+    # names the first one the solver would refuse; each part stops at
+    # most one past the limit.  The exhaustive graphs take every k, the
+    # seeded instances k up to min(count, k_max).
+    for n in range(1, args.exhaustive_upto + 1):
+        check_drk(n, args.k_max, max_n)
+    for n in _sweep_orders(args):
+        check_drk(n, min(args.count, args.k_max), max_n)
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)

@@ -315,6 +315,33 @@ def gamma_kr_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
     return min(map(sum, naive_rkdfs(g, k)))  # the all-1 labeling is valid
 
 
+def gamma_k_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
+    """Minimum k-dominating set size by a scan over supports by size.
+
+    Tries the sets S of each size s = min(k, n), ..., n - 1 in
+    `combinations` order and returns the first s at which every vertex
+    outside some S has k neighbours in it; else n, since V itself
+    k-dominates.  A set smaller than k gives no outside vertex k
+    neighbours, so no smaller size works unless S = V.  Reads nothing of
+    g but g.adj, and shares no search with gamma_k_exact, which it checks;
+    `bounds.solve_all` takes gamma_k's value from it.
+    """
+    check_k(k)
+    adj = g.adj
+    n = len(adj)
+    check_order("gamma_k oracle", n, max_n, DEFAULT_ORACLE_LIMIT)
+    bits = [1 << v for v in range(n)]
+    pairs = list(zip(bits, adj))
+    for size in range(min(k, n), n):
+        for s in map(sum, combinations(bits, size)):
+            for bit, row in pairs:
+                if not bit & s and (row & s).bit_count() < k:
+                    break
+            else:
+                return size
+    return n
+
+
 def gamma_kr_exact(g: Graph, k: int,
                    max_n: int | None = None) -> SolveResult:
     """Exact Roman k-domination number with a minimum-weight witness.

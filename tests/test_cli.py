@@ -183,7 +183,8 @@ class TestCompute:
 
     @pytest.mark.parametrize("quantity, oracle", [
         ("gamma-k", False), ("gamma-kr", False), ("d-k", False),
-        ("d-rk", False), ("all", False), ("gamma-kr", True), ("d-rk", True)])
+        ("d-rk", False), ("all", False), ("gamma-k", True),
+        ("gamma-kr", True), ("d-rk", True)])
     def test_stdout_is_json_dumps_indent_2(self, capsys, monkeypatch,
                                            quantity, oracle):
         # "E\\|O" holds a backslash, which the JSON text escapes
@@ -215,20 +216,22 @@ class TestCompute:
         # the benchmark tracer wraps solvers by rebinding their names in
         # rkdom.cli; a table that held the functions would bypass it
         called = []
-        for name in ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
-                     "d_rk_exact", "gamma_kr_oracle", "d_rk_oracle"):
+        names = ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
+                 "d_rk_exact", "gamma_k_oracle", "gamma_kr_oracle",
+                 "d_rk_oracle")
+        for name in names:
             solver = getattr(rkdom.cli, name)
             monkeypatch.setattr(rkdom.cli, name,
                                 lambda *a, _name=name, _solver=solver, **kw:
                                 called.append(_name) or _solver(*a, **kw))
-        for quantity, oracle in (("all", []), ("gamma-kr", ["--oracle"]),
+        for quantity, oracle in (("all", []), ("gamma-k", ["--oracle"]),
+                                 ("gamma-kr", ["--oracle"]),
                                  ("d-rk", ["--oracle"])):
             code, _, _ = run(capsys, ["compute", "--graph", "-", "--k", "1",
                                       "--quantity", quantity, *oracle],
                              stdin=K3, monkeypatch=monkeypatch)
             assert code == 0
-        assert called == ["gamma_k_exact", "gamma_kr_exact", "d_k_exact",
-                          "d_rk_exact", "gamma_kr_oracle", "d_rk_oracle"]
+        assert called == list(names)
 
     def test_oracle_unavailable_for_d_k(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["compute", "--graph", "-", "--k", "1",
@@ -472,10 +475,13 @@ class TestVerify:
 
     def test_no_gamma_kr_search_per_nordhaus_gaddum_op(self, monkeypatch):
         # solve_all reads gamma_kR off d_rk_exact's lightest RkDF weight
-        # level, so the branch and bound runs only for gamma_k
+        # level, and up to n = 10 takes gamma_k from the support scan, so
+        # no branch and bound runs there; above it, only gamma_k's does
+        import rkdom.bounds as bounds
         import rkdom.cli as cli
         import rkdom.roman as roman
         from conftest import complete, cycle, gnp
+        from rkdom.roman import SolveResult
         inner = roman._roman_bb
         alphabets = []
 
@@ -487,8 +493,36 @@ class TestVerify:
         for g, k in ((complete(3), 1), (cycle(5), 2), (gnp(7, 0.5, 3), 3)):
             alphabets.clear()
             cli._verify_records(g, k, None, True)
-            assert alphabets.count((0, 1, 2)) == 0, (g.label, k)
-            assert alphabets.count((2, 0)) == 1, (g.label, k)
+            assert alphabets == [], (g.label, k)
+        # at n = 11 the d_R^k and d_k searches are stubbed, since their
+        # guards are below it; gamma_k comes from one (2, 0) search
+        monkeypatch.setattr(bounds, "d_rk_exact", lambda g, k, **kw:
+                            SolveResult("d_rk", 1, (), 0, gamma_kr=g.n))
+        monkeypatch.setattr(bounds, "d_k_exact", lambda g, k, **kw:
+                            SolveResult("d_k", 1, (), 0))
+        g = gnp(11, 0.4, 3)
+        alphabets.clear()
+        vals = bounds.solve_all(g, 2, max_n=11)
+        assert alphabets == [(2, 0)]
+        assert vals.gamma_k == roman.gamma_k_oracle(g, 2, max_n=11)
+
+    def test_max_n_below_the_graph_is_refused_by_d_rk(self, capsys,
+                                                      monkeypatch):
+        # verify's parser refuses first; past it, d_rk_exact runs before
+        # gamma_k, so its guard, not the scan's, names the refusal
+        import rkdom.cli as cli
+        from rkdom.graphs import GuardError
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        g = gnp(7, 0.5, 3)
+        code, out, err = run(capsys, ["verify", "--graph", "-", "--k", "1",
+                                      "--max-n", "5", "--nordhaus-gaddum"],
+                             stdin=encode_graph6(g) + "\n",
+                             monkeypatch=monkeypatch)
+        assert code == 3 and out == ""
+        assert err == "rkdom: error: graph6 guard is n <= 5, got 7\n"
+        with pytest.raises(GuardError) as exc:
+            cli._verify_records(g, 1, 5, True)
+        assert str(exc.value) == "d_rk solver guard is n <= 5, got 7"
 
     def test_verify_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "--graph", "-", "--k", "2", "--nordhaus-gaddum"]
@@ -607,6 +641,16 @@ class TestSweep:
         assert err == (f"rkdom: error: d_rk solver guard is {what} <= "
                        f"{int(got) - 1}, got {got}\n")
 
+    def test_refusal_names_the_first_order_refused(self, capsys,
+                                                   monkeypatch):
+        # the exhaustive n = 9 graphs come before the seeded ones up to 12
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        code, out, err = run(capsys, ["sweep", "--n-max", "12", "--k-max",
+                                      "2", "--count", "20", "--seed", "1",
+                                      "--exhaustive-upto", "9"])
+        assert code == 3 and out == ""
+        assert err == "rkdom: error: d_rk solver guard is n <= 8, got 9\n"
+
     def test_count_short_of_the_guard_runs(self, capsys, monkeypatch):
         # orders 2..9 and k 1..5 are offered, but 4 instances reach only
         # n = 5 and k = 4
@@ -645,14 +689,16 @@ class TestArgumentValidation:
         assert code == 2 and "k must be >= 1" in err
 
     @pytest.mark.parametrize("argv", [
+        ["compute", "--quantity", "gamma-k", "--oracle"],
         ["compute", "--quantity", "gamma-kr", "--oracle"],
         ["compute", "--quantity", "d-rk", "--oracle"],
         ["construct", "--name", "near-order"],
         ["construct", "--name", "nontrivial"],
-    ], ids=["gamma-kr-oracle", "d-rk-oracle", "near-order", "nontrivial"])
+    ], ids=["gamma-k-oracle", "gamma-kr-oracle", "d-rk-oracle", "near-order",
+            "nontrivial"])
     def test_k_zero_is_usage_error_on_every_path(self, capsys, monkeypatch,
                                                  argv):
-        # 11 vertices: above both oracles' vertex guards, so k is checked
+        # 11 vertices: above every oracle's vertex guard, so k is checked
         # before any guard or construction precondition
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
         code, out, err = run(capsys, [*argv, "--graph", "-", "--k", "0"],

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, enumerate_rkdfs, gamma_k_exact,
-                   gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
-                   labeling_from_string, labeling_to_string, validate_rkdf,
-                   weight)
+                   gamma_k_oracle, gamma_kr_exact, gamma_kr_oracle,
+                   is_k_dominating, labeling_from_string, labeling_to_string,
+                   validate_rkdf, weight)
 from rkdom import roman
 from rkdom.graphs import FamilySpec, Graph, generate
 from rkdom.roman import naive_rkdfs
@@ -593,6 +594,67 @@ class TestGammaK:
     def test_guard(self):
         with pytest.raises(GuardError):
             gamma_k_exact(empty(21), 1)
+
+
+def _oracle_corpus():
+    """Seeded G(n, p) graphs at n 6-10, 5 probabilities from 0.15 to 0.8,
+    10 seeds each, with their complements: 500 graphs, 2000 (graph, k)
+    pairs at k 1-4."""
+    rng = random.Random(2028)
+    for n in range(6, 11):
+        for prob in (0.15, 0.3, 0.5, 0.65, 0.8):
+            for _ in range(10):
+                g = gnp(n, prob, rng.getrandbits(32))
+                yield g
+                yield complement(g)
+
+
+class TestGammaKOracle:
+    def test_agrees_with_solver_on_every_graph_up_to_5(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for k in (1, 2, 3):
+                    assert gamma_k_oracle(g, k) == \
+                        gamma_k_exact(g, k).value, (g.label, k)
+
+    def test_agrees_with_solver_on_random_graphs(self):
+        for g in _oracle_corpus():
+            for k in (1, 2, 3, 4):
+                assert gamma_k_oracle(g, k) == gamma_k_exact(g, k).value, \
+                    (g.label, k)
+
+    def test_closed_forms(self):
+        # n = 0 has no Graph; the oracle reads only adj
+        assert gamma_k_oracle(SimpleNamespace(adj=[]), 1) == 0
+        for k in (1, 2, 5):
+            assert gamma_k_oracle(complete(1), k) == 1
+        for n in range(1, 11):
+            for k in (1, 2, 3, n, n + 1):
+                assert gamma_k_oracle(empty(n), k) == n
+                assert gamma_k_oracle(complete(n), k) == min(k, n)
+        for g in (cycle(6), path(5), gnp(7, 0.6, 1)):
+            for k in (g.n, g.n + 2):
+                assert gamma_k_oracle(g, k) == g.n
+
+    def test_guard(self):
+        with pytest.raises(GuardError) as exc:
+            gamma_k_oracle(empty(11), 1)
+        assert str(exc.value) == "gamma_k oracle guard is n <= 10, got 11"
+        assert gamma_k_oracle(empty(11), 1, max_n=11) == 11
+        assert gamma_k_oracle(complete(11), 3, max_n=11) == 3
+
+    def test_independent_of_the_solvers(self, monkeypatch):
+        cases = [(g, k) for g in (cycle(7), gnp(8, 0.5, 3), gnp(10, 0.3, 4))
+                 for k in (1, 2, 3)]
+        expect = [gamma_k_exact(g, k).value for g, k in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called a solver helper")
+
+        for name in ("_roman_bb", "_packed_rows", "enumerate_rkdfs"):
+            monkeypatch.setattr(roman, name, refuse)
+        assert [gamma_k_oracle(SimpleNamespace(adj=g.adj), k)
+                for g, k in cases] == expect
 
 
 def _root_top(g):
