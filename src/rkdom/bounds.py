@@ -19,8 +19,7 @@ from typing import NamedTuple
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, check_k, check_order, complement, \
     complete_bipartite_parts, encode_graph6, vertex_mask
-from .roman import (DEFAULT_ORACLE_LIMIT, gamma_k_exact, gamma_k_oracle,
-                    weight)
+from .roman import gamma_k_oracle, weight
 
 DEFAULT_WITNESS_LIMIT = 10
 
@@ -69,12 +68,11 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     knob); None keeps each solver's own limit.  d_rk_exact runs first,
     so a graph above its guard is refused with its message.
 
-    Only gamma_k's value is read, never its witness, so up to the
-    oracle guard (n <= 10) it comes from gamma_k_oracle, the scan over
-    supports by size, which runs no witness pass; above it, from
-    gamma_k_exact.  The guard is also where the two cross over: per
-    solve on G(n, p) graphs the scan is no slower up to n = 10 and
-    slower from n = 11 (about 1.4x there, 2x at n = 12).
+    Only gamma_k's value is read, never its witness, so it comes from
+    gamma_k_oracle, the scan over supports by size, which runs no witness
+    pass as gamma_k_exact does.  Its guard (n <= 10) is above
+    d_rk_exact's (n <= 8) and follows max_n like every other, so it
+    refuses no graph d_rk_exact has let through.
 
     d_R^k is searched in the enumerator's walk order (by_key=False), so
     d_rk_family is an optimal family but not the documented (weight,
@@ -85,8 +83,7 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     """
     drk = d_rk_exact(g, k, by_key=False, max_n=max_n)
     return SolvedValues(
-        gamma_k=(gamma_k_oracle(g, k) if g.n <= DEFAULT_ORACLE_LIMIT
-                 else gamma_k_exact(g, k, max_n=max_n).value),
+        gamma_k=gamma_k_oracle(g, k, max_n=max_n),
         gamma_kr=drk.gamma_kr,
         d_k=d_k_exact(g, k, max_n=max_n).value,
         d_rk=drk.value,

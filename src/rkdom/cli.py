@@ -187,8 +187,6 @@ def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> dict:
     solve, show, check = _SOLVERS[quantity]
     if oracle:
-        if check is None:
-            raise ValueError(f"no oracle for quantity {quantity}")
         return {"quantity": quantity.replace("-", "_"), "method": "oracle",
                 "value": check(g, k, max_n), "witness": None,
                 "nodes_explored": None}
@@ -200,6 +198,11 @@ def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
 def _cmd_compute(args) -> int:
     g, max_n = _read_graph(args)
     wanted = _SOLVERS if args.quantity == "all" else (args.quantity,)
+    if args.oracle:
+        # refused before any solve, not after the ones listed before it
+        for q in wanted:
+            if _SOLVERS[q][2] is None:
+                raise ValueError(f"no oracle for quantity {q}")
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
     payload = {"schema": "1", "graph": {"graph6": encode_graph6(g), "n": g.n},
                "k": args.k, "results": results}
@@ -322,14 +325,17 @@ def _cmd_sweep(args) -> int:
     max_n = _max_n(args)
     # A corpus past the d_rk solver's guards is refused before the first
     # report, not after the reports below it (2^(M(M-1)/2) on M vertices
-    # alone).  The orders are checked in corpus order, so the refusal
-    # names the first one the solver would refuse; each part stops at
-    # most one past the limit.  The exhaustive graphs take every k, the
-    # seeded instances k up to min(count, k_max).
+    # alone).  The (order, k) pairs are checked in corpus order, so the
+    # refusal names the first one the solver would refuse; each loop
+    # stops at most one past a limit.  Seeded instance j takes order
+    # ns[j mod len(ns)] and k = j mod k_max + 1, so its pairs repeat
+    # after len(ns) * k_max instances.
     for n in range(1, args.exhaustive_upto + 1):
-        check_drk(n, args.k_max, max_n)
-    for n in _sweep_orders(args):
-        check_drk(n, min(args.count, args.k_max), max_n)
+        for k in range(1, args.k_max + 1):
+            check_drk(n, k, max_n)
+    ns = _sweep_orders(args)
+    for j in range(min(args.count, len(ns) * args.k_max)):
+        check_drk(ns[j % len(ns)], j % args.k_max + 1, max_n)
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)

@@ -238,6 +238,19 @@ class TestCompute:
                                     "--quantity", "d-k", "--oracle"],
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "no oracle" in err
+        # all --oracle is refused before any oracle runs: none is called,
+        # and on 11 vertices no oracle guard or k check speaks first
+        import rkdom.cli as cli
+        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        for name in ("gamma_k_oracle", "gamma_kr_oracle", "d_rk_oracle"):
+            monkeypatch.setattr(cli, name, None)
+        for k in ("1", "0"):
+            code, out, err = run(capsys, ["compute", "--graph", "-", "--k", k,
+                                          "--quantity", "all", "--oracle"],
+                                 stdin=encode_graph6(Graph(11, [])) + "\n",
+                                 monkeypatch=monkeypatch)
+            assert code == 2 and out == ""
+            assert err == "rkdom: error: no oracle for quantity d-k\n"
 
     def test_edgelist_format(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["compute", "--graph", "-", "--format",
@@ -475,13 +488,11 @@ class TestVerify:
 
     def test_no_gamma_kr_search_per_nordhaus_gaddum_op(self, monkeypatch):
         # solve_all reads gamma_kR off d_rk_exact's lightest RkDF weight
-        # level, and up to n = 10 takes gamma_k from the support scan, so
-        # no branch and bound runs there; above it, only gamma_k's does
-        import rkdom.bounds as bounds
+        # level and takes gamma_k from the support scan, so no branch and
+        # bound runs
         import rkdom.cli as cli
         import rkdom.roman as roman
         from conftest import complete, cycle, gnp
-        from rkdom.roman import SolveResult
         inner = roman._roman_bb
         alphabets = []
 
@@ -494,35 +505,30 @@ class TestVerify:
             alphabets.clear()
             cli._verify_records(g, k, None, True)
             assert alphabets == [], (g.label, k)
-        # at n = 11 the d_R^k and d_k searches are stubbed, since their
-        # guards are below it; gamma_k comes from one (2, 0) search
+
+    def test_max_n_reaches_the_gamma_k_scan(self, monkeypatch):
+        # d_rk_exact runs first, so a lowered max_n is refused with its
+        # message, not the scan's
+        import rkdom.bounds as bounds
+        import rkdom.cli as cli
+        from rkdom import gamma_k_exact
+        from rkdom.graphs import GuardError
+        from rkdom.roman import SolveResult
+        with pytest.raises(GuardError) as exc:
+            cli._verify_records(gnp(7, 0.5, 3), 1, 5, True)
+        assert str(exc.value) == "d_rk solver guard is n <= 5, got 7"
+        # with d_R^k and d_k stubbed, 11 vertices reach the scan, whose
+        # guard max_n lifts as it lifts every solver's
         monkeypatch.setattr(bounds, "d_rk_exact", lambda g, k, **kw:
                             SolveResult("d_rk", 1, (), 0, gamma_kr=g.n))
         monkeypatch.setattr(bounds, "d_k_exact", lambda g, k, **kw:
                             SolveResult("d_k", 1, (), 0))
         g = gnp(11, 0.4, 3)
-        alphabets.clear()
-        vals = bounds.solve_all(g, 2, max_n=11)
-        assert alphabets == [(2, 0)]
-        assert vals.gamma_k == roman.gamma_k_oracle(g, 2, max_n=11)
-
-    def test_max_n_below_the_graph_is_refused_by_d_rk(self, capsys,
-                                                      monkeypatch):
-        # verify's parser refuses first; past it, d_rk_exact runs before
-        # gamma_k, so its guard, not the scan's, names the refusal
-        import rkdom.cli as cli
-        from rkdom.graphs import GuardError
-        monkeypatch.delenv("RKDOM_MAX_N", raising=False)
-        g = gnp(7, 0.5, 3)
-        code, out, err = run(capsys, ["verify", "--graph", "-", "--k", "1",
-                                      "--max-n", "5", "--nordhaus-gaddum"],
-                             stdin=encode_graph6(g) + "\n",
-                             monkeypatch=monkeypatch)
-        assert code == 3 and out == ""
-        assert err == "rkdom: error: graph6 guard is n <= 5, got 7\n"
         with pytest.raises(GuardError) as exc:
-            cli._verify_records(g, 1, 5, True)
-        assert str(exc.value) == "d_rk solver guard is n <= 5, got 7"
+            bounds.solve_all(g, 2)
+        assert str(exc.value) == "gamma_k oracle guard is n <= 10, got 11"
+        assert bounds.solve_all(g, 2, max_n=11).gamma_k == \
+            gamma_k_exact(g, 2).value
 
     def test_verify_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "--graph", "-", "--k", "2", "--nordhaus-gaddum"]
@@ -641,15 +647,22 @@ class TestSweep:
         assert err == (f"rkdom: error: d_rk solver guard is {what} <= "
                        f"{int(got) - 1}, got {got}\n")
 
-    def test_refusal_names_the_first_order_refused(self, capsys,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("argv, message", [
         # the exhaustive n = 9 graphs come before the seeded ones up to 12
+        (["--k-max", "2", "--exhaustive-upto", "9"], "n <= 8, got 9"),
+        # seeded instance 4 takes k = 5, before instance 5 takes k = 6
+        (["--k-max", "6", "--exhaustive-upto", "0"], "k <= 4, got 5"),
+        # each exhaustive graph takes k = 1, 2, ... in turn
+        (["--k-max", "6", "--exhaustive-upto", "1"], "k <= 4, got 5"),
+    ], ids=["order", "seeded-k", "exhaustive-k"])
+    def test_refusal_names_the_first_instance_refused(self, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
-        code, out, err = run(capsys, ["sweep", "--n-max", "12", "--k-max",
-                                      "2", "--count", "20", "--seed", "1",
-                                      "--exhaustive-upto", "9"])
+        code, out, err = run(capsys, ["sweep", "--n-max", "12", "--count",
+                                      "20", "--seed", "1", *argv])
         assert code == 3 and out == ""
-        assert err == "rkdom: error: d_rk solver guard is n <= 8, got 9\n"
+        assert err == f"rkdom: error: d_rk solver guard is {message}\n"
 
     def test_count_short_of_the_guard_runs(self, capsys, monkeypatch):
         # orders 2..9 and k 1..5 are offered, but 4 instances reach only
