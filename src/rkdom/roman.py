@@ -361,7 +361,12 @@ def gamma_kr_exact(g: Graph, k: int,
     first leaf.  The returned witness is therefore the lexicographically
     least optimal labeling, and nodes_explored counts both passes (one
     pass when the first pass's order is the index order, as on every
-    graph with n <= 5 and on K_n, E_n and C_n).
+    graph with n <= 5 and on K_n, E_n and C_n).  The first pass labels an
+    isolated vertex past 0, 1 and 2 with 1, and a pendant one whose
+    neighbour is past them too with 1 at k >= 2 and 0 or 1 at k = 1: by
+    the leaf property of minimum Roman dominating functions, some optimum
+    with the witness's labels on 0, 1 and 2 keeps these
+    (`_proof_labels`), so they move only nodes_explored.
     """
     check_k(k)
     check_order("gamma_kr solver", g.n, max_n, DEFAULT_GAMMA_KR_LIMIT)
@@ -381,14 +386,53 @@ class _Found(Exception):
     """Unwinds the witness pass of `_roman_bb` at its first leaf."""
 
 
-def _positions(nb: Sequence[int], k: int, floor: int,
-               prefix: int) -> list[tuple[int, ...]]:
+def _proof_labels(adj: Sequence[int], k: int, alphabet: tuple[int, ...],
+                  m: int) -> list[tuple[int, ...]]:
+    """Per vertex, the labels the proof pass of `_roman_bb` tries.
+
+    Vertices 0 to m - 1 take alphabet in the order given, the others its
+    labels lightest first, except that an isolated vertex v, or a pendant
+    v whose neighbour u is m or above, has its labels fixed by the leaf
+    property of minimum Roman dominating functions (Cockayne, Dreyer,
+    Hedetniemi and Hedetniemi, 2004).  For gamma_kR an isolated v takes
+    (1,), and a pendant v (1,) at k >= 2 and (0, 1) at k = 1.  For gamma_k
+    (the alphabet with no 1) at k = 1 a pendant v whose u has another
+    neighbour takes (0,): v stays out of the set.  Every optimum can be
+    rewritten on {v, u} alone into one that keeps these, with no more
+    weight and the labels of 0 to m - 1 unchanged: at k >= 2 a 0 at v is
+    short of k 2-neighbours, so v is 1 or 2, and a 2 at v becomes 1, with
+    a 0 at u that is then short becoming 1; at k = 1 a 2 at v becomes 0
+    and u becomes 2, and a component K_2 becomes 1, 1; for gamma_k, v is
+    swapped for u.  Each rewrite takes a 2 off a fixed vertex and puts
+    none on one, so they end.
+    """
+    lightest = tuple(sorted(alphabet))
+    roman = 1 in alphabet
+    out = [alphabet] * m
+    for v in range(m, len(adj)):
+        row = adj[v]
+        labs = lightest
+        if not row:                                      # isolated
+            if roman:
+                labs = (1,)
+        elif not row & row - 1 and row.bit_length() > m:  # pendant, u >= m
+            urow = adj[row.bit_length() - 1]
+            if roman:
+                labs = (1,) if k > 1 else (0, 1)
+            elif k == 1 and urow & urow - 1:
+                labs = (0,)
+        out.append(labs)
+    return out
+
+
+def _positions(nb: Sequence[int], k: int, floor: int, prefix: int,
+               labels: Sequence[tuple[int, ...]]) -> list[tuple]:
     """Per position of one `_roman_bb` pass, what a node there reads: its
     vertex x, the packed row of x and its top bits, x's byte offset and
     top bit, the packed rows summed over the vertices after the position
-    and their top bits, x's neighbours among those vertices, and the
-    slope max(floor, k + top), where top is the most neighbours any of
-    them has among them.
+    and their top bits, x's neighbours among those vertices, the slope
+    max(floor, k + top), where top is the most neighbours any of them has
+    among them, and labels[x], the labels to try at x.
 
     The first prefix positions take the vertices 0, 1, ... in index
     order (a prefix of n or more gives the index order), and the others
@@ -427,7 +471,7 @@ def _positions(nb: Sequence[int], k: int, floor: int,
             top -= 1
         slope = k + top
         out.append((x, row, row << 7, sh, bit, r, left, r >> sh & 255,
-                    slope if slope > floor else floor))
+                    slope if slope > floor else floor, labels[x]))
     return out
 
 
@@ -437,22 +481,29 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
 
     Returns (weight, first optimal labeling in index order, nodes).  One
     recursion runs in up to two passes; each labels the vertices in a
-    position-to-vertex order and reads the labels to try per position.
-    The first pass places vertices 0 to _PREFIX - 1 in index order with
-    the labels in the order given, then the others in peeling order
-    (`_positions`) with the labels lightest first, and runs from best to
-    exhaustion, which proves the optimum v; on random graphs its proof
-    tree is far smaller than the index-order one.  No cut removes a leaf
-    lighter than the incumbent, so its last improving leaf is its first
-    optimal leaf; on the prefix its order is the witness's, so that leaf
-    carries the witness's prefix.  The second pass runs in index order
+    position-to-vertex order and reads the labels to try from the
+    position's entry.  The first pass places vertices 0 to m - 1 (m =
+    min(_PREFIX, n)) in index order with the labels in the order given,
+    then the others in peeling order (`_positions`) with the labels
+    lightest first, and runs from best to exhaustion, which proves the
+    optimum v; on random graphs its proof tree is far smaller than the
+    index-order one.  Past the prefix it fixes the labels of isolated
+    vertices, and of pendant ones whose neighbour is m or above
+    (`_proof_labels`): every optimum can be rewritten on such a vertex
+    and its neighbour alone into one that keeps them, with no more weight
+    and the same labels on 0 to m - 1, so the restriction keeps an
+    optimum with the witness's prefix.  No cut removes a leaf lighter
+    than the incumbent, so its last improving leaf is its first optimal
+    leaf; on the prefix its order is the witness's, so that leaf carries
+    the witness's prefix.  The second pass runs in index order
     with that prefix fixed and the labels in the order given, starts from
     best = v + 1 and stops at its first leaf, the least optimal labeling
     in that order.  When the first pass's order is the identity (every
     graph with n <= 5, and K_n, E_n and C_n among others), it alone runs,
     in the given label order, and its last improving leaf is that
-    labeling.  nodes counts both passes.  Some labeling of weight below
-    best must exist.
+    labeling.  The second pass, and the one pass, try every label at
+    every vertex, so the fixed labels move node counts only.  nodes
+    counts both passes.  Some labeling of weight below best must exist.
 
     Counts are packed one byte per vertex (see `_packed_rows`).  nb[v]
     has a 1 in the byte of each neighbour of v, and a set of vertices is
@@ -528,6 +579,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     mul = _multiples(n)
     kk = min(k, n)
     bias = 128 - kk
+    kb = k + bias         # kb - (x's byte of c2b) is k - (x's 2-neighbours)
 
     values = [0] * n
     witness: Labeling | None = None
@@ -546,14 +598,14 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
             if wt <= stop:
                 raise _Found
             return
-        x, row, rowtop, sh, bit, up, ut, degr, slope = steps[pos]
+        x, row, rowtop, sh, bit, up, ut, degr, slope, labs = steps[pos]
         hit = rowtop & d
-        c2x = (c2b >> sh & 255) - bias       # x's 2-neighbours
-        base = dem - k + c2x                 # dem once x is assigned
+        c2x = c2b >> sh & 255                # bias + x's 2-neighbours
+        base = dem + c2x - kb                # dem once x is assigned
         # a label 0 or 1 at x would leave a d neighbour uncoverable: its
         # 2-neighbours and unassigned neighbours together fall short
         stranded = hit and hit & ~(c2b + up)
-        for val in labels[pos]:
+        for val in labs:
             new_wt = wt + val
             if new_wt >= best:
                 continue  # a later label may be lighter
@@ -578,7 +630,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
                 c2, e = c2b, base
                 dd, p, tt = d, dp, t
                 if val == 0:
-                    q = k - c2x
+                    q = kb - c2x         # x's need
                     if q > degr:
                         continue
                     if q > 0:
@@ -599,15 +651,15 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     floor = 2 * k if 1 in alphabet else 0
     root = (0, 0, mul[bias], 0, 0, 0, k * n)
     m = min(_PREFIX, n)
-    steps = _positions(nb, k, floor, m)
-    labels = [alphabet] * n
+    steps = _positions(nb, k, floor, m, _proof_labels(g.adj, k, alphabet, m))
     if any(step[0] != x for x, step in enumerate(steps)):
-        labels[m:] = [tuple(sorted(alphabet))] * (n - m)
         rec(*root)
         stop = best
         best += 1
-        steps = _positions(nb, k, floor, n)
-        labels = [(val,) for val in witness[:m]] + [alphabet] * (n - m)
+        steps = _positions(nb, k, floor, n, [(val,) for val in witness[:m]]
+                           + [alphabet] * (n - m))
+    else:
+        steps = [(*step[:-1], alphabet) for step in steps]
     try:
         rec(*root)
     except _Found:
@@ -636,8 +688,13 @@ def gamma_k_exact(g: Graph, k: int,
     is an RkDF of weight 2s.  With no label 1 its slope has no 2k floor:
     each member absorbs at most k plus its neighbours among the unassigned
     vertices, so on sparse graphs with k above their residual degrees the
-    cut is steeper than gamma_kR's.  V itself always k-dominates (the
-    condition quantifies over V minus the set), so a solution exists.
+    cut is steeper than gamma_kR's.  At k = 1 the first pass leaves out
+    of the set a pendant vertex past 0, 1 and 2 whose neighbour is past
+    them too and has another neighbour: swapping it for that neighbour
+    keeps a set minimum with the same first three members
+    (`_proof_labels`), so this moves only nodes_explored.  V itself
+    always k-dominates (the condition quantifies over V minus the set),
+    so a solution exists.
     """
     check_k(k)
     check_order("gamma_k solver", g.n, max_n, DEFAULT_GAMMA_K_LIMIT)

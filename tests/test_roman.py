@@ -348,28 +348,30 @@ class TestGammaKrExact:
 # witness pass, again when the residual Delta bound became a cut, again
 # when that cut took a per-position slope and the proof pass the
 # lightest label first, again when the proof pass took the peeling
-# order, and again when it came to place vertices 0-2 first, in index
-# order, and the witness pass to take their labels from it.
+# order, again when it came to place vertices 0-2 first, in index
+# order, and the witness pass to take their labels from it, and again
+# when the proof pass came to fix the labels of isolated and pendant
+# vertices past that prefix.
 PINNED_SOLVES = [
-    ((12, 0.3, 1, 1), (3, "010000110000", 56), (5, "010000220000", 26)),
-    ((12, 0.3, 1, 2), (8, "111111100100", 72), (11, "012101221100", 250)),
+    ((12, 0.3, 1, 1), (3, "010000110000", 53), (5, "010000220000", 26)),
+    ((12, 0.3, 1, 2), (8, "111111100100", 72), (11, "012101221100", 171)),
     ((13, 0.25, 7, 1), (6, "1111001000100", 74),
      (8, "0100101002012", 53)),
     ((13, 0.25, 7, 2), (8, "0110111010110", 83),
-     (12, "0102101202012", 161)),
-    ((14, 0.2, 3, 1), (4, "10100000000011", 83),
-     (8, "00002020000220", 114)),
+     (12, "0102101202012", 156)),
+    ((14, 0.2, 3, 1), (4, "10100000000011", 79),
+     (8, "00002020000220", 107)),
     ((12, 0.5, 2, 2), (4, "101100001000", 65), (7, "000012020002", 99)),
     # added before the deficiency bound became incremental: k = 3 and 4
     # give more than one need level, n = 15 and 16 reach the solver guard,
     # and G(10, 0.2, 3) has k = 4 above its maximum degree 3
-    ((12, 0.4, 5, 3), (6, "010110101100", 88), (12, "020210202201", 326)),
+    ((12, 0.4, 5, 3), (6, "010110101100", 88), (12, "020210202201", 244)),
     ((13, 0.5, 8, 4), (7, "1111000101001", 111),
      (13, "0002002202221", 412)),
     ((14, 0.3, 2, 3), (10, "01110101111101", 102),
-     (14, "00110021121221", 239)),
-    ((15, 0.15, 4, 1), (5, "000001111000001", 155),
-     (9, "000001222000002", 150)),
+     (14, "00110021121221", 158)),
+    ((15, 0.15, 4, 1), (5, "000001111000001", 119),
+     (9, "000001222000002", 120)),
     ((15, 0.15, 4, 3), (13, "111111101111110", 49),
      (15, "111111111111111", 40)),
     ((15, 0.5, 6, 2), (4, "101000001000100", 228),
@@ -377,7 +379,7 @@ PINNED_SOLVES = [
     ((15, 0.5, 6, 3), (6, "111110001000000", 408),
      (10, "002120002000102", 533)),
     ((16, 0.15, 9, 2), (10, "1100010011101111", 180),
-     (15, "0120010220102211", 308)),
+     (15, "0120010220102211", 206)),
     ((16, 0.5, 11, 3), (7, "1101101100010000", 273),
      (12, "0001202100022020", 953)),
     ((16, 0.5, 11, 4), (8, "1101101100011000", 211),
@@ -442,10 +444,11 @@ CORPUS_VALUES_PIN = \
 # One SHA-256 over value, witness and nodes, re-recorded when the value
 # came to be proven in ascending-degree order, when the residual Delta
 # bound became a cut, when it took a per-position slope, when the proof
-# pass took the peeling order and when it came to settle the witness's
-# first three labels.  Any change to a cut, a label
-# order, a vertex order or the node count changes it.
-CORPUS_PIN = "e8295fee3322cbe67d1ed1deb21f66ebe2c37a0e11b5cb5eb4fb622b77d7e255"
+# pass took the peeling order, when it came to settle the witness's
+# first three labels and when it came to fix the labels of isolated and
+# pendant vertices.  Any change to a cut, a label set or order, a vertex
+# order or the node count changes it.
+CORPUS_PIN = "cc3b26131cefaa4dc4488eaf857ac359abc758ab6c1c7c36df3a73ce88b874cd"
 
 
 def test_corpus_values_pin():
@@ -502,6 +505,17 @@ def _witness_corpus():
         yield cycle(n)
     for p in (3, 4):
         yield bipartite(p, p)
+    # two passes, with isolated and pendant vertices above the prefix,
+    # whose labels the proof pass fixes: a pendant on 0, 1 and 2 (K_2 on
+    # 0 and 3 in the first), K_2 components past the prefix, and a star
+    # centred at 3
+    for i, (n, edges) in enumerate((
+            (7, [(0, 3), (1, 2), (1, 4), (2, 4), (4, 5)]),
+            (8, [(1, 5), (1, 3), (3, 4), (4, 6), (6, 7), (2, 7), (0, 4)]),
+            (7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]),
+            (8, [(3, 4), (3, 5), (3, 6), (3, 7), (0, 3), (1, 2)]),
+            (8, [(2, 6), (0, 1), (1, 3), (3, 4), (4, 5), (5, 7), (3, 5)]))):
+        yield Graph(n, edges, label=f"leaves-{i}")
 
 
 def test_witnesses_are_first_optima_in_brute_force_order(monkeypatch):
@@ -731,7 +745,7 @@ class TestPackedCounts:
             nb = roman._packed_rows(g.adj)
             for prefix in (0, 1, roman._PREFIX, g.n):
                 order = [step[0] for step in
-                         roman._positions(nb, 1, 0, prefix)]
+                         roman._positions(nb, 1, 0, prefix, [()] * g.n)]
                 assert order == _peeling_order(g, prefix), (g.label, prefix)
         assert _peeling_order(bipartite(3, 3), 0) == [0, 3, 1, 4, 2, 5]
         assert _peeling_order(bipartite(3, 3)) == list(range(6))
@@ -746,7 +760,8 @@ class TestPackedCounts:
             for g in all_graphs(n):
                 nb = roman._packed_rows(g.adj)
                 assert [step[0] for step in roman._positions(
-                    nb, 1, 0, min(roman._PREFIX, n))] == list(range(n))
+                    nb, 1, 0, min(roman._PREFIX, n), [()] * n)] == \
+                    list(range(n))
         # six can take two passes: 3 has two neighbours left, 4 and 5 one
         assert _peeling_order(Graph(6, [(3, 4), (3, 5)])) == [0, 1, 2, 4, 3, 5]
 
@@ -762,8 +777,10 @@ class TestPackedCounts:
             for k, floor in ((1, 2), (3, 0)):
                 for prefix in (0, roman._PREFIX, n):
                     after = (1 << n) - 1
-                    for x, row, rowtop, sh, bit, up, ut, degr, slope in \
-                            roman._positions(nb, k, floor, prefix):
+                    for x, row, rowtop, sh, bit, up, ut, degr, slope, \
+                            labs in roman._positions(
+                                nb, k, floor, prefix,
+                                [(v,) for v in range(n)]):
                         after ^= 1 << x
                         later = [u for u in range(n) if after >> u & 1]
                         top = max(((g.adj[u] & after).bit_count()
@@ -776,6 +793,7 @@ class TestPackedCounts:
                                          for u in later)
                         assert degr == (g.adj[x] & after).bit_count()
                         assert slope == max(floor, k + top), g.label
+                        assert labs == (x,)     # the labels of x
 
     @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 64, 128])
     def test_packed_rows_match_the_per_neighbour_sum(self, n):
