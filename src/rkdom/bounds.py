@@ -43,8 +43,7 @@ class BipartiteWitness:
     Y: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SolvedValues:
+class SolvedValues(NamedTuple):
     """Exactly solved quantities for one (graph, k) pair.
 
     d_rk_family optionally carries an optimal family so equality clauses

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bounds import (CSV_COLUMNS, check_graph, check_nordhaus_gaddum,
                      report_csv_rows, report_dict, report_json, solve_all,
@@ -135,64 +135,71 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _json_list(items: Iterable[str], indent: int) -> str:
+    """A non-empty list of JSON texts as json.dumps(..., indent=2) lays it
+    out when its items start indent spaces in."""
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _labeling_json(f) -> str:
+    # a digit string needs no escape
+    return f'"{labeling_to_string(f)}"'
+
+
 # quantity -> (exact solve, witness renderer, oracle solve or None); a
-# solve takes (graph, k, max_n).  The lambdas look the names up when they
-# run, so rebinding one takes effect.
+# solve takes (graph, k, max_n), and a renderer gives the witness's text
+# in the compute payload.  The lambdas look the solvers up when they run,
+# so rebinding one takes effect.
 _SOLVERS = {
     "gamma-k": (lambda g, k, m: gamma_k_exact(g, k, max_n=m),
-                labeling_to_string,
+                _labeling_json,
                 lambda g, k, m: gamma_k_oracle(g, k, max_n=m)),
     "gamma-kr": (lambda g, k, m: gamma_kr_exact(g, k, max_n=m),
-                 labeling_to_string,
+                 _labeling_json,
                  lambda g, k, m: gamma_kr_oracle(g, k, max_n=m)),
     "d-k": (lambda g, k, m: d_k_exact(g, k, max_n=m),
-            lambda blocks: [list(b) for b in blocks], None),
+            lambda blocks: _json_list(
+                [_json_list(map(str, b), 10) for b in blocks], 8),
+            None),
     "d-rk": (lambda g, k, m: d_rk_exact(g, k, max_n=m),
-             lambda fam: [labeling_to_string(f) for f in fam],
+             lambda fam: _json_list(map(_labeling_json, fam), 8),
              lambda g, k, m: d_rk_oracle(g, k, max_n=m)),
 }
 
+# compute prints the text json.dumps(payload, indent=2) gives, without
+# the pure-Python encoder that any indent selects.
+_COMPUTE_TEMPLATE = """{
+  "schema": "1",
+  "graph": {
+    "graph6": %s,
+    "n": %d
+  },
+  "k": %d,
+  "results": [
+%s
+  ]
+}"""
 
-def _json_text(value, pad: str = "\n") -> str:
-    """value as json.dumps(value, indent=2) prints it, without the
-    pure-Python encoder that any indent selects.
-
-    Takes the types a compute payload holds: dicts with str keys, lists,
-    str, int and None (a bool or float raises TypeError).  pad is the
-    newline and indent of the line the value starts on.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    inner = pad + "  "
-    if kind is dict:
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items()]
-        opening, closing = "{", "}"
-    elif kind is list:
-        items = [_json_text(item, inner) for item in value]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"no JSON text for a {kind.__name__}")
-    if not items:
-        return opening + closing
-    return opening + inner + ("," + inner).join(items) + pad + closing
+_RESULT_TEMPLATE = """    {
+      "quantity": "%s",
+      "method": "%s",
+      "value": %d,
+      "witness": %s,
+      "nodes_explored": %s
+    }"""
 
 
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
-                 max_n: int | None) -> dict:
+                 max_n: int | None) -> str:
+    """The text of one result in the compute payload."""
     solve, show, check = _SOLVERS[quantity]
     if oracle:
-        return {"quantity": quantity.replace("-", "_"), "method": "oracle",
-                "value": check(g, k, max_n), "witness": None,
-                "nodes_explored": None}
+        return _RESULT_TEMPLATE % (quantity.replace("-", "_"), "oracle",
+                                   check(g, k, max_n), "null", "null")
     res = solve(g, k, max_n)
-    return {"quantity": res.quantity, "method": "exact", "value": res.value,
-            "witness": show(res.witness), "nodes_explored": res.nodes_explored}
+    return _RESULT_TEMPLATE % (res.quantity, "exact", res.value,
+                               show(res.witness), res.nodes_explored)
 
 
 def _cmd_compute(args) -> int:
@@ -204,9 +211,8 @@ def _cmd_compute(args) -> int:
             if _SOLVERS[q][2] is None:
                 raise ValueError(f"no oracle for quantity {q}")
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
-    payload = {"schema": "1", "graph": {"graph6": encode_graph6(g), "n": g.n},
-               "k": args.k, "results": results}
-    print(_json_text(payload))
+    print(_COMPUTE_TEMPLATE % (encode_basestring_ascii(encode_graph6(g)), g.n,
+                               args.k, ",\n".join(results)))
     return EXIT_OK
 
 

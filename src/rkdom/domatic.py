@@ -202,15 +202,30 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
 
     V itself is always k-dominating (nothing lies outside it), so the
     value is at least 1.  A vertex in one block needs k neighbors in every
-    other block, giving the ceiling d <= min-degree//k + 1; block counts
-    are tried downward from there over canonical block assignments.
+    other block, giving the ceiling d <= min-degree//k + 1.  With two or
+    more blocks each block has vertices outside it, so it is at least as
+    large as a minimum k-dominating set and d * gamma_k <= n (Cockayne
+    and Hedetniemi 1977); two size bounds give ceilings without solving
+    gamma_k.  At k = 1 a block of one vertex dominates only if that vertex
+    is adjacent to all others, so with U such vertices d <= U + (n - U)//2.
+    At k >= 2 a block has at least k vertices, and at least kn/(Delta + k),
+    since each outside vertex has k neighbours in it and each of its
+    vertices at most Delta outside it; so d <= n // max(k, ceil(kn/(Delta
+    + k))).  Block counts are tried downward from the least ceiling over
+    canonical block assignments, and nodes_explored counts the nodes of
+    every count tried.
     """
     check_k(k)
     n = g.n
     check_order("d_k solver", n, max_n, DEFAULT_DK_LIMIT)
     adj = g.adj
 
-    ub = min(n, g.min_degree() // k + 1)
+    if k == 1:
+        universal = sum(row.bit_count() == n - 1 for row in adj)
+        most = universal + (n - universal) // 2
+    else:
+        most = n // max(k, -(-k * n // (g.max_degree() + k)))
+    ub = min(n, g.min_degree() // k + 1, most)
     nodes = 0
 
     def try_partition(d: int) -> list[list[int]] | None:

@@ -96,9 +96,16 @@ class Graph:
             u, v = next((u, v) for v in range(n) for u in range(v)
                         if (adj[v] >> u ^ adj[u] >> v) & 1)
             raise ValueError(f"rows {u} and {v} disagree on edge ({u},{v})")
+        return cls._of_rows(adj, label)
+
+    @classmethod
+    def _of_rows(cls, adj: tuple[int, ...],
+                 label: str | None = None) -> "Graph":
+        """The graph with these rows, unchecked: for callers that build
+        them symmetric, loop-free and masked to n >= 1 bits."""
         g = object.__new__(cls)
         g.adj = adj
-        g.n = n
+        g.n = len(adj)
         g.label = label
         return g
 
@@ -200,8 +207,9 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 def complement(g: Graph) -> Graph:
     """Complement graph: u~v in the result iff u != v and not u~v in g."""
     full = (1 << g.n) - 1
-    rows = [(full ^ g.adj[v]) & ~(1 << v) for v in range(g.n)]
-    return Graph.from_rows(rows)
+    # row v lacks bit v, so the last XOR clears it
+    return Graph._of_rows(tuple([full ^ row ^ (1 << v)
+                                 for v, row in enumerate(g.adj)]))
 
 
 @functools.cache
@@ -465,7 +473,7 @@ def parse_graph6(text: str, max_n: int | None = None) -> Graph:
         start += v
     matrix |= _transpose(matrix, swaps)
     full = (1 << n) - 1
-    g = Graph.from_rows([matrix >> v * width & full for v in range(n)])
+    g = Graph._of_rows(tuple([matrix >> v * width & full for v in range(n)]))
     if pos == 1 or n > 62:
         g._graph6 = s
     return g

@@ -31,8 +31,7 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Exact value of one quantity plus an optimality witness.
 
     quantity is one of "gamma_k", "gamma_kr", "d_k", "d_rk".  The witness
@@ -56,7 +55,7 @@ def weight(f: Iterable[int]) -> int:
 
 def labeling_to_string(f: Labeling) -> str:
     """Serialize a labeling as a digit string, e.g. (2,0,0,2,0) -> "20020"."""
-    return "".join(str(x) for x in f)
+    return "".join(map(str, f))
 
 
 def labeling_from_string(s: str) -> Labeling:
@@ -504,6 +503,9 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     labeling.  The second pass, and the one pass, try every label at
     every vertex, so the fixed labels move node counts only.  nodes
     counts both passes.  Some labeling of weight below best must exist.
+    With two passes an assert checks that the witness pass ends at the
+    proved value: a proof pass that proved too much would otherwise go
+    unseen whenever the witness pass still reaches the optimum.
 
     Counts are packed one byte per vertex (see `_packed_rows`).  nb[v]
     has a 1 in the byte of each neighbour of v, and a set of vertices is
@@ -652,7 +654,7 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     root = (0, 0, mul[bias], 0, 0, 0, k * n)
     m = min(_PREFIX, n)
     steps = _positions(nb, k, floor, m, _proof_labels(g.adj, k, alphabet, m))
-    if any(step[0] != x for x, step in enumerate(steps)):
+    if [step[0] for step in steps] != list(range(n)):
         rec(*root)
         stop = best
         best += 1
@@ -665,6 +667,8 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     except _Found:
         pass
     assert witness is not None
+    # the witness pass ends at the proved value unless the proof is wrong
+    assert stop < 0 or best == stop, (stop, best)
     return best, witness, nodes
 
 
@@ -701,4 +705,4 @@ def gamma_k_exact(g: Graph, k: int,
     # the all-2 labeling (S = V) guarantees a solution of weight 2n
     best, labels, nodes = _roman_bb(g, k, (2, 0), 2 * g.n + 1)
     return SolveResult("gamma_k", best // 2,
-                       tuple(val // 2 for val in labels), nodes)
+                       tuple([val // 2 for val in labels]), nodes)

@@ -202,15 +202,40 @@ class TestCompute:
                 assert all(r["witness"] is None and
                            r["nodes_explored"] is None for r in results)
 
-    def test_json_text_matches_json_dumps(self):
-        values = [{}, [], "", "caf\u00e9 \"\\\n\U0001d4b3", -7, 2 ** 70, None,
-                  {"a": [], "b": {}, "c": [[], [1, [2, None]], {"d": "e"}]},
-                  [[0], [1, 2]], ["002", "020"]]
-        for value in values:
-            assert rkdom.cli._json_text(value) == json.dumps(value, indent=2)
-        for value in (True, 1.5, (1,), [False]):
-            with pytest.raises(TypeError):
-                rkdom.cli._json_text(value)
+    def test_witness_json_matches_json_dumps(self):
+        # the witness starts 6 spaces in, so each of its lines after the
+        # first is 6 spaces further in than json.dumps puts it
+        for quantity, witness, value in (
+                ("gamma-k", (1, 0, 0, 1), "1001"),
+                ("gamma-kr", (2, 0, 1), "201"),
+                ("d-k", ((0,), (1, 2)), [[0], [1, 2]]),
+                ("d-k", (tuple(range(12)),), [list(range(12))]),
+                ("d-rk", ((0, 0, 2), (2, 2, 0)), ["002", "220"]),
+                ("d-rk", ((1,),), ["1"])):
+            show = rkdom.cli._SOLVERS[quantity][1]
+            assert show(witness) == \
+                json.dumps(value, indent=2).replace("\n", "\n      ")
+
+    def test_compute_stdout_pin(self, capsys, monkeypatch):
+        digest = hashlib.sha256()
+        for i in range(30):
+            stdin = encode_graph6(gnp(4 + i % 5, PROBS[i % 5], 1200 + i))
+            for quantity in ("gamma-k", "gamma-kr", "d-rk"):
+                for extra in ([], ["--oracle"]):
+                    code, out, _ = run(capsys, [
+                        "compute", "--graph", "-", "--k", str(1 + i % 3),
+                        "--quantity", quantity, *extra],
+                        stdin=stdin + "\n", monkeypatch=monkeypatch)
+                    digest.update(f"{code}\n{out}".encode())
+        for i in range(6):
+            stdin = encode_graph6(gnp(12 + i % 5, PROBS[i % 5], 1300 + i))
+            for quantity in ("gamma-k", "gamma-kr"):
+                code, out, _ = run(capsys, [
+                    "compute", "--graph", "-", "--k", str(1 + i % 3),
+                    "--quantity", quantity],
+                    stdin=stdin + "\n", monkeypatch=monkeypatch)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == COMPUTE_STDOUT_PIN
 
     def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
         # the benchmark tracer wraps solvers by rebinding their names in
@@ -456,6 +481,16 @@ PROBS = (0.2, 0.35, 0.5, 0.65, 0.8)
 # report_json formatted every record anew.
 VERIFY_STDOUT_PIN = \
     "cf24e70f3a40289bb1f976716b6b2a3610a1ceddfed37d2e0dc040d49289399d"
+
+# One SHA-256 over the exit code and stdout of compute for gamma-k,
+# gamma-kr and d-rk, exact and --oracle, on 30 seeded G(n,p) graphs (n
+# 4-8, k 1-3; d-rk --oracle exits 3 above n = 6), then of gamma-k and
+# gamma-kr on 6 graphs with n 12-16: 192 calls.  Recorded while compute
+# built its payload as a dict and wrote it with a recursive JSON writer.
+# Exact d-k is left out: its nodes_explored moved with its block-size
+# ceilings, and TestDkPinned pins its values and witnesses.
+COMPUTE_STDOUT_PIN = \
+    "653550b4ead13c55e1f6fdec6bcd1b81d9f6ffcf1dac53216a387568ba771ab0"
 
 
 class TestVerify:

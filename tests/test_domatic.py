@@ -434,7 +434,7 @@ class TestDkExact:
             return best
 
         for g in all_graphs(4):
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 assert d_k_exact(g, k).value == brute(g, k)
 
     def test_at_most_d_rk(self):
@@ -450,21 +450,26 @@ class TestDkExact:
 class TestDkPinned:
     """Value, witness and node count recorded from the search that kept a
     per-vertex count of neighbours in each block; the block masks that
-    replaced it visit the same nodes."""
+    replaced it visit the same nodes.  The block-size ceilings moved the
+    counts of (8, 0.6, 100, 1), 208 -> 175, and of (10, 0.8, 9, 1),
+    2349 -> 272, and no value or witness."""
 
     @pytest.mark.parametrize("n,p,seed,k,blocks,nodes", [
-        # the first block count tried (min-degree // k + 1) succeeds
+        # the first block count tried (the least ceiling) succeeds
         (6, 0.5, 1, 1, ((0, 1, 2, 4), (3, 5)), 7),
         (7, 0.9, 10, 3, ((0, 1, 5), (2, 3, 4, 6)), 11),
         (9, 0.8, 6, 3, ((0, 1, 2, 4, 8), (3, 5, 6, 7)), 10),
         (10, 0.7, 7, 2, ((0, 1, 6), (2, 3, 4, 5), (7, 8, 9)), 34),
         (10, 0.8, 12, 1, ((0, 2), (1, 3), (4,), (5, 6), (7, 8), (9,)), 36),
         # the first block count fails and a smaller one succeeds
-        (8, 0.6, 100, 1, ((0, 3), (1, 4), (2, 5), (6, 7)), 208),
+        (8, 0.6, 100, 1, ((0, 3), (1, 4), (2, 5), (6, 7)), 175),
         (10, 0.6, 100, 1, ((0, 1, 3), (2, 9), (4, 7, 8), (5, 6)), 355),
         (10, 0.8, 102, 2, ((0, 1, 2, 5), (3, 4, 6), (7, 8, 9)), 75),
         (10, 0.9, 102, 3, ((0, 1, 2, 3, 4, 5, 9), (6, 7, 8)), 346),
         (10, 0.9, 104, 3, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9)), 274),
+        # min-degree // k + 1 = 7, but no vertex is adjacent to all others,
+        # so every block has two or more and 5 is the first count tried
+        (10, 0.8, 9, 1, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)), 272),
     ])
     def test_value_witness_and_nodes(self, n, p, seed, k, blocks, nodes):
         res = d_k_exact(gnp(n, p, seed), k)

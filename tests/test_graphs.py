@@ -251,6 +251,22 @@ class TestGraph6AgainstNaiveCodec:
             # built afresh, the graph encodes to the same canonical text
             assert encode_graph6(Graph(n, parsed.edges())) == text
 
+    def test_unchecked_rows_pass_the_from_rows_checks(self):
+        # parse_graph6 and complement skip from_rows's row checks, so the
+        # rows they build must pass them, and be the rows of the graph
+        rng = random.Random(37)
+        for n in [*range(1, 65), *(rng.randrange(1, 65) for _ in range(40))]:
+            text = _random_graph6(rng, n)
+            assert (text[0] == "~") == (n >= 63)
+            parsed = parse_graph6(text)
+            checked = Graph.from_rows(parsed.adj)
+            assert parsed.adj == checked.adj == naive_parse_graph6(text).adj
+            assert encode_graph6(checked) == text
+            co = complement(parsed)
+            assert co.n == n and Graph.from_rows(co.adj).adj == co.adj
+            assert co == Graph(n, [(u, v) for u, v in graph6_pairs(n)
+                                   if not parsed.has_edge(u, v)])
+
     def test_random_malformed_texts(self):
         rng = random.Random(29)
         alphabet = "?@_w~" + chr(62) + chr(127) + "\x00 \u00e9\udcff"

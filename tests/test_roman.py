@@ -550,6 +550,20 @@ def test_witnesses_are_first_optima_in_brute_force_order(monkeypatch):
     assert passes == {(q, p) for q in ("gamma_kr", "gamma_k") for p in (1, 2)}
 
 
+def test_a_wrong_proved_value_is_loud(monkeypatch):
+    # a proof pass that labels a pendant vertex 1 at k = 1, where the leaf
+    # property allows 0 or 1, proves 8 on the star centred at 3 (gamma_kR
+    # is 4); the witness pass still finds the weight-4 witness, so only
+    # the check that it ends at the proved value reports the fault
+    star = next(g for g in _witness_corpus() if g.label == "leaves-3")
+    assert gamma_kr_exact(star, 1).value == 4
+    proof_labels = roman._proof_labels
+    monkeypatch.setattr(roman, "_proof_labels", lambda *args: [
+        (1,) if labs == (0, 1) else labs for labs in proof_labels(*args)])
+    with pytest.raises(AssertionError):
+        gamma_kr_exact(star, 1)
+
+
 def _gamma_k_brute(g, k):
     """Independent minimum k-dominating set size by subset enumeration."""
     for size in range(0, g.n + 1):
