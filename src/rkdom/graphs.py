@@ -51,7 +51,8 @@ class Graph:
     Instances are constructed once and never mutated afterwards; they are
     safe to share between concurrent readers.  The degree statistics and
     the graph6 text are computed on first use and kept; `parse_graph6`
-    keeps the text it parsed when that text is the canonical encoding.
+    keeps the text it parsed when that text is the canonical encoding,
+    and `generate` the text of a random-gnp member, built from its bits.
     """
 
     __slots__ = ("n", "adj", "label", "_stats", "_graph6")
@@ -97,6 +98,32 @@ class Graph:
                         if (adj[v] >> u ^ adj[u] >> v) & 1)
             raise ValueError(f"rows {u} and {v} disagree on edge ({u},{v})")
         return cls._of_rows(adj, label)
+
+    @classmethod
+    def from_pairs(cls, n: int, mask: int, label: str | None = None) -> "Graph":
+        """The graph of order n >= 1 in which pair t of the graph6 order
+        (0,1), (0,2), (1,2), (0,3), ... is an edge iff bit t of mask is
+        set.  Raises ValueError for n < 1, a negative mask or one with a
+        bit at or above n(n-1)/2.
+        """
+        if n < 1:
+            raise ValueError(f"graph order must be >= 1, got {n}")
+        if mask >> n * (n - 1) // 2:    # also true for a negative mask
+            raise ValueError(f"pair mask has a bit past the pairs of n={n}")
+        # Bit u + v(v-1)/2 of the mask is the pair u < v, so column v of
+        # the upper triangle is the v bits from v(v-1)/2 on.  Put in row v
+        # of a square matrix, the columns hold each edge in one row; the
+        # matrix or its transpose holds it in both.
+        width, swaps = _square(n)
+        matrix = 0
+        start = 0
+        for v in range(1, n):
+            matrix |= (mask >> start & (1 << v) - 1) << v * width
+            start += v
+        matrix |= _transpose(matrix, swaps)
+        full = (1 << n) - 1
+        return cls._of_rows(
+            tuple([matrix >> v * width & full for v in range(n)]), label)
 
     @classmethod
     def _of_rows(cls, adj: tuple[int, ...],
@@ -166,18 +193,25 @@ class Graph:
         return f"Graph({name}, n={self.n}, m={self.edge_count()})"
 
 
-@functools.cache
 def _square(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The lane width w (n rounded up to a power of two) of an n-vertex
     adjacency matrix held in one int, row v at bits v*w .. v*w + w - 1,
-    and the delta swaps that transpose it; built once per order.
+    and the delta swaps that transpose it."""
+    width = 1 << (n - 1).bit_length()
+    return width, _swaps(width)
+
+
+@functools.cache
+def _swaps(width: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps that transpose a square bit matrix of lane width
+    `width`, a power of two; built once per width, so one entry serves
+    every order from width/2 + 1 to width.
 
     Swap j exchanges the entries (r, c) and (r + j, c - j) for every r
     without bit j and c with it: bit r*w + c and the bit d = j*(w - 1)
     above it.  After the swaps for j = w/2, ..., 2, 1 every (r, c) has
     gone to (c, r) (the bit-matrix transpose of Hacker's Delight, 7-3).
     """
-    width = 1 << (n - 1).bit_length()
     swaps = []
     j = width >> 1
     while j:
@@ -185,7 +219,7 @@ def _square(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         rows = sum(1 << r * width for r in range(width) if not r & j)
         swaps.append((j * (width - 1), cols * rows))
         j >>= 1
-    return width, tuple(swaps)
+    return tuple(swaps)
 
 
 def _transpose(matrix: int, swaps: tuple[tuple[int, int], ...]) -> int:
@@ -210,14 +244,6 @@ def complement(g: Graph) -> Graph:
     # row v lacks bit v, so the last XOR clears it
     return Graph._of_rows(tuple([full ^ row ^ (1 << v)
                                  for v, row in enumerate(g.adj)]))
-
-
-@functools.cache
-def graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs u < v of order n in column-major order (0,1),
-    (0,2), (1,2), (0,3), ...: the graph6 bit order, also used by
-    random-gnp and the exhaustive sweep; built once per order."""
-    return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
@@ -293,38 +319,60 @@ def kdelta_order(k: int) -> int:
 
 
 # SplitMix64: the fixed counter-based generator behind random-gnp.  Pair
-# t of graph6_pairs(n) maps to the 64-bit word mix64(seed + (t+1)*GAMMA);
+# t of the graph6 order maps to the 64-bit word mix64(seed + (t+1)*GAMMA);
 # the edge is present iff that word is below floor(prob * 2^64).
 # Bit-exact across platforms.
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+@functools.lru_cache(maxsize=MAX_VERTICES)
+def _gnp_lanes(npairs: int) -> tuple[int, int, int]:
+    """(ones, low, counters) for npairs 128-bit lanes, lane t at bits
+    128t .. 128t + 127 of each int: 1, 2^64 - 1 and (t+1)*GAMMA in every
+    lane t; built once per pair count, for at most MAX_VERTICES counts."""
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * npairs, "little")
+    counters = int.from_bytes(b"".join([(t + 1).to_bytes(16, "little")
+                                        for t in range(npairs)]), "little")
+    return ones, _MASK64 * ones, _GAMMA * counters
 
 
-def gnp_word(seed: int, t: int) -> int:
-    """t-th word of the SplitMix64 stream for the given seed."""
-    return _mix64((seed + (t + 1) * _GAMMA) & _MASK64)
+#: The pair bits of lane bytes 0 and 1 as the text "0" and "1".
+_BIT_TEXT = bytes.maketrans(b"\0\1", b"01")
 
 
-def _cycle_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
+def _gnp(spec: FamilySpec, n: int) -> Graph:
+    """G(n, prob, seed): the SplitMix64 scheme run on every pair at once,
+    word t in lane t of `_gnp_lanes`.  Each step works on all lanes in one
+    int operation: a shift brings in bits from the next lane, which `low`
+    clears, and a 64 x 64-bit product fits in its lane."""
+    npairs = n * (n - 1) // 2
+    ones, low, counters = _gnp_lanes(npairs)
+    # the seed is reduced first, so that no lane sum is negative and
+    # borrows from the next lane
+    z = ((spec.seed & _MASK64) * ones + counters) & low
+    z = (z ^ z >> 30) & low
+    z = z * 0xBF58476D1CE4E5B9 & low
+    z = (z ^ z >> 27) & low
+    z = z * 0x94D049BB133111EB & low
+    z = (z ^ z >> 31) & low
+    # thr - 1 + 2^64 - z never borrows from the next lane and has bit 64,
+    # the low bit of lane byte 8, set exactly when z < thr
+    thr = int(spec.prob * 2 ** 64)
+    lanes = ((thr + _MASK64) * ones - z).to_bytes(16 * npairs, "little")
+    bits = lanes[8::16].translate(_BIT_TEXT).decode()
+    g = Graph.from_pairs(n, int(bits[::-1] or "0", 2))
+    g._graph6 = _graph6_text(n, bits)
+    return g
+
+
+def _cycle(spec: FamilySpec, n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return [(i, (i + 1) % n) for i in range(n)]
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _gnp_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
-    threshold = int(spec.prob * 2 ** 64)
-    return [pair for t, pair in enumerate(graph6_pairs(n))
-            if gnp_word(spec.seed, t) < threshold]
-
-
-def _kdelta_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
+def _kdelta(spec: FamilySpec, n: int) -> Graph:
     # k disjoint copies of a clique on k^3+(2k+1)k vertices plus one apex
     # joined to the first k vertices of every copy.
     k = spec.k
@@ -335,30 +383,32 @@ def _kdelta_edges(spec: FamilySpec, n: int) -> list[tuple[int, int]]:
         base = i * m
         edges.extend((base + a, base + b) for a in range(m) for b in range(a + 1, m))
         edges.extend((apex, base + j) for j in range(k))
-    return edges
+    return Graph(n, edges)
 
 
 class _Family(NamedTuple):
     params: tuple[str, ...]     # the FamilySpec fields the kind needs
     order: Callable[[FamilySpec], int]
     name: str                   # str.format template over the spec's fields
-    edges: Callable[[FamilySpec, int], Iterable[tuple[int, int]]]
+    graph: Callable[[FamilySpec, int], Graph]   # the member of order n
 
 
 #: Every family kind `generate` builds, and the only list of them: the
 #: `gen --family` choices are its keys.
 FAMILIES = {
     "complete": _Family(("n",), lambda s: s.n, "K_{n}",
-                        lambda s, n: graph6_pairs(n)),
-    "cycle": _Family(("n",), lambda s: s.n, "C_{n}", _cycle_edges),
-    "empty": _Family(("n",), lambda s: s.n, "E_{n}", lambda s, n: ()),
+                        lambda s, n: Graph.from_pairs(
+                            n, (1 << n * (n - 1) // 2) - 1)),
+    "cycle": _Family(("n",), lambda s: s.n, "C_{n}", _cycle),
+    "empty": _Family(("n",), lambda s: s.n, "E_{n}", lambda s, n: Graph(n)),
     "complete-bipartite": _Family(
         ("p", "q"), lambda s: s.p + s.q, "K_{{{p},{q}}}",
-        lambda s, n: [(u, s.p + v) for u in range(s.p) for v in range(s.q)]),
+        lambda s, n: Graph(n, [(u, s.p + v) for u in range(s.p)
+                               for v in range(s.q)])),
     "random-gnp": _Family(("n", "prob", "seed"), lambda s: s.n,
-                          "G({n},{prob},seed={seed})", _gnp_edges),
+                          "G({n},{prob},seed={seed})", _gnp),
     "kdelta-sharpness": _Family(("k",), lambda s: kdelta_order(s.k),
-                                "kdelta-sharpness(k={k})", _kdelta_edges),
+                                "kdelta-sharpness(k={k})", _kdelta),
 }
 
 
@@ -371,7 +421,9 @@ def generate(spec: FamilySpec, max_n: int | None = None) -> Graph:
     """
     n, name = spec.order(), spec.name()
     check_order(name, n, max_n, MAX_VERTICES)
-    return Graph(n, FAMILIES[spec.kind].edges(spec, n), label=name)
+    g = FAMILIES[spec.kind].graph(spec, n)
+    g.label = name
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +432,22 @@ def generate(spec: FamilySpec, max_n: int | None = None) -> Graph:
 
 #: The six bits of each graph6 data character, most significant first.
 _GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
+
+#: The graph6 data character of each six-bit text.
+_GRAPH6_CHARS = {bits: chr(code) for code, bits in _GRAPH6_BITS.items()}
+
+
+def _graph6_text(n: int, bits: str) -> str:
+    """The graph6 text of order n whose pair bits, in graph6 order, are
+    the characters "0" and "1" of bits."""
+    if n > _GRAPH6_LONG_MAX:
+        raise ValueError(f"graph6 header supports n <= {_GRAPH6_LONG_MAX}")
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_GRAPH6_CHARS[bits[i:i + 6]]
+                           for i in range(0, len(bits), 6)])
 
 
 def encode_graph6(g: Graph) -> str:
@@ -391,25 +459,16 @@ def encode_graph6(g: Graph) -> str:
         return g._graph6
     except AttributeError:
         pass
-    n = g.n
-    if n > _GRAPH6_LONG_MAX:
-        raise ValueError(f"graph6 header supports n <= {_GRAPH6_LONG_MAX}")
-    if n <= 62:
-        out = [chr(n + 63)]
-    else:
-        out = [chr(126), chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63),
-               chr((n & 63) + 63)]
-    group = 0
-    nbits = 0
-    for u, v in graph6_pairs(n):
-        group = group << 1 | (g.adj[u] >> v & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(group + 63))
-            group = nbits = 0
-    if nbits:
-        out.append(chr((group << (6 - nbits)) + 63))
-    g._graph6 = "".join(out)
+    # column v of the upper triangle, row v below bit v, is pair mask
+    # bits v(v-1)/2 on, as `Graph.from_pairs` reads them
+    mask = 0
+    start = 0
+    for v, row in enumerate(g.adj):
+        mask |= (row & (1 << v) - 1) << start
+        start += v
+    # reversed, the binary digits give bit 0 first; bit `start` keeps
+    # the leading zeros and is cut off
+    g._graph6 = _graph6_text(g.n, format(mask | 1 << start, "b")[:0:-1])
     return g._graph6
 
 
@@ -460,20 +519,8 @@ def parse_graph6(text: str, max_n: int | None = None) -> Graph:
     if "1" in bits[nbits:]:     # the padding, all in the last byte
         raise ParseError(f"byte {len(s) - 1}: nonzero padding bit")
 
-    # Read reversed, the bit string is one int whose bit u + v(v-1)/2 is
-    # the pair u < v, so column v of the upper triangle is the v bits from
-    # v(v-1)/2 on.  Put in row v of a square matrix, the columns hold each
-    # edge in one row; the matrix or its transpose holds it in both.
-    width, swaps = _square(n)
-    pairs = int(bits[::-1] or "0", 2)
-    matrix = 0
-    start = 0
-    for v in range(1, n):
-        matrix |= (pairs >> start & (1 << v) - 1) << v * width
-        start += v
-    matrix |= _transpose(matrix, swaps)
-    full = (1 << n) - 1
-    g = Graph._of_rows(tuple([matrix >> v * width & full for v in range(n)]))
+    # read reversed, the bit string is the pair mask, padding at the top
+    g = Graph.from_pairs(n, int(bits[::-1] or "0", 2))
     if pos == 1 or n > 62:
         g._graph6 = s
     return g

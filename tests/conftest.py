@@ -14,9 +14,15 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 
+def graph6_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs u < v of order n in column-major order (0,1),
+    (0,2), (1,2), (0,3), ...: the graph6 bit order."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, in edge-mask order."""
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    pairs = graph6_pairs(n)
     for mask in range(1 << len(pairs)):
         edges = [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
         yield Graph(n, edges, label=f"n{n}-mask{mask}")

@@ -42,6 +42,40 @@ class TestGen:
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2 == 0 and out1 == out2
 
+    # Recorded with the per-pair SplitMix64 generator.  Orders 63 and 64
+    # take the long-form header (n = 64 also two-word rows); the seeds
+    # include negative ones and ones of 2^64 and above, which reduce mod
+    # 2^64; prob 0 and 1 give E_n and K_n, and 0.9999999999999999 the
+    # largest threshold below 2^64.  The long texts are pinned by sha256.
+    @pytest.mark.parametrize("n, prob, seed, out", [
+        ("1", "0.5", "0", "@"),
+        ("2", "1", "-1", "A_"),
+        ("2", "0", "5", "A?"),
+        ("7", "0.5", "-2", "FE]LG"),
+        ("7", "0.9999999999999999", "18446744073709551621", "F~~~w"),
+        ("16", "0.35", "3", "Oe_R`KHAHOGoBLFHA@UPM"),
+        ("62", "0.5", "-7", "295208810a2ee70ac7ea73b344f80e5a"
+                            "a7a250cf3289625e6e17e970ff41d991"),
+        ("63", "0.3", "18446744073709551616",
+         "f8f9b369dd60c6450a515f708f8a7d012d7b025af0943ef8fc015cd3e2fe2a9d"),
+        ("63", "1", "2", "fd45b03e3649f5756c58167b5d354ccc"
+                         "dcf8baa96ec9c024dc3684c1fd8d23df"),
+        ("64", "0.5", "-3", "59156e1cb77c50a5da72b1a07c03c061"
+                            "5e69e159ba15e873240d768f9d89b53b"),
+        ("64", "0", "9", "3c9026d35564a23789fb036bcdda9a74"
+                         "25f47bff2230ec75389b37d2b06c8647"),
+        ("64", "0.9999999999999999", "-18446744073709551617",
+         "eead7b6934bbb4ea38f670f01245e401c66ed90308b3f7e38c4a52d55e168511"),
+    ])
+    def test_random_gnp_pinned(self, capsys, n, prob, seed, out):
+        code, got, _ = run(capsys, ["gen", "--family", "random-gnp", "--n", n,
+                                    "--prob", prob, "--seed", seed])
+        if int(n) >= 62:
+            got = hashlib.sha256(got.encode()).hexdigest()
+        else:
+            got = got.removesuffix("\n")
+        assert code == 0 and got == out
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--family", "complete"])
         assert code == 2 and "needs --n" in err
@@ -70,6 +104,16 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "--family", "complete", "--n", "3",
                                   "--bogus"])
         assert code == 2
+
+
+def test_import_leaves_csv_unloaded():
+    # csv is imported by verify --output csv alone, not at start-up
+    src = os.path.dirname(os.path.dirname(rkdom.__file__))
+    code = "import sys, rkdom.cli; print('csv' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 # The exact stdout of gen for every family kind and of construct for

@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, star
+from conftest import (all_graphs, bipartite, complete, cycle, empty, gnp,
+                      graph6_pairs, star)
 from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
                    complete_bipartite_parts, encode_graph6,
                    generate, parse_edge_list, parse_graph6)
 from rkdom import (d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
-                   gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, roman)
+                   gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, graphs,
+                   roman)
 from rkdom.domatic import (DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT,
                            DEFAULT_DRK_ORACLE_N_LIMIT)
-from rkdom.graphs import (MAX_VERTICES, graph6_pairs, kdelta_copy_order,
-                          kdelta_order, vertex_mask)
+from rkdom.graphs import (MAX_VERTICES, kdelta_copy_order, kdelta_order,
+                          vertex_mask)
 from rkdom.roman import (DEFAULT_ENUM_LIMIT, DEFAULT_GAMMA_K_LIMIT,
                          DEFAULT_GAMMA_KR_LIMIT, DEFAULT_ORACLE_LIMIT)
 
@@ -317,6 +319,19 @@ class TestGraph6AgainstNaiveCodec:
             assert parsed == g == naive_parse_graph6(long)
             assert encode_graph6(parsed) == short
 
+    def test_from_pairs_takes_bit_t_as_pair_t(self):
+        for n in range(1, 6):
+            pairs = graph6_pairs(n)
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_pairs(n, mask, "m")
+                assert g == Graph(n, [pairs[t] for t in range(len(pairs))
+                                      if mask >> t & 1])
+                assert g.label == "m"
+                assert Graph.from_rows(g.adj).adj == g.adj
+        for n, mask in ((0, 0), (1, 1), (3, 8), (3, -1)):
+            with pytest.raises(ValueError):
+                Graph.from_pairs(n, mask)
+
     def test_from_rows_names_the_pair_that_disagrees(self):
         g = gnp(16, 0.4, 7)
         for u, v in graph6_pairs(16):
@@ -473,7 +488,85 @@ class TestGenerate:
             generate(FamilySpec("kdelta-sharpness", k=3))  # 145 vertices
 
 
+# The per-pair SplitMix64 scheme of FORMATS.md, the reference for the
+# packed-lane generator of `generate`.
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def gnp_word(seed: int, t: int) -> int:
+    """t-th word of the SplitMix64 stream for the given seed."""
+    return _mix64((seed + (t + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+
+
+def naive_gnp(n: int, prob: float, seed: int) -> Graph:
+    """G(n, prob, seed) one pair at a time, in `graph6_pairs` order."""
+    threshold = int(prob * 2 ** 64)
+    return Graph(n, [pair for t, pair in enumerate(graph6_pairs(n))
+                     if gnp_word(seed, t) < threshold])
+
+
 class TestRandomGnp:
+    @pytest.mark.parametrize("prob, seeds", [
+        (0.0, (1,)),
+        (0.3, (0, -3, 2 ** 64 + 5, -(2 ** 70))),
+        (0.5, (42, -(2 ** 64) - 1, 2 ** 70)),
+        (0.9999999999999999, (9,)),
+        (1.0, (-1,)),
+    ])
+    def test_matches_the_per_pair_reference(self, prob, seeds):
+        for n in range(1, 65):
+            for seed in seeds:
+                spec = FamilySpec("random-gnp", n=n, prob=prob, seed=seed)
+                g = generate(spec)
+                ref = naive_gnp(n, prob, seed)
+                assert (g.n, g.adj, g.label) == (n, ref.adj, spec.name())
+                # the text is kept from the generator's own bits
+                text = g._graph6
+                assert text == naive_encode_graph6(ref)
+                assert parse_graph6(text) == g
+                assert encode_graph6(g) is text
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_the_threshold_is_strict(self, below):
+        # Find a pair t of order 4 whose word z has z + 1 (below) or z
+        # a multiple of 2^11, so that thr = z + 1 or z is floor(prob *
+        # 2^64) for a prob that a float holds exactly; the pair is an
+        # edge iff z < thr.
+        seed, t = next((seed, t) for seed in count()
+                       for t in range(1, 6)
+                       if (gnp_word(seed, t) + below) % 2 ** 11 == 0)
+        thr = gnp_word(seed, t) + below
+        prob = thr / 2 ** 64
+        assert int(prob * 2 ** 64) == thr
+        g = generate(FamilySpec("random-gnp", n=4, prob=prob, seed=seed))
+        assert g.has_edge(*graph6_pairs(4)[t]) is below
+        assert g == naive_gnp(4, prob, seed)
+
+    def test_max_n_above_64_keeps_the_guard_and_bounded_caches(self):
+        with pytest.raises(GuardError, match=r"^G\(71,0.5,seed=1\) guard is "
+                                             r"n <= 70, got 71$"):
+            generate(FamilySpec("random-gnp", n=71, prob=0.5, seed=1),
+                     max_n=70)
+        # more orders than the lane cache holds
+        for n in range(60, 60 + MAX_VERTICES + 10):
+            g = generate(FamilySpec("random-gnp", n=n, prob=0.5, seed=n),
+                         max_n=200)
+            assert g.n == n
+        assert graphs._gnp_lanes.cache_info().currsize <= MAX_VERTICES
+        # one transpose table per power of two, up to 256 here
+        assert graphs._swaps.cache_info().currsize <= 9
+        ref = naive_gnp(100, 0.4, -5)
+        g = generate(FamilySpec("random-gnp", n=100, prob=0.4, seed=-5),
+                     max_n=100)
+        assert g == ref and encode_graph6(g) == naive_encode_graph6(ref)
+        assert parse_graph6(encode_graph6(g), max_n=100) == g
+
     def test_reproducible_bit_exact(self):
         a = gnp(10, 0.4, 123)
         b = gnp(10, 0.4, 123)
