@@ -3,44 +3,51 @@
 The package validates labelings and families, computes gamma_k, gamma_kR,
 d_k and d_R^k exactly at desk scale, materializes the known extremal
 constructions, and checks every known bound as an executable property.
+
+Each public name is imported from its module on first access (PEP 562),
+so importing the package, or `rkdom.cli` for one subcommand, loads only
+the modules that are used.
 """
 
-from .bounds import (BipartiteWitness, BoundRecord, SolvedValues,
-                     check_graph, check_nordhaus_gaddum, report_csv_rows,
-                     report_dict, report_json, solve_all,
-                     surplus_bipartite_witness, violations)
-from .constructions import (ConstructionError, closed_form_d_rk,
-                            closed_form_gamma_kr, family_balanced_bipartite,
-                            family_complete, family_from_balanced_subgraphs,
-                            family_kdelta_sharpness, family_near_order,
-                            family_nontrivial)
-from .domatic import (Family, VertexPartition, d_k_exact, d_rk_exact,
-                      d_rk_oracle, validate_family, validate_partition)
-from .graphs import (FamilySpec, Graph, GuardError, ParseError, complement,
-                     complete_bipartite_parts, encode_graph6,
-                     generate, parse_edge_list, parse_graph6)
-from .roman import (EnumerationResult, Labeling, SolveResult, Violation,
-                    enumerate_rkdfs, gamma_k_exact, gamma_k_oracle,
-                    gamma_kr_exact, gamma_kr_oracle, is_k_dominating,
-                    labeling_from_string, labeling_to_string, validate_rkdf,
-                    weight)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteWitness", "BoundRecord", "ConstructionError",
-    "EnumerationResult", "Family", "FamilySpec", "Graph", "GuardError",
-    "Labeling", "ParseError", "SolveResult", "SolvedValues",
-    "VertexPartition", "Violation", "check_graph", "check_nordhaus_gaddum",
-    "closed_form_d_rk", "closed_form_gamma_kr", "complement",
-    "complete_bipartite_parts", "d_k_exact", "d_rk_exact", "d_rk_oracle",
-    "encode_graph6", "enumerate_rkdfs",
-    "family_balanced_bipartite", "family_complete",
-    "family_from_balanced_subgraphs", "family_kdelta_sharpness",
-    "family_near_order", "family_nontrivial", "gamma_k_exact",
-    "gamma_k_oracle", "gamma_kr_exact", "gamma_kr_oracle", "generate", "is_k_dominating",
-    "labeling_from_string", "labeling_to_string", "parse_edge_list",
-    "parse_graph6", "report_csv_rows", "report_dict", "report_json",
-    "solve_all", "surplus_bipartite_witness", "validate_family",
-    "validate_partition", "validate_rkdf", "violations", "weight",
-]
+# Each public name and the module that defines it.
+_MODULE_OF = {name: module for module, names in (
+    ("bounds", ("BipartiteWitness", "BoundRecord", "SolvedValues",
+                "check_graph", "check_nordhaus_gaddum", "report_csv_rows",
+                "report_dict", "report_json", "solve_all",
+                "surplus_bipartite_witness", "violations")),
+    ("constructions", ("closed_form_d_rk", "closed_form_gamma_kr",
+                       "family_balanced_bipartite", "family_complete",
+                       "family_from_balanced_subgraphs",
+                       "family_kdelta_sharpness", "family_near_order",
+                       "family_nontrivial")),
+    ("domatic", ("Family", "VertexPartition", "d_k_exact", "d_rk_exact",
+                 "d_rk_oracle", "validate_family", "validate_partition")),
+    ("graphs", ("ConstructionError", "FamilySpec", "Graph", "GuardError",
+                "ParseError", "complement", "complete_bipartite_parts",
+                "encode_graph6", "generate", "parse_edge_list",
+                "parse_graph6")),
+    ("roman", ("EnumerationResult", "Labeling", "SolveResult", "Violation",
+               "enumerate_rkdfs", "gamma_k_exact", "gamma_k_oracle",
+               "gamma_kr_exact", "gamma_kr_oracle", "is_k_dominating",
+               "labeling_from_string", "labeling_to_string",
+               "validate_rkdf", "weight")),
+) for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value     # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

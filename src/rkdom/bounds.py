@@ -11,7 +11,6 @@ exact integer arithmetic; rational bounds are cross-multiplied or floored.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -34,8 +33,7 @@ class BoundRecord(NamedTuple):
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class BipartiteWitness:
+class BipartiteWitness(NamedTuple):
     """Disjoint vertex sets with |X| > |Y| >= k and every X vertex having
     at least k neighbors in Y; certifies gamma_kr < n."""
 

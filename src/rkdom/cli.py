@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import io
 import json
 import os
@@ -22,18 +23,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
-from .bounds import (CSV_COLUMNS, check_graph, check_nordhaus_gaddum,
-                     report_csv_rows, report_dict, report_json, solve_all,
-                     violations)
-from .constructions import (ConstructionError, family_balanced_bipartite,
-                            family_complete, family_from_balanced_subgraphs,
-                            family_kdelta_sharpness, family_near_order,
-                            family_nontrivial)
-from .domatic import (check_drk, d_k_exact, d_rk_exact, d_rk_oracle,
-                      validate_family)
-from .graphs import (FAMILIES, MAX_VERTICES, FamilySpec, Graph, GuardError,
-                     ParseError, check_order, encode_graph6, generate,
-                     parse_edge_list, parse_graph6)
+from .graphs import (FAMILIES, MAX_VERTICES, ConstructionError, FamilySpec,
+                     Graph, GuardError, ParseError, check_order,
+                     encode_graph6, generate, parse_edge_list, parse_graph6)
 from .roman import (gamma_k_exact, gamma_k_oracle, gamma_kr_exact,
                     gamma_kr_oracle, labeling_to_string)
 
@@ -47,6 +39,18 @@ EXIT_INTERNAL = 70
 ENV_MAX_N = "RKDOM_MAX_N"
 
 _SWEEP_PROBS = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+
+@functools.cache
+def _module(name: str):
+    """The package's module name, imported on the first call.
+
+    bounds, domatic and constructions are reached only through here, by
+    the subcommands that use them, so `gen` and a gamma solve never load
+    them.  Callers read a function off the module when they call it, so
+    rebinding it there (as the benchmark tracer does) takes effect.
+    """
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _fail(message: str, code: int) -> int:
@@ -157,13 +161,13 @@ _SOLVERS = {
     "gamma-kr": (lambda g, k, m: gamma_kr_exact(g, k, max_n=m),
                  _labeling_json,
                  lambda g, k, m: gamma_kr_oracle(g, k, max_n=m)),
-    "d-k": (lambda g, k, m: d_k_exact(g, k, max_n=m),
+    "d-k": (lambda g, k, m: _module("domatic").d_k_exact(g, k, max_n=m),
             lambda blocks: _json_list(
                 [_json_list(map(str, b), 10) for b in blocks], 8),
             None),
-    "d-rk": (lambda g, k, m: d_rk_exact(g, k, max_n=m),
+    "d-rk": (lambda g, k, m: _module("domatic").d_rk_exact(g, k, max_n=m),
              lambda fam: _json_list(map(_labeling_json, fam), 8),
-             lambda g, k, m: d_rk_oracle(g, k, max_n=m)),
+             lambda g, k, m: _module("domatic").d_rk_oracle(g, k, max_n=m)),
 }
 
 # compute prints the text json.dumps(payload, indent=2) gives, without
@@ -238,17 +242,20 @@ def _parse_subgraphs(text: str) -> list[tuple[list[int], list[int]]]:
 
 
 # construct name -> (the flags it needs, builder of (graph, family) from
-# the arguments and the --graph input, read only for names that need it)
+# the constructions module, the arguments and the --graph input, read
+# only for names that need it)
 _CONSTRUCTIONS = {
-    "complete": (("n",), lambda a, g: family_complete(a.n, a.k)),
-    "balanced-bipartite": (("t",),
-                           lambda a, g: family_balanced_bipartite(a.t, a.k)),
-    "near-order": (("graph",), lambda a, g: (g, family_near_order(g, a.k))),
-    "nontrivial": (("graph",), lambda a, g: (g, family_nontrivial(g, a.k))),
-    "kdelta-sharpness": ((), lambda a, g: family_kdelta_sharpness(a.k)),
-    "from-subgraphs": (("graph", "subgraphs"), lambda a, g: (
-        g, family_from_balanced_subgraphs(g, a.k,
-                                          _parse_subgraphs(a.subgraphs)))),
+    "complete": (("n",), lambda c, a, g: c.family_complete(a.n, a.k)),
+    "balanced-bipartite": (
+        ("t",), lambda c, a, g: c.family_balanced_bipartite(a.t, a.k)),
+    "near-order": (("graph",),
+                   lambda c, a, g: (g, c.family_near_order(g, a.k))),
+    "nontrivial": (("graph",),
+                   lambda c, a, g: (g, c.family_nontrivial(g, a.k))),
+    "kdelta-sharpness": ((), lambda c, a, g: c.family_kdelta_sharpness(a.k)),
+    "from-subgraphs": (("graph", "subgraphs"), lambda c, a, g: (
+        g, c.family_from_balanced_subgraphs(g, a.k,
+                                            _parse_subgraphs(a.subgraphs)))),
 }
 
 
@@ -256,11 +263,12 @@ def _cmd_construct(args) -> int:
     flags, build = _CONSTRUCTIONS[args.name]
     _require(f"construct {args.name}", flags,
              ("n", "t", "graph", "subgraphs"), args)
-    g, fam = build(args, _read_graph(args)[0] if "graph" in flags else None)
+    g, fam = build(_module("constructions"), args,
+                   _read_graph(args)[0] if "graph" in flags else None)
     # the built families carry the fixed guard 64; hold them to MAX_N too
     check_order(g.label, g.n, _max_n(args), MAX_VERTICES)
 
-    problems = validate_family(g, args.k, fam)
+    problems = _module("domatic").validate_family(g, args.k, fam)
     if problems:
         for p in problems:
             print(f"rkdom: internal: {p.kind}: {p.detail}", file=sys.stderr)
@@ -273,26 +281,29 @@ def _cmd_construct(args) -> int:
 
 
 def _verify_records(g: Graph, k: int, max_n: int | None, nordhaus: bool):
-    vals = solve_all(g, k, max_n=max_n)
-    records = check_graph(g, k, vals)
+    bounds = _module("bounds")
+    vals = bounds.solve_all(g, k, max_n=max_n)
+    records = bounds.check_graph(g, k, vals)
     if nordhaus:
-        records = records + check_nordhaus_gaddum(g, k, vals, max_n=max_n)
+        records = records + bounds.check_nordhaus_gaddum(g, k, vals,
+                                                         max_n=max_n)
     return vals, records
 
 
 def _cmd_verify(args) -> int:
     g, max_n = _read_graph(args)
     vals, records = _verify_records(g, args.k, max_n, args.nordhaus_gaddum)
+    bounds = _module("bounds")
     if args.output == "csv":
         import csv      # here, its one user, to keep it off every start-up
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(report_csv_rows(g, args.k, vals, records))
+        writer.writerow(bounds.CSV_COLUMNS)
+        writer.writerows(bounds.report_csv_rows(g, args.k, vals, records))
         sys.stdout.write(buf.getvalue())
     else:
-        print(report_json(g, args.k, vals, records))
-    return EXIT_VIOLATION if violations(records) else EXIT_OK
+        print(bounds.report_json(g, args.k, vals, records))
+    return EXIT_VIOLATION if bounds.violations(records) else EXIT_OK
 
 
 def _sweep_orders(args) -> range:
@@ -327,6 +338,7 @@ def _cmd_sweep(args) -> int:
     if args.exhaustive_upto < 0:
         raise ValueError("exhaustive-upto must be >= 0")
     max_n = _max_n(args)
+    bounds, domatic = _module("bounds"), _module("domatic")
     # A corpus past the d_rk solver's guards is refused before the first
     # report, not after the reports below it (2^(M(M-1)/2) on M vertices
     # alone).  The (order, k) pairs are checked in corpus order, so the
@@ -336,18 +348,18 @@ def _cmd_sweep(args) -> int:
     # after len(ns) * k_max instances.
     for n in range(1, args.exhaustive_upto + 1):
         for k in range(1, args.k_max + 1):
-            check_drk(n, k, max_n)
+            domatic.check_drk(n, k, max_n)
     ns = _sweep_orders(args)
     for j in range(min(args.count, len(ns) * args.k_max)):
-        check_drk(ns[j % len(ns)], j % args.k_max + 1, max_n)
+        domatic.check_drk(ns[j % len(ns)], j % args.k_max + 1, max_n)
     instances = records_count = applicable = bad = 0
     for g, k in _sweep_instances(args):
         vals, records = _verify_records(g, k, max_n, args.nordhaus_gaddum)
         instances += 1
         records_count += len(records)
         applicable += sum(1 for r in records if r.applicable)
-        bad += len(violations(records))
-        print(json.dumps(report_dict(g, k, vals, records),
+        bad += len(bounds.violations(records))
+        print(json.dumps(bounds.report_dict(g, k, vals, records),
                          separators=(",", ":")))
     summary = {"schema": "1", "summary": {"instances": instances,
                                           "records": records_count,

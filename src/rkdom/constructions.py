@@ -11,15 +11,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .domatic import Family
-from .graphs import (FamilySpec, Graph, check_k, generate, kdelta_copy_order,
-                     vertex_mask)
+from .graphs import (ConstructionError, FamilySpec, Graph, check_k, generate,
+                     kdelta_copy_order, vertex_mask)
 from .roman import Labeling
 
 DEFAULT_KDELTA_K_LIMIT = 2
-
-
-class ConstructionError(ValueError):
-    """A construction's preconditions are not met."""
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,7 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
         return False
 
     search(0, mul[2 * k], 0, 2 * k * n)
+    del search      # frees the self-referencing closure now (see _roman_bb)
     assert found
     family: Family = tuple(_decode(packed[i], n) for i in found)
     return SolveResult("d_rk", best, family, nodes, gamma_kr=gkr)
@@ -271,7 +272,9 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
                 block[c] ^= bit
             return False
 
-        if rec(0, 0, (1 << n) - 1):
+        found = rec(0, 0, (1 << n) - 1)
+        del rec     # frees the self-referencing closure now (see _roman_bb)
+        if found:
             return [[v for v in range(n) if b >> v & 1] for b in block]
         return None
 

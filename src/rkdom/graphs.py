@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 #: Default cap on graph order: one machine word per adjacency row.  Callers
@@ -25,6 +24,12 @@ class ParseError(ValueError):
 
 class GuardError(ValueError):
     """Input exceeds a configured size guard."""
+
+
+class ConstructionError(ValueError):
+    """A construction's preconditions are not met (raised by the
+    `constructions` module; defined here with the other errors the CLI
+    maps to exit codes, so that it need not import that module)."""
 
 
 def check_k(k: int, what: str = "", limit: int | None = None) -> None:
@@ -51,11 +56,13 @@ class Graph:
     Instances are constructed once and never mutated afterwards; they are
     safe to share between concurrent readers.  The degree statistics and
     the graph6 text are computed on first use and kept; `parse_graph6`
-    keeps the text it parsed when that text is the canonical encoding,
-    and `generate` the text of a random-gnp member, built from its bits.
+    keeps the text it parsed when that text is the canonical encoding.
+    A random-gnp member from `generate` keeps its graph6 text and its
+    pair mask, and decodes its rows on the first read of adj
+    (`_PairGraph`), so a caller that only encodes it never builds them.
     """
 
-    __slots__ = ("n", "adj", "label", "_stats", "_graph6")
+    __slots__ = ("n", "adj", "label", "_stats", "_graph6", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  label: str | None = None):
@@ -193,6 +200,26 @@ class Graph:
         return f"Graph({name}, n={self.n}, m={self.edge_count()})"
 
 
+class _PairGraph(Graph):
+    """A Graph that holds its pair mask (`from_pairs`) in _pairs and no
+    rows yet.  The first read of adj decodes them and turns the instance
+    into a plain Graph, which the shared layout allows (_pairs is a slot
+    of Graph).  Graph itself has no __getattr__: CPython 3.11 specializes
+    no attribute read on instances of a class with one, and each read of
+    adj or n would then take about 40 ns in place of 6."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: adj, or a cache not yet filled
+        if name != "adj":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.adj = Graph.from_pairs(self.n, self._pairs).adj
+        self.__class__ = Graph
+        return self.adj
+
+
 def _square(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The lane width w (n rounded up to a power of two) of an n-vertex
     adjacency matrix held in one int, row v at bits v*w .. v*w + w - 1,
@@ -267,14 +294,7 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
 # Named families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters for one named graph family.
-
-    ``kind`` is a key of FAMILIES, which lists the parameters that kind
-    needs among n, p, q, prob, seed and k; the others are ignored.
-    """
-
+class _FamilyFields(NamedTuple):
     kind: str
     n: int | None = None
     p: int | None = None
@@ -283,7 +303,27 @@ class FamilySpec:
     seed: int | None = None
     k: int | None = None
 
-    def __post_init__(self) -> None:
+
+class FamilySpec(_FamilyFields):
+    """Parameters for one named graph family.
+
+    ``kind`` is a key of FAMILIES, which lists the parameters that kind
+    needs among n, p, q, prob, seed and k; the others are ignored.  A
+    named tuple: the constructor, `_make` and `_replace` all refuse an
+    unknown kind or a needed parameter out of its range (ValueError).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "FamilySpec":
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FamilySpec":
+        # _replace builds its result through _make
+        return super()._make(iterable)._checked()
+
+    def _checked(self) -> "FamilySpec":
         family = FAMILIES.get(self.kind)
         if family is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
@@ -292,13 +332,14 @@ class FamilySpec:
             lo, hi, needs = _PARAM_RANGES[param]
             if value is None or not lo <= value <= hi:
                 raise ValueError(f"{self.kind} needs {needs}")
+        return self
 
     def order(self) -> int:
         """Number of vertices of the generated graph."""
         return FAMILIES[self.kind].order(self)
 
     def name(self) -> str:
-        return FAMILIES[self.kind].name.format_map(vars(self))
+        return FAMILIES[self.kind].name.format_map(self._asdict())
 
 
 # The closed range each parameter must lie in, and how an error words it.
@@ -361,7 +402,9 @@ def _gnp(spec: FamilySpec, n: int) -> Graph:
     thr = int(spec.prob * 2 ** 64)
     lanes = ((thr + _MASK64) * ones - z).to_bytes(16 * npairs, "little")
     bits = lanes[8::16].translate(_BIT_TEXT).decode()
-    g = Graph.from_pairs(n, int(bits[::-1] or "0", 2))
+    g = object.__new__(_PairGraph)
+    g.n = n
+    g._pairs = int(bits[::-1] or "0", 2)
     g._graph6 = _graph6_text(n, bits)
     return g
 

@@ -8,7 +8,6 @@ neighbors labeled 2.  Labelings are plain tuples of ints throughout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -21,8 +20,8 @@ DEFAULT_GAMMA_K_LIMIT = 20
 DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_ENUM_LIMIT = 10
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(NamedTuple):
     """One validation failure; the emitted list is exhaustive per check."""
 
     kind: str
@@ -666,6 +665,9 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
         rec(*root)
     except _Found:
         pass
+    # rec holds itself through its closure cell; emptying the cell frees
+    # the closure now, by reference count, not in a cyclic collection
+    del rec
     assert witness is not None
     # the witness pass ends at the proved value unless the proof is wrong
     assert stop < 0 or best == stop, (stop, best)

@@ -116,6 +116,88 @@ def test_import_leaves_csv_unloaded():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+# The modules a fresh interpreter loads for `import rkdom.cli` and then
+# one main(argv) call with stdin, as "rkdom" and "rkdom.*" names, and
+# whether it loaded dataclasses.
+FOOTPRINT = """
+import io, sys
+before = set(sys.modules)
+import rkdom.cli
+argv = sys.argv[1:]
+if argv:
+    sys.stdin, out = io.StringIO("Bw\\n"), sys.stdout
+    sys.stdout = io.StringIO()
+    code = rkdom.cli.main(argv)
+    sys.stdout = out
+    assert code == 0, code
+added = set(sys.modules) - before
+print(sorted(m for m in added if m.partition(".")[0] == "rkdom"),
+      "dataclasses" in added)
+"""
+
+BASE = ["rkdom", "rkdom.cli", "rkdom.graphs", "rkdom.roman"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], BASE),
+    (["gen", "--family", "random-gnp", "--n", "9", "--prob", "0.5",
+      "--seed", "1"], BASE),
+    (["compute", "--graph", "-", "--k", "2", "--quantity", "gamma-kr"],
+     BASE),
+    (["compute", "--graph", "-", "--k", "2", "--quantity", "d-rk"],
+     sorted(BASE + ["rkdom.domatic"])),
+    (["verify", "--graph", "-", "--k", "1", "--nordhaus-gaddum"],
+     ["rkdom", "rkdom.bounds", "rkdom.cli", "rkdom.domatic", "rkdom.graphs",
+      "rkdom.roman"]),
+    (["construct", "--name", "complete", "--k", "1", "--n", "3"],
+     ["rkdom", "rkdom.cli", "rkdom.constructions", "rkdom.domatic",
+      "rkdom.graphs", "rkdom.roman"]),
+], ids=["import", "gen", "compute-gamma-kr", "compute-d-rk", "verify",
+        "construct"])
+def test_subcommands_load_only_what_they_run(argv, loaded):
+    # bounds, domatic and constructions are imported by the subcommands
+    # that use them, and no module of the package uses dataclasses
+    src = os.path.dirname(os.path.dirname(rkdom.__file__))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (0, f"{loaded} False\n"), \
+        done.stderr
+
+
+class TestLazyPackage:
+    """rkdom resolves each public name from its module on first access."""
+
+    def test_every_public_name_resolves(self):
+        import rkdom.bounds
+        import rkdom.constructions
+        import rkdom.domatic
+        import rkdom.graphs
+        import rkdom.roman
+        modules = (rkdom.bounds, rkdom.constructions, rkdom.domatic,
+                   rkdom.graphs, rkdom.roman)
+        for name in rkdom.__all__:
+            value = getattr(rkdom, name)
+            assert any(getattr(m, name, None) is value for m in modules), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from rkdom import *", namespace)
+        assert set(rkdom.__all__) <= set(namespace)
+        assert namespace["gamma_kr_exact"] is rkdom.roman.gamma_kr_exact
+
+    def test_dir_lists_all(self):
+        assert set(rkdom.__all__) <= set(dir(rkdom))
+        assert "__version__" in dir(rkdom)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rkdom.no_such_name
+        assert getattr(rkdom, "main", None) is None
+        with pytest.raises(ImportError):
+            exec("from rkdom import no_such_name", {})
+
+
 # The exact stdout of gen for every family kind and of construct for
 # every name: (argv, stdin or None, stdout), each exiting 0.
 PINNED_OUTPUT = [
@@ -282,15 +364,19 @@ class TestCompute:
         assert digest.hexdigest() == COMPUTE_STDOUT_PIN
 
     def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
-        # the benchmark tracer wraps solvers by rebinding their names in
-        # rkdom.cli; a table that held the functions would bypass it
+        # the benchmark tracer wraps solvers by rebinding their names where
+        # the CLI reads them, in rkdom.cli for the roman solvers it imports
+        # and in rkdom.domatic for the ones it reaches through that module;
+        # a table that held the functions would bypass it
+        import rkdom.domatic
         called = []
         names = ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
                  "d_rk_exact", "gamma_k_oracle", "gamma_kr_oracle",
                  "d_rk_oracle")
         for name in names:
-            solver = getattr(rkdom.cli, name)
-            monkeypatch.setattr(rkdom.cli, name,
+            module = rkdom.domatic if name.startswith("d_") else rkdom.cli
+            solver = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, _name=name, _solver=solver, **kw:
                                 called.append(_name) or _solver(*a, **kw))
         for quantity, oracle in (("all", []), ("gamma-k", ["--oracle"]),
@@ -308,11 +394,15 @@ class TestCompute:
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "no oracle" in err
         # all --oracle is refused before any oracle runs: none is called,
-        # and on 11 vertices no oracle guard or k check speaks first
+        # and on 11 vertices no oracle guard or k check speaks first.  The
+        # CLI reads the roman oracles from rkdom.cli and d_rk_oracle from
+        # rkdom.domatic.
         import rkdom.cli as cli
+        import rkdom.domatic as domatic
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
-        for name in ("gamma_k_oracle", "gamma_kr_oracle", "d_rk_oracle"):
+        for name in ("gamma_k_oracle", "gamma_kr_oracle"):
             monkeypatch.setattr(cli, name, None)
+        monkeypatch.setattr(domatic, "d_rk_oracle", None)
         for k in ("1", "0"):
             code, out, err = run(capsys, ["compute", "--graph", "-", "--k", k,
                                           "--quantity", "all", "--oracle"],
@@ -499,9 +589,10 @@ class TestConstruct:
                                                       monkeypatch):
         # a construction that does not pass its own validator must never
         # print silently; force that path by faking a violation
+        # construct reads validate_family from rkdom.domatic when it runs
         from rkdom.roman import Violation
-        import rkdom.cli as cli
-        monkeypatch.setattr(cli, "validate_family",
+        import rkdom.domatic as domatic
+        monkeypatch.setattr(domatic, "validate_family",
                             lambda g, k, fam: [Violation("capacity-exceeded",
                                                          detail="forced")])
         code, out, err = run(capsys, ["construct", "--name", "complete",

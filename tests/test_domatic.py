@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import random
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
 from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
-                   d_rk_oracle, enumerate_rkdfs, gamma_kr_exact,
-                   labeling_to_string, solve_all, validate_family,
+                   d_rk_oracle, enumerate_rkdfs, gamma_k_exact,
+                   gamma_kr_exact, labeling_to_string, solve_all,
+                   validate_family,
                    validate_partition, weight)
 from rkdom.graphs import Graph
 from rkdom.roman import naive_rkdfs
@@ -559,3 +561,33 @@ class TestPartitionValidator:
         assert [v.kind for v in vs] == ["vertex-uncovered"]
         assert validate_partition(g, 1, [(0, 1), (2,)]) == []
 
+
+
+# Each solve on a graph where its recursion runs, including the witness
+# pass of `_roman_bb` that unwinds with _Found (n = 12 takes two passes,
+# K_4 one) and d_k counts that fail before one succeeds.
+SOLVES = {
+    "gamma_kr two passes": lambda: gamma_kr_exact(gnp(12, 0.3, 1), 2),
+    "gamma_kr one pass": lambda: gamma_kr_exact(complete(4), 1),
+    "gamma_k": lambda: gamma_k_exact(gnp(12, 0.3, 1), 1),
+    "d_rk": lambda: d_rk_exact(gnp(6, 0.5, 2), 2),
+    "d_rk walk order": lambda: d_rk_exact(gnp(6, 0.5, 2), 2, by_key=False),
+    "d_k": lambda: d_k_exact(gnp(8, 0.6, 3), 1),
+    "solve_all": lambda: solve_all(gnp(6, 0.5, 2), 2),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES)
+def test_solves_leave_no_cyclic_garbage(solve):
+    # a recursive closure refers to itself; a solve that did not break
+    # that cycle would leave its closures to the cyclic collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solve()                 # fills the per-size caches
+        gc.collect()
+        solve()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -481,6 +481,58 @@ class TestGenerate:
         with pytest.raises(ValueError):
             FamilySpec("nope", n=3)
 
+    # FamilySpec is a named tuple: its constructor, _make and _replace
+    # each build an instance, and each must refuse what the others do
+    REFUSED = [(("nope", 3), "unknown family kind 'nope'"),
+               (("complete", 0), "complete needs n >= 1"),
+               (("random-gnp", 3, None, None, 1.5, 0), r"random-gnp needs "
+                r"0 <= prob <= 1"),
+               (("random-gnp", 3, None, None, 0.5), "random-gnp needs a seed")]
+
+    @pytest.mark.parametrize("fields, message", REFUSED)
+    def test_constructor_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilySpec(*fields)
+
+    @pytest.mark.parametrize("fields, message", REFUSED)
+    def test_make_refuses(self, fields, message):
+        fields += (None,) * (7 - len(fields))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilySpec._make(fields)
+
+    @pytest.mark.parametrize("fields, message", REFUSED)
+    def test_replace_refuses(self, fields, message):
+        spec = FamilySpec("random-gnp", n=3, prob=0.5, seed=0)
+        changes = dict(zip(FamilySpec._fields, fields))
+        changes.update({f: None for f in FamilySpec._fields[len(fields):]})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec._replace(**changes)
+
+    def test_spec_is_a_named_tuple(self):
+        spec = FamilySpec("cycle", n=5)
+        assert spec == ("cycle", 5, None, None, None, None, None)
+        assert spec._asdict()["n"] == 5 and spec.name() == "C_5"
+        assert spec._replace(n=6) == FamilySpec("cycle", n=6)
+        assert FamilySpec._make(spec) == spec
+
+    def test_generated_rows_are_decoded_on_first_read(self):
+        # a random-gnp member keeps its pair mask and graph6 text; its
+        # rows are built when adj is first read, and unset caches still
+        # raise AttributeError
+        g = generate(FamilySpec("random-gnp", n=9, prob=0.5, seed=4))
+        with pytest.raises(AttributeError):
+            Graph.adj.__get__(g)
+        text = encode_graph6(g)
+        with pytest.raises(AttributeError):
+            Graph.adj.__get__(g)
+        with pytest.raises(AttributeError, match="_stats"):
+            g._stats
+        with pytest.raises(AttributeError, match="no_such_name"):
+            g.no_such_name
+        assert g.adj == parse_graph6(text).adj
+        assert Graph.adj.__get__(g) is g.adj and type(g) is Graph
+        assert g == parse_graph6(text) and g.label == "G(9,0.5,seed=4)"
+
     def test_order_guard(self):
         with pytest.raises(GuardError):
             generate(FamilySpec("empty", n=65))
