@@ -212,9 +212,17 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
     At k >= 2 a block has at least k vertices, and at least kn/(Delta + k),
     since each outside vertex has k neighbours in it and each of its
     vertices at most Delta outside it; so d <= n // max(k, ceil(kn/(Delta
-    + k))).  Block counts are tried downward from the least ceiling over
-    canonical block assignments, and nodes_explored counts the nodes of
-    every count tried.
+    + k))).  Block counts d are tried downward from the least ceiling
+    over canonical block assignments, and nodes_explored counts the nodes
+    of every count tried.  Vertex pos joins one of the blocks 0 to
+    used - 1 opened so far, or opens block used, and must leave itself
+    and each assigned neighbour able to get k neighbours in every other
+    block from the vertices still unassigned.  That check of the vertex
+    placed last charges each of the d - used empty blocks k neighbours
+    among the n - pos unassigned vertices, so used + (n - pos) >= d holds
+    at every node (at the root, d <= min-degree//k + 1 <= n).  So no cut
+    for blocks left empty is needed; the leaf's used == d test only
+    guards this argument.
     """
     check_k(k)
     n = g.n
@@ -226,65 +234,55 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
         most = universal + (n - universal) // 2
     else:
         most = n // max(k, -(-k * n // (g.max_degree() + k)))
-    ub = min(n, g.min_degree() // k + 1, most)
+    ub = min(g.min_degree() // k + 1, most)
     nodes = 0
+    block: list[int] = []     # vertex mask of each block, one per count
 
-    def try_partition(d: int) -> list[list[int]] | None:
-        """First partition of V into exactly d k-dominating sets, in
-        canonical restricted-growth order, or None."""
+    def feasible(v: int, unassigned: int) -> bool:
+        """v can still get k neighbours in every block but its own."""
+        row = adj[v]
+        headroom = (row & unassigned).bit_count()
+        short = 0
+        for b in block:
+            if not b >> v & 1:
+                have = (row & b).bit_count()
+                if have < k:
+                    short += k - have
+                    if short > headroom:
+                        return False
+        return True
+
+    def rec(pos: int, used: int, unassigned: int) -> bool:
         nonlocal nodes
-        block = [0] * d    # vertex mask of each block
-
-        def feasible(v: int, unassigned: int) -> bool:
-            """v can still get k neighbours in every block but its own."""
-            row = adj[v]
-            headroom = (row & unassigned).bit_count()
-            short = 0
-            for b in block:
-                if not b >> v & 1:
-                    have = (row & b).bit_count()
-                    if have < k:
-                        short += k - have
-                        if short > headroom:
-                            return False
-            return True
-
-        def rec(pos: int, used: int, unassigned: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if used + (n - pos) < d:
-                return False
-            if pos == n:
-                return used == d
-            bit = 1 << pos
-            rest = unassigned ^ bit
-            for c in range(min(used + 1, d)):
-                block[c] |= bit
-                ok = feasible(pos, rest)
-                # pos is no longer unassigned for its assigned neighbours
-                u = adj[pos] & ~rest
-                while ok and u:
-                    low = u & -u
-                    ok = feasible(low.bit_length() - 1, rest)
-                    u ^= low
-                if ok and rec(pos + 1, max(used, c + 1), rest):
-                    return True
-                block[c] ^= bit
-            return False
-
-        found = rec(0, 0, (1 << n) - 1)
-        del rec     # frees the self-referencing closure now (see _roman_bb)
-        if found:
-            return [[v for v in range(n) if b >> v & 1] for b in block]
-        return None
+        nodes += 1
+        if pos == n:
+            return used == d
+        bit = 1 << pos
+        rest = unassigned ^ bit
+        for c in range(min(used + 1, d)):
+            block[c] |= bit
+            ok = feasible(pos, rest)
+            # pos is no longer unassigned for its assigned neighbours
+            u = adj[pos] & ~rest
+            while ok and u:
+                low = u & -u
+                ok = feasible(low.bit_length() - 1, rest)
+                u ^= low
+            if ok and rec(pos + 1, max(used, c + 1), rest):
+                return True
+            block[c] ^= bit
+        return False
 
     for d in range(ub, 1, -1):
-        blocks = try_partition(d)
-        if blocks is not None:
-            witness: VertexPartition = tuple(tuple(b) for b in blocks)
-            return SolveResult("d_k", d, witness, nodes)
-    witness = (tuple(range(n)),)
-    return SolveResult("d_k", 1, witness, nodes)
+        block = [0] * d
+        if rec(0, 0, (1 << n) - 1):
+            break
+    else:
+        d, block = 1, [(1 << n) - 1]
+    del rec     # frees the self-referencing closure now (see _roman_bb)
+    witness: VertexPartition = tuple(
+        tuple(v for v in range(n) if b >> v & 1) for b in block)
+    return SolveResult("d_k", d, witness, nodes)
 
 
 def validate_partition(g: Graph, k: int,

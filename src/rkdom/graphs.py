@@ -92,19 +92,19 @@ class Graph:
         n = len(adj)
         if n < 1:
             raise ValueError(f"graph order must be >= 1, got {n}")
-        width, swaps = _square(n)
-        matrix = 0
         for v, row in enumerate(adj):
             if row >> n:    # also true for a negative row
                 raise ValueError(f"row {v} has a vertex outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            matrix |= row << v * width
-        if _transpose(matrix, swaps) != matrix:
+        # the pairs below the diagonal, mirrored, give back the rows
+        # exactly when the rows are symmetric
+        g = cls.from_pairs(n, _pair_mask(adj), label)
+        if g.adj != adj:
             u, v = next((u, v) for v in range(n) for u in range(v)
                         if (adj[v] >> u ^ adj[u] >> v) & 1)
             raise ValueError(f"rows {u} and {v} disagree on edge ({u},{v})")
-        return cls._of_rows(adj, label)
+        return g
 
     @classmethod
     def from_pairs(cls, n: int, mask: int, label: str | None = None) -> "Graph":
@@ -121,13 +121,13 @@ class Graph:
         # the upper triangle is the v bits from v(v-1)/2 on.  Put in row v
         # of a square matrix, the columns hold each edge in one row; the
         # matrix or its transpose holds it in both.
-        width, swaps = _square(n)
+        width = 1 << (n - 1).bit_length()   # n rounded up to a power of 2
         matrix = 0
         start = 0
         for v in range(1, n):
             matrix |= (mask >> start & (1 << v) - 1) << v * width
             start += v
-        matrix |= _transpose(matrix, swaps)
+        matrix |= _transpose(matrix, _swaps(width))
         full = (1 << n) - 1
         return cls._of_rows(
             tuple([matrix >> v * width & full for v in range(n)]), label)
@@ -220,14 +220,6 @@ class _PairGraph(Graph):
         return self.adj
 
 
-def _square(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The lane width w (n rounded up to a power of two) of an n-vertex
-    adjacency matrix held in one int, row v at bits v*w .. v*w + w - 1,
-    and the delta swaps that transpose it."""
-    width = 1 << (n - 1).bit_length()
-    return width, _swaps(width)
-
-
 @functools.cache
 def _swaps(width: int) -> tuple[tuple[int, int], ...]:
     """The delta swaps that transpose a square bit matrix of lane width
@@ -250,7 +242,8 @@ def _swaps(width: int) -> tuple[tuple[int, int], ...]:
 
 
 def _transpose(matrix: int, swaps: tuple[tuple[int, int], ...]) -> int:
-    """The transpose of a square bit matrix laid out as `_square` says."""
+    """The transpose of a square bit matrix of lane width w held in one
+    int, row r at bits r*w .. r*w + w - 1, by the `_swaps` of w."""
     for d, mask in swaps:
         t = (matrix ^ matrix >> d) & mask
         matrix ^= t ^ t << d
@@ -493,6 +486,18 @@ def _graph6_text(n: int, bits: str) -> str:
                            for i in range(0, len(bits), 6)])
 
 
+def _pair_mask(adj: tuple[int, ...]) -> int:
+    """The pair mask `Graph.from_pairs` reads, taken from the rows' bits
+    below the diagonal: column v of the upper triangle, row v below bit
+    v, is mask bits v(v-1)/2 on."""
+    mask = 0
+    start = 0
+    for v, row in enumerate(adj):
+        mask |= (row & (1 << v) - 1) << start
+        start += v
+    return mask
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in the standard graph6 ASCII format.
 
@@ -502,16 +507,10 @@ def encode_graph6(g: Graph) -> str:
         return g._graph6
     except AttributeError:
         pass
-    # column v of the upper triangle, row v below bit v, is pair mask
-    # bits v(v-1)/2 on, as `Graph.from_pairs` reads them
-    mask = 0
-    start = 0
-    for v, row in enumerate(g.adj):
-        mask |= (row & (1 << v) - 1) << start
-        start += v
-    # reversed, the binary digits give bit 0 first; bit `start` keeps
+    # reversed, the binary digits give bit 0 first; bit n(n-1)/2 keeps
     # the leading zeros and is cut off
-    g._graph6 = _graph6_text(g.n, format(mask | 1 << start, "b")[:0:-1])
+    top = 1 << g.n * (g.n - 1) // 2
+    g._graph6 = _graph6_text(g.n, format(_pair_mask(g.adj) | top, "b")[:0:-1])
     return g._graph6
 
 

@@ -351,20 +351,14 @@ def gamma_kr_exact(g: Graph, k: int,
     themselves for Delta, cannot beat the incumbent.  The deficiency
     state (which assigned zeros are still short of k 2-neighbours, and by
     how much) is passed down with each label placed, as byte-packed
-    counts.  One pass assigns vertices 0, 1 and 2 first and then the
-    others in peeling order (each next vertex has the fewest neighbours
-    among those left); it proves the value and settles the labels of 0, 1
-    and 2.  A second pass assigns the vertices in index order, with those
-    three labels fixed and the value as its incumbent, and stops at its
-    first leaf.  The returned witness is therefore the lexicographically
-    least optimal labeling, and nodes_explored counts both passes (one
-    pass when the first pass's order is the index order, as on every
-    graph with n <= 5 and on K_n, E_n and C_n).  The first pass labels an
-    isolated vertex past 0, 1 and 2 with 1, and a pendant one whose
-    neighbour is past them too with 1 at k >= 2 and 0 or 1 at k = 1: by
-    the leaf property of minimum Roman dominating functions, some optimum
-    with the witness's labels on 0, 1 and 2 keeps these
-    (`_proof_labels`), so they move only nodes_explored.
+    counts.  The search runs in the two passes `_roman_bb` describes: a
+    proof pass proves the value and settles the labels of vertices 0, 1
+    and 2, and a witness pass in index order returns the
+    lexicographically least optimal labeling.  nodes_explored counts both
+    passes (one pass on every graph with n <= 5 and on K_n, E_n and C_n).
+    The proof pass fixes the labels of isolated and of some pendant
+    vertices (`_proof_labels` gives the argument), which moves only
+    nodes_explored.
     """
     check_k(k)
     check_order("gamma_kr solver", g.n, max_n, DEFAULT_GAMMA_KR_LIMIT)
@@ -486,21 +480,18 @@ def _roman_bb(g: Graph, k: int, alphabet: tuple[int, ...],
     lightest first, and runs from best to exhaustion, which proves the
     optimum v; on random graphs its proof tree is far smaller than the
     index-order one.  Past the prefix it fixes the labels of isolated
-    vertices, and of pendant ones whose neighbour is m or above
-    (`_proof_labels`): every optimum can be rewritten on such a vertex
-    and its neighbour alone into one that keeps them, with no more weight
-    and the same labels on 0 to m - 1, so the restriction keeps an
-    optimum with the witness's prefix.  No cut removes a leaf lighter
-    than the incumbent, so its last improving leaf is its first optimal
-    leaf; on the prefix its order is the witness's, so that leaf carries
-    the witness's prefix.  The second pass runs in index order
-    with that prefix fixed and the labels in the order given, starts from
-    best = v + 1 and stops at its first leaf, the least optimal labeling
-    in that order.  When the first pass's order is the identity (every
-    graph with n <= 5, and K_n, E_n and C_n among others), it alone runs,
-    in the given label order, and its last improving leaf is that
-    labeling.  The second pass, and the one pass, try every label at
-    every vertex, so the fixed labels move node counts only.  nodes
+    vertices, and of pendant ones whose neighbour is m or above, which by
+    `_proof_labels` keeps an optimum with the witness's prefix.  No cut
+    removes a leaf lighter than the incumbent, so its last improving leaf
+    is its first optimal leaf; on the prefix its order is the witness's,
+    so that leaf carries the witness's prefix.  The second pass runs in
+    index order with that prefix fixed and the labels in the order given,
+    starts from best = v + 1 and stops at its first leaf, the least
+    optimal labeling in that order.  When the first pass's order is the
+    identity (every graph with n <= 5, and K_n, E_n and C_n among others),
+    it alone runs, in the given label order, and its last improving leaf
+    is that labeling.  The second pass, and the one pass, try every label
+    at every vertex, so the fixed labels move node counts only.  nodes
     counts both passes.  Some labeling of weight below best must exist.
     With two passes an assert checks that the witness pass ends at the
     proved value: a proof pass that proved too much would otherwise go
@@ -684,23 +675,19 @@ def gamma_k_exact(g: Graph, k: int,
 
     A k-dominating set S is exactly an RkDF with V2 = S and V1 empty, so
     this is the gamma_kR search over the labels (2, 0) at half the weight,
-    with the same two passes: vertices 0, 1 and 2 with the inclusion
-    branch first, then the others in peeling order with the exclusion
-    branch first, proves the value and settles the first three members;
-    index order, inclusion branch first, then finds the first optimum.
-    That is the lexicographically least optimal set, returned as a 0/1
-    membership mask tuple, and nodes_explored counts both passes.  The
-    residual Delta bound of gamma_kR cuts here too, since a set of size s
-    is an RkDF of weight 2s.  With no label 1 its slope has no 2k floor:
-    each member absorbs at most k plus its neighbours among the unassigned
-    vertices, so on sparse graphs with k above their residual degrees the
-    cut is steeper than gamma_kR's.  At k = 1 the first pass leaves out
-    of the set a pendant vertex past 0, 1 and 2 whose neighbour is past
-    them too and has another neighbour: swapping it for that neighbour
-    keeps a set minimum with the same first three members
-    (`_proof_labels`), so this moves only nodes_explored.  V itself
-    always k-dominates (the condition quantifies over V minus the set),
-    so a solution exists.
+    in the two passes of `_roman_bb`: the proof pass tries the inclusion
+    branch first on vertices 0, 1 and 2 and the exclusion branch first on
+    the others, and the witness pass, inclusion branch first, returns the
+    lexicographically least optimal set as a 0/1 membership mask tuple.
+    nodes_explored counts both passes.  The residual Delta bound of
+    gamma_kR cuts here too, since a set of size s is an RkDF of weight
+    2s.  With no label 1 its slope has no 2k floor: each member absorbs
+    at most k plus its neighbours among the unassigned vertices, so on
+    sparse graphs with k above their residual degrees the cut is steeper
+    than gamma_kR's.  At k = 1 the proof pass leaves some pendant
+    vertices out of the set (`_proof_labels`), which moves only
+    nodes_explored.  V itself always k-dominates (the condition
+    quantifies over V minus the set), so a solution exists.
     """
     check_k(k)
     check_order("gamma_k solver", g.n, max_n, DEFAULT_GAMMA_K_LIMIT)

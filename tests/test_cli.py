@@ -585,6 +585,14 @@ class TestConstruct:
                          stdin="Cr\n", monkeypatch=monkeypatch)
         assert code == 2
 
+    def test_subgraph_precondition_refusal(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["construct", "--name", "from-subgraphs",
+                                      "--k", "1", "--graph", "-",
+                                      "--subgraphs", "0:0;1:0"],
+                             stdin="A_\n", monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert err == "rkdom: error: subgraph 0: X and Y intersect\n"
+
     def test_failed_self_validation_is_internal_error(self, capsys,
                                                       monkeypatch):
         # a construction that does not pass its own validator must never
@@ -896,6 +904,31 @@ class TestArgumentValidation:
                                     "--quantity", "gamma-kr"],
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 2 and "RKDOM_MAX_N" in err
+
+    FROM_SUBGRAPHS = ["construct", "--name", "from-subgraphs", "--k", "1",
+                      "--graph", "-", "--subgraphs"]
+
+    @pytest.mark.parametrize("argv, env, stdin, code, message", [
+        (["compute", "--graph", "-", "--k", "1", "--quantity", "gamma-kr",
+          "--max-n", "0"], None, K3, 2, "max-n must be >= 1"),
+        (["compute", "--graph", "-", "--k", "1", "--quantity", "gamma-kr"],
+         "0", K3, 2, "max-n must be >= 1"),
+        ([*FROM_SUBGRAPHS, ";"], None, "Cr\n", 2, "no subgraphs given"),
+        ([*FROM_SUBGRAPHS, "0,x:2,3;2,3:0,1"], None, "Cr\n", 2,
+         "subgraph '0,x:2,3' has non-integer vertices"),
+        (["verify", "--graph", "-", "--k", "1", "--format", "edgelist"],
+         None, "n 0\n", 4, "line 1: vertex count must be >= 1"),
+    ], ids=["max-n-flag", "max-n-env", "no-subgraphs", "non-integer-vertex",
+            "edge-list-order-zero"])
+    def test_refusals(self, capsys, monkeypatch, argv, env, stdin, code,
+                      message):
+        if env is None:
+            monkeypatch.delenv("RKDOM_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("RKDOM_MAX_N", env)
+        got, out, err = run(capsys, argv, stdin=stdin,
+                            monkeypatch=monkeypatch)
+        assert (got, out, err) == (code, "", f"rkdom: error: {message}\n")
 
     READ_ARGVS = (["compute", "--k", "1", "--quantity", "gamma-kr"],
                   ["verify", "--k", "1"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import complete, cycle, empty, path
@@ -290,3 +292,21 @@ class TestFamilyFromBalancedSubgraphs:
     def test_wrong_count_refusal(self):
         with pytest.raises(ConstructionError, match="subgraphs"):
             family_from_balanced_subgraphs(complete(2), 1, [([0], [1])] * 3)
+
+    A, B, C = [0, 1, 2], [3, 4, 5], [6, 7, 8]
+
+    @pytest.mark.parametrize("n, k, subgraphs, message", [
+        (2, 1, [([0], [2]), ([1], [0])], "subgraph 0: vertex out of range"),
+        (2, 1, [([1], [0]), ([0], [0, 1])],
+         "subgraph 1: X and Y intersect"),
+        (2, 1, [([], []), ([1], [0])], "subgraph 0: X is empty"),
+        (6, 2, [([0, 1], [2, 3]), ([2, 3], [4, 5]), ([0, 1], [4, 5])],
+         "vertex 0 is in 2 X-sides but 0 Y-sides, counts must balance"),
+        # every vertex balances, but (A, B) gives the same member twice
+        (9, 3, [(A, B), (B, C), (C, A), (A, B), (B, A)],
+         "subgraphs induce duplicate functions"),
+    ], ids=["out-of-range", "intersect", "empty-x", "unbalanced-2k-1",
+            "duplicate"])
+    def test_refusal_messages(self, n, k, subgraphs, message):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            family_from_balanced_subgraphs(complete(n), k, subgraphs)

@@ -561,6 +561,13 @@ class TestPartitionValidator:
         assert [v.kind for v in vs] == ["vertex-uncovered"]
         assert validate_partition(g, 1, [(0, 1), (2,)]) == []
 
+    def test_block_that_does_not_k_dominate(self):
+        # on the path 0-1-2, {1, 2} dominates but {0} misses vertex 2
+        g = path(3)
+        vs = validate_partition(g, 1, [(1, 2), (0,)])
+        assert [(v.kind, v.member, v.detail) for v in vs] == [
+            ("zero-vertex-undercovered", 1, "block 1 is not 1-dominating")]
+
 
 
 # Each solve on a graph where its recursion runs, including the witness

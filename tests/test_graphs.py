@@ -68,6 +68,15 @@ class TestGraphBasics:
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
 
+    def test_equality_with_a_non_graph_is_false(self):
+        g = complete(3)
+        assert g != g.adj and g != "Bw" and not g == 3
+        assert g == Graph.from_rows(g.adj)
+
+    def test_repr_names_the_label_order_and_size(self):
+        assert repr(complete(3)) == "Graph(K_3, n=3, m=3)"
+        assert repr(Graph(4, [(0, 1)])) == "Graph(graph, n=4, m=1)"
+
     def test_vertex_mask(self):
         assert vertex_mask([]) == 0
         assert vertex_mask(range(4)) == 0b1111
