@@ -117,20 +117,20 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {n}")
         if mask >> n * (n - 1) // 2:    # also true for a negative mask
             raise ValueError(f"pair mask has a bit past the pairs of n={n}")
-        # Bit u + v(v-1)/2 of the mask is the pair u < v, so column v of
-        # the upper triangle is the v bits from v(v-1)/2 on.  Put in row v
-        # of a square matrix, the columns hold each edge in one row; the
-        # matrix or its transpose holds it in both.
-        width = 1 << (n - 1).bit_length()   # n rounded up to a power of 2
-        matrix = 0
-        start = 0
+        # Bit u + v(v-1)/2 of the mask is the pair u < v, so after the
+        # shifts by 1..v-1 the low v bits are column v of the upper
+        # triangle: row v below the diagonal.  Each u in it puts v in row u.
+        rows = [0] * n
         for v in range(1, n):
-            matrix |= (mask >> start & (1 << v) - 1) << v * width
-            start += v
-        matrix |= _transpose(matrix, _swaps(width))
-        full = (1 << n) - 1
-        return cls._of_rows(
-            tuple([matrix >> v * width & full for v in range(n)]), label)
+            col = mask & (1 << v) - 1
+            mask >>= v
+            rows[v] = col
+            bit = 1 << v
+            while col:
+                low = col & -col
+                rows[low.bit_length() - 1] |= bit
+                col ^= low
+        return cls._of_rows(tuple(rows), label)
 
     @classmethod
     def _of_rows(cls, adj: tuple[int, ...],
@@ -218,36 +218,6 @@ class _PairGraph(Graph):
         self.adj = Graph.from_pairs(self.n, self._pairs).adj
         self.__class__ = Graph
         return self.adj
-
-
-@functools.cache
-def _swaps(width: int) -> tuple[tuple[int, int], ...]:
-    """The delta swaps that transpose a square bit matrix of lane width
-    `width`, a power of two; built once per width, so one entry serves
-    every order from width/2 + 1 to width.
-
-    Swap j exchanges the entries (r, c) and (r + j, c - j) for every r
-    without bit j and c with it: bit r*w + c and the bit d = j*(w - 1)
-    above it.  After the swaps for j = w/2, ..., 2, 1 every (r, c) has
-    gone to (c, r) (the bit-matrix transpose of Hacker's Delight, 7-3).
-    """
-    swaps = []
-    j = width >> 1
-    while j:
-        cols = sum(1 << c for c in range(width) if c & j)
-        rows = sum(1 << r * width for r in range(width) if not r & j)
-        swaps.append((j * (width - 1), cols * rows))
-        j >>= 1
-    return tuple(swaps)
-
-
-def _transpose(matrix: int, swaps: tuple[tuple[int, int], ...]) -> int:
-    """The transpose of a square bit matrix of lane width w held in one
-    int, row r at bits r*w .. r*w + w - 1, by the `_swaps` of w."""
-    for d, mask in swaps:
-        t = (matrix ^ matrix >> d) & mask
-        matrix ^= t ^ t << d
-    return matrix
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

@@ -120,6 +120,15 @@ class TestDrkExact:
     def test_examples(self, g, k, expect):
         assert d_rk_exact(g, k).value == expect
 
+    def test_cycle_values(self):
+        # C_n, n 3-8, where no closed form applies: 3 when 3 divides n and
+        # 2 otherwise at k = 1, and 3 at k = 2, in both candidate orders
+        for n in range(3, 9):
+            for k, want in ((1, 3 if n % 3 == 0 else 2), (2, 3)):
+                for by_key in (True, False):
+                    assert d_rk_exact(cycle(n), k,
+                                      by_key=by_key).value == want
+
     def test_witness_certifies(self):
         for g in (cycle(5), complete(5), gnp(6, 0.5, 4), bipartite(2, 3)):
             for k in (1, 2):
@@ -478,6 +487,18 @@ class TestDkPinned:
         assert res.value == len(blocks)
         assert res.witness == blocks
         assert res.nodes_explored == nodes
+
+    def test_block_size_ceiling_below_min_degree_ceiling(self):
+        # The complement of C_9 (graph6 HUzvvx}) at k = 2: blocks hold at
+        # least ceil(2*9 / (6 + 2)) = 3 vertices, so the first count tried
+        # is 9 // 3 = 3, below min-degree // k + 1 = 4.  Starting from 4
+        # (no block-size ceiling, n // k, or a floor for the ceiling)
+        # explores 48 nodes.
+        g = complement(cycle(9))
+        res = d_k_exact(g, 2)
+        assert res.value == 3
+        assert res.witness == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        assert res.nodes_explored == 17
 
 
 class TestMetamorphic:

@@ -329,14 +329,22 @@ class TestGraph6AgainstNaiveCodec:
             assert encode_graph6(parsed) == short
 
     def test_from_pairs_takes_bit_t_as_pair_t(self):
-        for n in range(1, 6):
+        # every mask up to n = 5, then seeded sparse and dense masks at
+        # each order to 70, across the word and power-of-two boundaries
+        rng = random.Random(34)
+        cases = [(n, mask) for n in range(1, 6)
+                 for mask in range(1 << n * (n - 1) // 2)]
+        cases += [(n, sum(1 << t for t in range(n * (n - 1) // 2)
+                          if rng.random() < prob))
+                  for n in range(6, 71) for prob in (0.1, 0.9)]
+        for n, mask in cases:
             pairs = graph6_pairs(n)
-            for mask in range(1 << len(pairs)):
-                g = Graph.from_pairs(n, mask, "m")
-                assert g == Graph(n, [pairs[t] for t in range(len(pairs))
-                                      if mask >> t & 1])
-                assert g.label == "m"
-                assert Graph.from_rows(g.adj).adj == g.adj
+            g = Graph.from_pairs(n, mask, "m")
+            assert g == Graph(n, [pairs[t] for t in range(len(pairs))
+                                  if mask >> t & 1])
+            assert g.label == "m"
+            assert Graph.from_rows(g.adj).adj == g.adj
+            assert parse_graph6(encode_graph6(g), max_n=70) == g
         for n, mask in ((0, 0), (1, 1), (3, 8), (3, -1)):
             with pytest.raises(ValueError):
                 Graph.from_pairs(n, mask)
@@ -620,8 +628,6 @@ class TestRandomGnp:
                          max_n=200)
             assert g.n == n
         assert graphs._gnp_lanes.cache_info().currsize <= MAX_VERTICES
-        # one transpose table per power of two, up to 256 here
-        assert graphs._swaps.cache_info().currsize <= 9
         ref = naive_gnp(100, 0.4, -5)
         g = generate(FamilySpec("random-gnp", n=100, prob=0.4, seed=-5),
                      max_n=100)
