@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import io
 import json
 import os
 import sys
@@ -26,8 +25,6 @@ from typing import Iterable, Sequence
 from .graphs import (FAMILIES, MAX_VERTICES, ConstructionError, FamilySpec,
                      Graph, GuardError, ParseError, check_order,
                      encode_graph6, generate, parse_edge_list, parse_graph6)
-from .roman import (gamma_k_exact, gamma_k_oracle, gamma_kr_exact,
-                    gamma_kr_oracle, labeling_to_string)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -45,10 +42,11 @@ _SWEEP_PROBS = (0.2, 0.35, 0.5, 0.65, 0.8)
 def _module(name: str):
     """The package's module name, imported on the first call.
 
-    bounds, domatic and constructions are reached only through here, by
-    the subcommands that use them, so `gen` and a gamma solve never load
-    them.  Callers read a function off the module when they call it, so
-    rebinding it there (as the benchmark tracer does) takes effect.
+    Every module of the package except graphs is reached only through
+    here, by the subcommands that use it, so `gen` loads nothing more
+    and a gamma solve loads roman alone.  Callers read a function off the
+    module when they call it, so rebinding it there (as the benchmark
+    tracer does) takes effect.
     """
     return importlib.import_module(f"{__package__}.{name}")
 
@@ -147,27 +145,26 @@ def _json_list(items: Iterable[str], indent: int) -> str:
 
 def _labeling_json(f) -> str:
     # a digit string needs no escape
-    return f'"{labeling_to_string(f)}"'
+    return f'"{_module("roman").labeling_to_string(f)}"'
 
 
-# quantity -> (exact solve, witness renderer, oracle solve or None); a
-# solve takes (graph, k, max_n), and a renderer gives the witness's text
-# in the compute payload.  The lambdas look the solvers up when they run,
-# so rebinding one takes effect.
+# quantity -> (exact solve, witness renderer, oracle solve or None).  A
+# solve is named "module.function" and called as function(graph, k,
+# max_n=...), looked up through _module when it runs, so rebinding it in
+# its module takes effect.  A renderer gives the witness's text in the
+# compute payload.
 _SOLVERS = {
-    "gamma-k": (lambda g, k, m: gamma_k_exact(g, k, max_n=m),
-                _labeling_json,
-                lambda g, k, m: gamma_k_oracle(g, k, max_n=m)),
-    "gamma-kr": (lambda g, k, m: gamma_kr_exact(g, k, max_n=m),
-                 _labeling_json,
-                 lambda g, k, m: gamma_kr_oracle(g, k, max_n=m)),
-    "d-k": (lambda g, k, m: _module("domatic").d_k_exact(g, k, max_n=m),
+    "gamma-k": ("roman.gamma_k_exact", _labeling_json,
+                "roman.gamma_k_oracle"),
+    "gamma-kr": ("roman.gamma_kr_exact", _labeling_json,
+                 "roman.gamma_kr_oracle"),
+    "d-k": ("domatic.d_k_exact",
             lambda blocks: _json_list(
                 [_json_list(map(str, b), 10) for b in blocks], 8),
             None),
-    "d-rk": (lambda g, k, m: _module("domatic").d_rk_exact(g, k, max_n=m),
+    "d-rk": ("domatic.d_rk_exact",
              lambda fam: _json_list(map(_labeling_json, fam), 8),
-             lambda g, k, m: _module("domatic").d_rk_oracle(g, k, max_n=m)),
+             "domatic.d_rk_oracle"),
 }
 
 # compute prints the text json.dumps(payload, indent=2) gives, without
@@ -196,11 +193,12 @@ _RESULT_TEMPLATE = """    {
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> str:
     """The text of one result in the compute payload."""
-    solve, show, check = _SOLVERS[quantity]
+    exact, show, check = _SOLVERS[quantity]
+    module, _, name = (check if oracle else exact).partition(".")
+    res = getattr(_module(module), name)(g, k, max_n=max_n)
     if oracle:
         return _RESULT_TEMPLATE % (quantity.replace("-", "_"), "oracle",
-                                   check(g, k, max_n), "null", "null")
-    res = solve(g, k, max_n)
+                                   res, "null", "null")
     return _RESULT_TEMPLATE % (res.quantity, "exact", res.value,
                                show(res.witness), res.nodes_explored)
 
@@ -275,7 +273,7 @@ def _cmd_construct(args) -> int:
         return EXIT_INTERNAL
     print(encode_graph6(g))
     for f in fam:
-        print(labeling_to_string(f))
+        print(_module("roman").labeling_to_string(f))
     print(f"valid {len(fam)} functions")
     return EXIT_OK
 
@@ -296,11 +294,9 @@ def _cmd_verify(args) -> int:
     bounds = _module("bounds")
     if args.output == "csv":
         import csv      # here, its one user, to keep it off every start-up
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(bounds.CSV_COLUMNS)
         writer.writerows(bounds.report_csv_rows(g, args.k, vals, records))
-        sys.stdout.write(buf.getvalue())
     else:
         print(bounds.report_json(g, args.k, vals, records))
     return EXIT_VIOLATION if bounds.violations(records) else EXIT_OK
@@ -391,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--prob", type=float)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--max-n", type=int, dest="max_n")
-    p_gen.set_defaults(func=_cmd_gen)
 
     p_compute = sub.add_parser("compute", help="compute exact or oracle values")
     p_compute.add_argument("--graph", required=True,
@@ -404,8 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=(*_SOLVERS, "all"))
     p_compute.add_argument("--oracle", action="store_true",
                            help="use the brute-force oracle instead")
-    p_compute.add_argument("--max-n", type=int, dest="max_n")
-    p_compute.set_defaults(func=_cmd_compute)
 
     p_construct = sub.add_parser("construct",
                                  help="materialize an explicit family")
@@ -420,8 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              default="graph6")
     p_construct.add_argument("--subgraphs",
                              help="X:Y pairs, e.g. '0,1:2,3;2,3:0,1'")
-    p_construct.add_argument("--max-n", type=int, dest="max_n")
-    p_construct.set_defaults(func=_cmd_construct)
 
     p_verify = sub.add_parser("verify", help="bound report for one graph")
     p_verify.add_argument("--graph", required=True)
@@ -429,27 +419,26 @@ def _build_parser() -> argparse.ArgumentParser:
                           default="graph6")
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--nordhaus-gaddum", action="store_true",
-                          dest="nordhaus_gaddum",
                           help="also solve the complement and check "
                                "complement-sum bounds")
     p_verify.add_argument("--output", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--max-n", type=int, dest="max_n")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="streamed bound reports over a corpus")
-    p_sweep.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_sweep.add_argument("--k-max", type=int, required=True, dest="k_max")
+    p_sweep.add_argument("--n-max", type=int, required=True)
+    p_sweep.add_argument("--k-max", type=int, required=True)
     p_sweep.add_argument("--count", type=int, required=True,
                          help="number of random instances")
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--exhaustive-upto", type=int, default=4,
-                         dest="exhaustive_upto",
                          help="also run every graph with at most this many "
                               "vertices (default 4)")
-    p_sweep.add_argument("--nordhaus-gaddum", action="store_true",
-                         dest="nordhaus_gaddum")
-    p_sweep.add_argument("--max-n", type=int, dest="max_n")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.add_argument("--nordhaus-gaddum", action="store_true")
+    # --max-n is the last option of every subcommand
+    for p, func in ((p_gen, _cmd_gen), (p_compute, _cmd_compute),
+                    (p_construct, _cmd_construct), (p_verify, _cmd_verify),
+                    (p_sweep, _cmd_sweep)):
+        p.add_argument("--max-n", type=int)
+        p.set_defaults(func=func)
     return parser
 
 

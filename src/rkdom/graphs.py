@@ -175,11 +175,11 @@ class Graph:
         return self._degree_stats()[2]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1) << (v + 1)
-            for u in range(v + 1, self.n):
-                if row >> u & 1:
-                    yield (v, u)
+        for v, row in enumerate(self.adj):
+            row >>= v + 1   # bit i is vertex v + 1 + i
+            while low := row & -row:
+                yield (v, v + low.bit_length())
+                row ^= low
 
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2

@@ -135,7 +135,7 @@ print(sorted(m for m in added if m.partition(".")[0] == "rkdom"),
       "dataclasses" in added)
 """
 
-BASE = ["rkdom", "rkdom.cli", "rkdom.graphs", "rkdom.roman"]
+BASE = ["rkdom", "rkdom.cli", "rkdom.graphs"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -143,9 +143,9 @@ BASE = ["rkdom", "rkdom.cli", "rkdom.graphs", "rkdom.roman"]
     (["gen", "--family", "random-gnp", "--n", "9", "--prob", "0.5",
       "--seed", "1"], BASE),
     (["compute", "--graph", "-", "--k", "2", "--quantity", "gamma-kr"],
-     BASE),
+     sorted(BASE + ["rkdom.roman"])),
     (["compute", "--graph", "-", "--k", "2", "--quantity", "d-rk"],
-     sorted(BASE + ["rkdom.domatic"])),
+     sorted(BASE + ["rkdom.domatic", "rkdom.roman"])),
     (["verify", "--graph", "-", "--k", "1", "--nordhaus-gaddum"],
      ["rkdom", "rkdom.bounds", "rkdom.cli", "rkdom.domatic", "rkdom.graphs",
       "rkdom.roman"]),
@@ -155,14 +155,89 @@ BASE = ["rkdom", "rkdom.cli", "rkdom.graphs", "rkdom.roman"]
 ], ids=["import", "gen", "compute-gamma-kr", "compute-d-rk", "verify",
         "construct"])
 def test_subcommands_load_only_what_they_run(argv, loaded):
-    # bounds, domatic and constructions are imported by the subcommands
-    # that use them, and no module of the package uses dataclasses
+    # every module but graphs is imported by the subcommands that use
+    # it, and no module of the package uses dataclasses
     src = os.path.dirname(os.path.dirname(rkdom.__file__))
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert (done.returncode, done.stdout) == (0, f"{loaded} False\n"), \
         done.stderr
+
+
+# Every subcommand's handler and its options in order, each as (option
+# strings, dest, type name, required, default, choices): what the parser
+# registers, independent of the help text layout, which varies between
+# Python versions.
+HELP = (("-h", "--help"), "help", None, False, "==SUPPRESS==", None)
+MAX_N = (("--max-n",), "max_n", "int", False, None, None)
+FORMAT = (("--format",), "format", None, False, "graph6",
+          ("graph6", "edgelist"))
+OPTIONS = {
+    "gen": ("_cmd_gen", [
+        HELP,
+        (("--family",), "family", None, True, None,
+         ("complete", "cycle", "empty", "complete-bipartite", "random-gnp",
+          "kdelta-sharpness")),
+        (("--n",), "n", "int", False, None, None),
+        (("--p",), "p", "int", False, None, None),
+        (("--q",), "q", "int", False, None, None),
+        (("--prob",), "prob", "float", False, None, None),
+        (("--seed",), "seed", "int", False, None, None),
+        (("--k",), "k", "int", False, None, None),
+        MAX_N]),
+    "compute": ("_cmd_compute", [
+        HELP,
+        (("--graph",), "graph", None, True, None, None),
+        FORMAT,
+        (("--k",), "k", "int", True, None, None),
+        (("--quantity",), "quantity", None, True, None,
+         ("gamma-k", "gamma-kr", "d-k", "d-rk", "all")),
+        (("--oracle",), "oracle", None, False, False, None),
+        MAX_N]),
+    "construct": ("_cmd_construct", [
+        HELP,
+        (("--name",), "name", None, True, None,
+         ("complete", "balanced-bipartite", "near-order", "nontrivial",
+          "kdelta-sharpness", "from-subgraphs")),
+        (("--k",), "k", "int", True, None, None),
+        (("--n",), "n", "int", False, None, None),
+        (("--t",), "t", "int", False, None, None),
+        (("--graph",), "graph", None, False, None, None),
+        FORMAT,
+        (("--subgraphs",), "subgraphs", None, False, None, None),
+        MAX_N]),
+    "verify": ("_cmd_verify", [
+        HELP,
+        (("--graph",), "graph", None, True, None, None),
+        FORMAT,
+        (("--k",), "k", "int", True, None, None),
+        (("--nordhaus-gaddum",), "nordhaus_gaddum", None, False, False,
+         None),
+        (("--output",), "output", None, False, "json", ("json", "csv")),
+        MAX_N]),
+    "sweep": ("_cmd_sweep", [
+        HELP,
+        (("--n-max",), "n_max", "int", True, None, None),
+        (("--k-max",), "k_max", "int", True, None, None),
+        (("--count",), "count", "int", True, None, None),
+        (("--seed",), "seed", "int", True, None, None),
+        (("--exhaustive-upto",), "exhaustive_upto", "int", False, 4, None),
+        (("--nordhaus-gaddum",), "nordhaus_gaddum", None, False, False,
+         None),
+        MAX_N]),
+}
+
+
+def test_subcommand_options_are_pinned():
+    import rkdom.cli as cli
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    got = {name: (p.get_default("func").__name__, [
+        (tuple(a.option_strings), a.dest, a.type and a.type.__name__,
+         a.required, a.default, a.choices and tuple(a.choices))
+        for a in p._actions]) for name, p in sub.choices.items()}
+    assert got == OPTIONS
 
 
 class TestLazyPackage:
@@ -364,17 +439,19 @@ class TestCompute:
         assert digest.hexdigest() == COMPUTE_STDOUT_PIN
 
     def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
-        # the benchmark tracer wraps solvers by rebinding their names where
-        # the CLI reads them, in rkdom.cli for the roman solvers it imports
-        # and in rkdom.domatic for the ones it reaches through that module;
-        # a table that held the functions would bypass it
+        # the benchmark tracer wraps solvers by rebinding their names in
+        # the module that defines them, rkdom.roman or rkdom.domatic, and
+        # the CLI reads every solver from there when it runs, so that is
+        # the one place to patch; a table that held the functions would
+        # bypass it
         import rkdom.domatic
+        import rkdom.roman
         called = []
         names = ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
                  "d_rk_exact", "gamma_k_oracle", "gamma_kr_oracle",
                  "d_rk_oracle")
         for name in names:
-            module = rkdom.domatic if name.startswith("d_") else rkdom.cli
+            module = rkdom.domatic if name.startswith("d_") else rkdom.roman
             solver = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _name=name, _solver=solver, **kw:
@@ -395,13 +472,13 @@ class TestCompute:
         assert code == 2 and "no oracle" in err
         # all --oracle is refused before any oracle runs: none is called,
         # and on 11 vertices no oracle guard or k check speaks first.  The
-        # CLI reads the roman oracles from rkdom.cli and d_rk_oracle from
-        # rkdom.domatic.
-        import rkdom.cli as cli
+        # CLI reads each oracle from its defining module, rkdom.roman or
+        # rkdom.domatic, the one place to patch.
         import rkdom.domatic as domatic
+        import rkdom.roman as roman
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
         for name in ("gamma_k_oracle", "gamma_kr_oracle"):
-            monkeypatch.setattr(cli, name, None)
+            monkeypatch.setattr(roman, name, None)
         monkeypatch.setattr(domatic, "d_rk_oracle", None)
         for k in ("1", "0"):
             code, out, err = run(capsys, ["compute", "--graph", "-", "--k", k,

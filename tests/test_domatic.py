@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, bipartite, complete, cycle, empty, gnp, path
-from rkdom import (GuardError, complement, d_k_exact, d_rk_exact,
-                   d_rk_oracle, enumerate_rkdfs, gamma_k_exact,
-                   gamma_kr_exact, labeling_to_string, solve_all,
-                   validate_family,
+from rkdom import (FamilySpec, GuardError, closed_form_d_rk, complement,
+                   d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
+                   gamma_k_exact, gamma_kr_exact, generate,
+                   labeling_to_string, solve_all, validate_family,
                    validate_partition, weight)
 from rkdom.graphs import Graph
 from rkdom.roman import naive_rkdfs
@@ -128,6 +128,25 @@ class TestDrkExact:
                 for by_key in (True, False):
                     assert d_rk_exact(cycle(n), k,
                                       by_key=by_key).value == want
+        # E_n and K_n, n 1-6, k 1-4: closed_form_d_rk gives 19 of these 48
+        # cells no value; the oracle checks each at n <= 5 and k <= 3
+        table = {"empty": ([1, 2, 2, 2], [1, 3, 4, 4], [1, 3, 4, 5],
+                           [1, 3, 5, 6], [1, 3, 5, 6], [1, 3, 5, 7]),
+                 "complete": ([1, 2, 2, 2], [2, 3, 4, 4], [3, 3, 4, 5],
+                              [4, 4, 5, 6], [5, 5, 5, 6], [6, 6, 6, 7])}
+        open_cells = 0
+        for kind, rows in table.items():
+            for n, row in enumerate(rows, start=1):
+                spec = FamilySpec(kind, n=n)
+                g = generate(spec)
+                for k, want in enumerate(row, start=1):
+                    assert d_rk_exact(g, k).value == want
+                    if n <= 5 and k <= 3:
+                        assert d_rk_oracle(g, k) == want
+                    form = closed_form_d_rk(spec, k)
+                    assert form in (None, want)
+                    open_cells += form is None
+        assert open_cells == 19
 
     def test_witness_certifies(self):
         for g in (cycle(5), complete(5), gnp(6, 0.5, 4), bipartite(2, 3)):

@@ -340,8 +340,9 @@ class TestGraph6AgainstNaiveCodec:
         for n, mask in cases:
             pairs = graph6_pairs(n)
             g = Graph.from_pairs(n, mask, "m")
-            assert g == Graph(n, [pairs[t] for t in range(len(pairs))
-                                  if mask >> t & 1])
+            edges = [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
+            assert g == Graph(n, edges)
+            assert list(g.edges()) == sorted(edges)
             assert g.label == "m"
             assert Graph.from_rows(g.adj).adj == g.adj
             assert parse_graph6(encode_graph6(g), max_n=70) == g
