@@ -111,10 +111,11 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
     check_order("witness search", n, None, DEFAULT_WITNESS_LIMIT)
     if 2 * k + 1 > n:   # no Y fits; also keeps the cache bounded
         return None
+    adj = g.adj
     for y, ymask in _witness_sides(n, k):
         pool = [v for v in range(n)
                 if not ymask >> v & 1
-                and (g.adj[v] & ymask).bit_count() >= k]
+                and (adj[v] & ymask).bit_count() >= k]
         if len(pool) > len(y):
             return BipartiteWitness(X=tuple(pool[:len(y) + 1]), Y=y)
     return None

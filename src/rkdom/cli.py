@@ -121,8 +121,7 @@ def _require(what: str, flags: Sequence[str], optional: Sequence[str],
 
 def _spec_from_args(args) -> FamilySpec:
     params = FAMILIES[args.family].params
-    _require(f"--family {args.family}", params,
-             ("n", "p", "q", "prob", "seed", "k"), args)
+    _require(f"--family {args.family}", params, FamilySpec._fields[1:], args)
     return FamilySpec(args.family, **{p: getattr(args, p) for p in params})
 
 
@@ -381,12 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit a named family member as graph6")
     p_gen.add_argument("--family", required=True,
                        choices=tuple(FAMILIES))
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--p", type=int)
-    p_gen.add_argument("--q", type=int)
-    p_gen.add_argument("--prob", type=float)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--k", type=int)
+    for param in FamilySpec._fields[1:]:
+        p_gen.add_argument(f"--{param}",
+                           type=float if param == "prob" else int)
 
     p_compute = sub.add_parser("compute", help="compute exact or oracle values")
     p_compute.add_argument("--graph", required=True,

@@ -211,6 +211,7 @@ def family_from_balanced_subgraphs(
     if d not in (2 * k, 2 * k - 1):
         raise ConstructionError(f"need 2k={2 * k} or 2k-1={2 * k - 1} "
                                 f"subgraphs, got {d}")
+    adj = g.adj
     for i, (x, y) in enumerate(pairs):
         if any(v < 0 or v >= g.n for v in x + y):
             raise ConstructionError(f"subgraph {i}: vertex out of range")
@@ -222,7 +223,7 @@ def family_from_balanced_subgraphs(
             raise ConstructionError(f"subgraph {i}: |X|={len(x)} but |Y|={len(y)}")
         ymask = vertex_mask(y)
         for v in x:
-            if (g.adj[v] & ymask).bit_count() < k:
+            if (adj[v] & ymask).bit_count() < k:
                 raise ConstructionError(
                     f"subgraph {i}: vertex {v} has fewer than {k} "
                     f"neighbors in Y")

@@ -1,7 +1,8 @@
 """Graph representation, graph6/edge-list codecs and named-family generators.
 
-Vertices are the integers 0..n-1.  Adjacency is kept as one bitmask per
-vertex (bit u of ``adj[v]`` set iff u~v), which makes neighbourhood
+Vertices are the integers 0..n-1.  A graph stores its graph6 pair mask
+and reads its adjacency as one bitmask per vertex (bit u of ``adj[v]``
+set iff u~v), decoded on first use, which makes neighbourhood
 intersections single integer operations for every solver in the package.
 """
 
@@ -53,31 +54,33 @@ def check_order(what: str, n: int, max_n: int | None, default: int) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Instances are constructed once and never mutated afterwards; they are
-    safe to share between concurrent readers.  The degree statistics and
-    the graph6 text are computed on first use and kept; `parse_graph6`
-    keeps the text it parsed when that text is the canonical encoding.
-    A random-gnp member from `generate` keeps its graph6 text and its
-    pair mask, and decodes its rows on the first read of adj
-    (`_PairGraph`), so a caller that only encodes it never builds them.
+    A graph stores its order and its graph6 pair mask: bit t is set iff
+    pair t of the order (0,1), (0,2), (1,2), (0,3), ... is an edge.  The
+    adjacency rows, the degree statistics and the graph6 text are built
+    on first use and kept, so a caller that only encodes a graph never
+    decodes its rows; `parse_graph6` keeps the text it parsed when that
+    text is the canonical encoding.  Equality and hash compare the order
+    and the mask.  Instances are never mutated after construction; they
+    are safe to share between concurrent readers.
     """
 
-    __slots__ = ("n", "adj", "label", "_stats", "_graph6", "_pairs")
+    __slots__ = ("n", "label", "_pairs", "_adj", "_stats", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  label: str | None = None):
         if n < 1:
             raise ValueError(f"graph order must be >= 1, got {n}")
-        rows = [0] * n
+        mask = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            if u > v:
+                u, v = v, u
+            mask |= 1 << u + v * (v - 1) // 2
         self.n = n
-        self.adj = tuple(rows)
+        self._pairs = mask
         self.label = label
 
     @classmethod
@@ -92,14 +95,19 @@ class Graph:
         n = len(adj)
         if n < 1:
             raise ValueError(f"graph order must be >= 1, got {n}")
+        # row v below bit v, column v of the upper triangle, is pair mask
+        # bits v(v-1)/2 on
+        mask = start = 0
         for v, row in enumerate(adj):
             if row >> n:    # also true for a negative row
                 raise ValueError(f"row {v} has a vertex outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+            mask |= (row & (1 << v) - 1) << start
+            start += v
         # the pairs below the diagonal, mirrored, give back the rows
         # exactly when the rows are symmetric
-        g = cls.from_pairs(n, _pair_mask(adj), label)
+        g = cls.from_pairs(n, mask, label)
         if g.adj != adj:
             u, v = next((u, v) for v in range(n) for u in range(v)
                         if (adj[v] >> u ^ adj[u] >> v) & 1)
@@ -117,11 +125,28 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {n}")
         if mask >> n * (n - 1) // 2:    # also true for a negative mask
             raise ValueError(f"pair mask has a bit past the pairs of n={n}")
+        # object.__new__, not __init__ with no edges: every parsed and
+        # generated graph is built here, so the extra call shows in set-up
+        g = object.__new__(cls)
+        g.n = n
+        g._pairs = mask
+        g.label = label
+        return g
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        """One bitmask row per vertex, bit u of adj[v] set iff u~v;
+        decoded from the pair mask on the first read and kept."""
+        try:
+            return self._adj
+        except AttributeError:
+            pass
         # Bit u + v(v-1)/2 of the mask is the pair u < v, so after the
         # shifts by 1..v-1 the low v bits are column v of the upper
         # triangle: row v below the diagonal.  Each u in it puts v in row u.
-        rows = [0] * n
-        for v in range(1, n):
+        mask = self._pairs
+        rows = [0] * self.n
+        for v in range(1, self.n):
             col = mask & (1 << v) - 1
             mask >>= v
             rows[v] = col
@@ -130,18 +155,8 @@ class Graph:
                 low = col & -col
                 rows[low.bit_length() - 1] |= bit
                 col ^= low
-        return cls._of_rows(tuple(rows), label)
-
-    @classmethod
-    def _of_rows(cls, adj: tuple[int, ...],
-                 label: str | None = None) -> "Graph":
-        """The graph with these rows, unchecked: for callers that build
-        them symmetric, loop-free and masked to n >= 1 bits."""
-        g = object.__new__(cls)
-        g.adj = adj
-        g.n = len(adj)
-        g.label = label
-        return g
+        self._adj = tuple(rows)
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -152,13 +167,13 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
-    def _degree_stats(self) -> tuple[int, int, int]:
-        """(min degree, max degree, edge count), built on the first call."""
+    def _degree_stats(self) -> tuple[int, int]:
+        """(min degree, max degree), built on the first call."""
         try:
             return self._stats
         except AttributeError:
             d = self.degrees()
-            self._stats = (min(d), max(d), sum(d) // 2)
+            self._stats = (min(d), max(d))
             return self._stats
 
     def min_degree(self) -> int:
@@ -168,11 +183,11 @@ class Graph:
         return self._degree_stats()[1]
 
     def is_regular(self) -> bool:
-        delta, Delta, _ = self._degree_stats()
+        delta, Delta = self._degree_stats()
         return delta == Delta
 
     def edge_count(self) -> int:
-        return self._degree_stats()[2]
+        return self._pairs.bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v, row in enumerate(self.adj):
@@ -185,39 +200,19 @@ class Graph:
         return self.edge_count() == self.n * (self.n - 1) // 2
 
     def is_empty(self) -> bool:
-        return self.edge_count() == 0
+        return not self._pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self._pairs))
 
     def __repr__(self) -> str:
         name = self.label or "graph"
         return f"Graph({name}, n={self.n}, m={self.edge_count()})"
-
-
-class _PairGraph(Graph):
-    """A Graph that holds its pair mask (`from_pairs`) in _pairs and no
-    rows yet.  The first read of adj decodes them and turns the instance
-    into a plain Graph, which the shared layout allows (_pairs is a slot
-    of Graph).  Graph itself has no __getattr__: CPython 3.11 specializes
-    no attribute read on instances of a class with one, and each read of
-    adj or n would then take about 40 ns in place of 6."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: adj, or a cache not yet filled
-        if name != "adj":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.adj = Graph.from_pairs(self.n, self._pairs).adj
-        self.__class__ = Graph
-        return self.adj
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -230,10 +225,12 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def complement(g: Graph) -> Graph:
     """Complement graph: u~v in the result iff u != v and not u~v in g."""
-    full = (1 << g.n) - 1
+    n = g.n
+    h = Graph.from_pairs(n, g._pairs ^ (1 << n * (n - 1) // 2) - 1)
+    full = (1 << n) - 1
     # row v lacks bit v, so the last XOR clears it
-    return Graph._of_rows(tuple([full ^ row ^ (1 << v)
-                                 for v, row in enumerate(g.adj)]))
+    h._adj = tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
+    return h
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
@@ -365,9 +362,7 @@ def _gnp(spec: FamilySpec, n: int) -> Graph:
     thr = int(spec.prob * 2 ** 64)
     lanes = ((thr + _MASK64) * ones - z).to_bytes(16 * npairs, "little")
     bits = lanes[8::16].translate(_BIT_TEXT).decode()
-    g = object.__new__(_PairGraph)
-    g.n = n
-    g._pairs = int(bits[::-1] or "0", 2)
+    g = Graph.from_pairs(n, int(bits[::-1] or "0", 2))
     g._graph6 = _graph6_text(n, bits)
     return g
 
@@ -456,18 +451,6 @@ def _graph6_text(n: int, bits: str) -> str:
                            for i in range(0, len(bits), 6)])
 
 
-def _pair_mask(adj: tuple[int, ...]) -> int:
-    """The pair mask `Graph.from_pairs` reads, taken from the rows' bits
-    below the diagonal: column v of the upper triangle, row v below bit
-    v, is mask bits v(v-1)/2 on."""
-    mask = 0
-    start = 0
-    for v, row in enumerate(adj):
-        mask |= (row & (1 << v) - 1) << start
-        start += v
-    return mask
-
-
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in the standard graph6 ASCII format.
 
@@ -480,7 +463,7 @@ def encode_graph6(g: Graph) -> str:
     # reversed, the binary digits give bit 0 first; bit n(n-1)/2 keeps
     # the leading zeros and is cut off
     top = 1 << g.n * (g.n - 1) // 2
-    g._graph6 = _graph6_text(g.n, format(_pair_mask(g.adj) | top, "b")[:0:-1])
+    g._graph6 = _graph6_text(g.n, format(g._pairs | top, "b")[:0:-1])
     return g._graph6
 
 

@@ -80,10 +80,11 @@ def validate_rkdf(g: Graph, k: int, f: Labeling) -> list[Violation]:
     if out_of_range:
         return out_of_range
     v2mask = vertex_mask(v for v in range(g.n) if f[v] == 2)
+    adj = g.adj
     violations = []
     for v in range(g.n):
         if f[v] == 0:
-            have = (g.adj[v] & v2mask).bit_count()
+            have = (adj[v] & v2mask).bit_count()
             if have < k:
                 violations.append(Violation(
                     "zero-vertex-undercovered", vertex=v,
@@ -95,8 +96,9 @@ def validate_rkdf(g: Graph, k: int, f: Labeling) -> list[Violation]:
 def is_k_dominating(g: Graph, k: int, members: Iterable[int]) -> bool:
     """True iff every vertex outside the set has >= k neighbors inside it."""
     smask = vertex_mask(members)
+    adj = g.adj
     for v in range(g.n):
-        if not smask >> v & 1 and (g.adj[v] & smask).bit_count() < k:
+        if not smask >> v & 1 and (adj[v] & smask).bit_count() < k:
             return False
     return True
 

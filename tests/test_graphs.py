@@ -360,6 +360,38 @@ class TestGraph6AgainstNaiveCodec:
                                                  rf"\({u},{v}\)$"):
                 Graph.from_rows(rows)
 
+    def test_equal_graphs_hash_equal_however_built(self):
+        # == and hash read the order and the pair mask, so every build of
+        # one graph, labelled or not, must compare and hash equal, before
+        # and after its rows are read, and give the same rows and text,
+        # and one more vertex or one pair flipped must compare unequal:
+        # every graph to n = 5, then seeded masks at each order to 64, 62
+        # and 63 twice more
+        rng = random.Random(38)
+        cases = [(n, mask) for n in range(1, 6)
+                 for mask in range(1 << n * (n - 1) // 2)]
+        cases += [(n, rng.getrandbits(n * (n - 1) // 2))
+                  for n in (*range(6, 65), 62, 62, 63, 63)]
+        for n, mask in cases:
+            edges = [pair for t, pair in enumerate(graph6_pairs(n))
+                     if mask >> t & 1]
+            rows = [0] * n
+            for u, v in edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            g = Graph(n, edges)
+            text = encode_graph6(g)
+            built = [g, Graph.from_pairs(n, mask, "m"), Graph.from_rows(rows),
+                     parse_graph6(text), complement(complement(g))]
+            for h in built:
+                assert h == g and hash(h) == hash(g)
+            for h in built:
+                assert h.adj == tuple(rows) and h == g
+                assert hash(h) == hash(g)
+                assert encode_graph6(h) == text == naive_encode_graph6(h)
+            assert g != Graph.from_pairs(n + 1, mask)
+            assert n == 1 or g != Graph.from_pairs(n, mask ^ 1)
+
 
 class TestGraph6AgainstNetworkx:
     """networkx's graph6 codec as an independent oracle (optional)."""
@@ -539,16 +571,16 @@ class TestGenerate:
         # raise AttributeError
         g = generate(FamilySpec("random-gnp", n=9, prob=0.5, seed=4))
         with pytest.raises(AttributeError):
-            Graph.adj.__get__(g)
+            g._adj
         text = encode_graph6(g)
         with pytest.raises(AttributeError):
-            Graph.adj.__get__(g)
+            g._adj
         with pytest.raises(AttributeError, match="_stats"):
             g._stats
         with pytest.raises(AttributeError, match="no_such_name"):
             g.no_such_name
         assert g.adj == parse_graph6(text).adj
-        assert Graph.adj.__get__(g) is g.adj and type(g) is Graph
+        assert g._adj is g.adj and type(g) is Graph
         assert g == parse_graph6(text) and g.label == "G(9,0.5,seed=4)"
 
     def test_order_guard(self):
