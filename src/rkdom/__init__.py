@@ -25,16 +25,16 @@ _MODULE_OF = {name: module for module, names in (
                        "family_kdelta_sharpness", "family_near_order",
                        "family_nontrivial")),
     ("domatic", ("Family", "VertexPartition", "d_k_exact", "d_rk_exact",
-                 "d_rk_oracle", "validate_family", "validate_partition")),
+                 "validate_family", "validate_partition")),
     ("graphs", ("ConstructionError", "FamilySpec", "Graph", "GuardError",
                 "ParseError", "complement", "complete_bipartite_parts",
                 "encode_graph6", "generate", "parse_edge_list",
                 "parse_graph6")),
+    ("oracles", ("d_rk_oracle", "gamma_k_oracle", "gamma_kr_oracle")),
     ("roman", ("EnumerationResult", "Labeling", "SolveResult", "Violation",
-               "enumerate_rkdfs", "gamma_k_exact", "gamma_k_oracle",
-               "gamma_kr_exact", "gamma_kr_oracle", "is_k_dominating",
-               "labeling_from_string", "labeling_to_string",
-               "validate_rkdf", "weight")),
+               "enumerate_rkdfs", "gamma_k_exact", "gamma_kr_exact",
+               "is_k_dominating", "labeling_from_string",
+               "labeling_to_string", "validate_rkdf", "weight")),
 ) for name in names}
 
 __all__ = sorted(_MODULE_OF)

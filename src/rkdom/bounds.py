@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .domatic import Family, d_k_exact, d_rk_exact, validate_family
 from .graphs import Graph, check_k, check_order, complement, \
     complete_bipartite_parts, encode_graph6, vertex_mask
-from .roman import gamma_k_oracle, weight
+from .oracles import gamma_k_oracle
+from .roman import weight
 
 DEFAULT_WITNESS_LIMIT = 10
 

@@ -154,16 +154,16 @@ def _labeling_json(f) -> str:
 # compute payload.
 _SOLVERS = {
     "gamma-k": ("roman.gamma_k_exact", _labeling_json,
-                "roman.gamma_k_oracle"),
+                "oracles.gamma_k_oracle"),
     "gamma-kr": ("roman.gamma_kr_exact", _labeling_json,
-                 "roman.gamma_kr_oracle"),
+                 "oracles.gamma_kr_oracle"),
     "d-k": ("domatic.d_k_exact",
             lambda blocks: _json_list(
                 [_json_list(map(str, b), 10) for b in blocks], 8),
             None),
     "d-rk": ("domatic.d_rk_exact",
              lambda fam: _json_list(map(_labeling_json, fam), 8),
-             "domatic.d_rk_oracle"),
+             "oracles.d_rk_oracle"),
 }
 
 # compute prints the text json.dumps(payload, indent=2) gives, without

@@ -7,18 +7,14 @@ largest number of blocks in a partition of V into k-dominating sets.
 
 from __future__ import annotations
 
-from operator import sub
 from typing import Iterable, Sequence
 
 from .graphs import Graph, check_k, check_order, vertex_mask
 from .roman import (Labeling, SolveResult, Violation, _decode, _multiples,
-                    enumerate_rkdfs, is_k_dominating, naive_rkdfs,
-                    validate_rkdf)
+                    enumerate_rkdfs, is_k_dominating, validate_rkdf)
 
 DEFAULT_DRK_N_LIMIT = 8
 DEFAULT_DRK_K_LIMIT = 4
-DEFAULT_DRK_ORACLE_N_LIMIT = 6
-DEFAULT_DRK_ORACLE_K_LIMIT = 3
 DEFAULT_DK_LIMIT = 10
 
 VertexPartition = tuple[tuple[int, ...], ...]
@@ -63,7 +59,7 @@ def validate_family(g: Graph, k: int,
 
 
 # ---------------------------------------------------------------------------
-# d_R^k: exact packing solver plus a brute-force oracle
+# d_R^k: exact packing solver
 # ---------------------------------------------------------------------------
 
 def check_drk(n: int, k: int, max_n: int | None) -> int:
@@ -71,28 +67,6 @@ def check_drk(n: int, k: int, max_n: int | None) -> int:
     refuses k < 1 and, naming the solver, k or n above its guard."""
     check_k(k, "d_rk solver", DEFAULT_DRK_K_LIMIT)
     return check_order("d_rk solver", n, max_n, DEFAULT_DRK_N_LIMIT)
-
-
-def d_rk_oracle(g: Graph, k: int,
-                max_n: int | None = None) -> int:
-    """Maximum family size by a 0/1 knapsack over residual capacities.
-
-    Takes the RkDFs of the naive 3^n filter (naive_rkdfs) one at a time
-    and maps each reachable tuple of per-vertex residual capacities (2k
-    at the start) to the most members that reach it; a labeling extends
-    every state it fits under.  Independent check for d_rk_exact: it
-    shares no enumeration, search or capacity packing with the solver.
-    """
-    check_k(k, "d_rk oracle", DEFAULT_DRK_ORACLE_K_LIMIT)
-    check_order("d_rk oracle", g.n, max_n, DEFAULT_DRK_ORACLE_N_LIMIT)
-    most = {(2 * k,) * g.n: 0}
-    for f in naive_rkdfs(g, k):
-        # the snapshot keeps f out of the states it has just made
-        for caps, count in list(most.items()):
-            left = tuple(map(sub, caps, f))
-            if min(left) >= 0 and most.get(left, -1) <= count:
-                most[left] = count + 1
-    return max(most.values())
 
 
 def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
@@ -129,9 +103,9 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
 
     packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, limit, by_key).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
-    # its weight, at most n + 1 < 255 here
-    weights = [key % 255 for key in packed]
-    gkr = weights[0]
+    # its weight while that is below 255, as every level up to 2n is for
+    # n < 128
+    gkr = packed[0] % 255
     delta, Delta = g.min_degree(), g.max_degree()
     ub = min(delta + 2 * k,
              max(Delta, k - 1) + k,
@@ -147,12 +121,10 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
     def grow(count: int, captotal: int) -> bool:
         """Append the next weight level; False once it would pass 2n or
         the quotient cut closes it."""
-        w = weights[-1] + 1
+        w = packed[-1] % 255 + 1
         if w > 2 * n or count + captotal // w <= best:
             return False
-        keys = enumerate_rkdfs(g, k, w, w, limit, by_key).keys
-        packed.extend(keys)
-        weights.extend([w] * len(keys))
+        packed.extend(enumerate_rkdfs(g, k, w, w, limit, by_key).keys)
         return True
 
     # One search: each strict improvement records its family, so the last
@@ -175,13 +147,14 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
         base = rescap | high
         i = idx
         while i < len(packed) or grow(count, captotal):
-            if count + captotal // weights[i] <= best:
+            key = packed[i]
+            w = key % 255
+            if count + captotal // w <= best:
                 break
-            left = base - packed[i]
+            left = base - key
             if left & high == high:
                 chosen.append(i)
-                if search(i + 1, left ^ high, count + 1,
-                          captotal - weights[i]):
+                if search(i + 1, left ^ high, count + 1, captotal - w):
                     return True
                 chosen.pop()
             i += 1

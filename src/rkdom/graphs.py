@@ -347,6 +347,7 @@ def _gnp(spec: FamilySpec, n: int) -> Graph:
     word t in lane t of `_gnp_lanes`.  Each step works on all lanes in one
     int operation: a shift brings in bits from the next lane, which `low`
     clears, and a 64 x 64-bit product fits in its lane."""
+    head = _graph6_head(n)      # refuses an order graph6 cannot hold
     npairs = n * (n - 1) // 2
     ones, low, counters = _gnp_lanes(npairs)
     # the seed is reduced first, so that no lane sum is negative and
@@ -363,7 +364,7 @@ def _gnp(spec: FamilySpec, n: int) -> Graph:
     lanes = ((thr + _MASK64) * ones - z).to_bytes(16 * npairs, "little")
     bits = lanes[8::16].translate(_BIT_TEXT).decode()
     g = Graph.from_pairs(n, int(bits[::-1] or "0", 2))
-    g._graph6 = _graph6_text(n, bits)
+    g._graph6 = _graph6_text(head, bits)
     return g
 
 
@@ -439,13 +440,19 @@ _GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
 _GRAPH6_CHARS = {bits: chr(code) for code, bits in _GRAPH6_BITS.items()}
 
 
-def _graph6_text(n: int, bits: str) -> str:
-    """The graph6 text of order n whose pair bits, in graph6 order, are
-    the characters "0" and "1" of bits."""
+def _graph6_head(n: int) -> str:
+    """The graph6 header of order n; ValueError when n is above what its
+    longest form holds.  Both writers of graph6 text call this first,
+    before any work that grows with n."""
     if n > _GRAPH6_LONG_MAX:
         raise ValueError(f"graph6 header supports n <= {_GRAPH6_LONG_MAX}")
-    head = chr(n + 63) if n <= 62 else "~" + "".join(
+    return chr(n + 63) if n <= 62 else "~" + "".join(
         [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)])
+
+
+def _graph6_text(head: str, bits: str) -> str:
+    """The graph6 text with header head whose pair bits, in graph6
+    order, are the characters "0" and "1" of bits."""
     bits += "0" * (-len(bits) % 6)
     return head + "".join([_GRAPH6_CHARS[bits[i:i + 6]]
                            for i in range(0, len(bits), 6)])
@@ -460,10 +467,11 @@ def encode_graph6(g: Graph) -> str:
         return g._graph6
     except AttributeError:
         pass
+    head = _graph6_head(g.n)
     # reversed, the binary digits give bit 0 first; bit n(n-1)/2 keeps
     # the leading zeros and is cut off
     top = 1 << g.n * (g.n - 1) // 2
-    g._graph6 = _graph6_text(g.n, format(g._pairs | top, "b")[:0:-1])
+    g._graph6 = _graph6_text(head, format(g._pairs | top, "b")[:0:-1])
     return g._graph6
 
 

@@ -8,8 +8,8 @@ neighbors labeled 2.  Labelings are plain tuples of ints throughout.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product, repeat
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from itertools import combinations, repeat
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, GuardError, check_k, check_order, vertex_mask
 
@@ -17,7 +17,6 @@ Labeling = tuple[int, ...]
 
 DEFAULT_GAMMA_KR_LIMIT = 16
 DEFAULT_GAMMA_K_LIMIT = 20
-DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_ENUM_LIMIT = 10
 
 
@@ -290,57 +289,8 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
 
 
 # ---------------------------------------------------------------------------
-# gamma_kR: exact branch and bound plus a brute-force oracle
+# gamma_kR: exact branch and bound
 # ---------------------------------------------------------------------------
-
-def naive_rkdfs(g: Graph, k: int) -> Iterator[Labeling]:
-    """Every RkDF of g in lexicographic order, lazily, by filtering all
-    3^n labelings through validate_rkdf.
-
-    Deliberately naive and apart from enumerate_rkdfs: the oracles, and
-    the tests of the enumerator and the solvers, check against it.
-    """
-    return (f for f in product((0, 1, 2), repeat=g.n)
-            if not validate_rkdf(g, k, f))
-
-
-def gamma_kr_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
-    """Minimum RkDF weight by exhausting all 3^n labelings.
-
-    Deliberately naive: the only work beyond enumeration order is the
-    validity filter.  Serves as the independent check for gamma_kr_exact.
-    """
-    check_k(k)
-    check_order("oracle", g.n, max_n, DEFAULT_ORACLE_LIMIT)
-    return min(map(sum, naive_rkdfs(g, k)))  # the all-1 labeling is valid
-
-
-def gamma_k_oracle(g: Graph, k: int, max_n: int | None = None) -> int:
-    """Minimum k-dominating set size by a scan over supports by size.
-
-    Tries the sets S of each size s = min(k, n), ..., n - 1 in
-    `combinations` order and returns the first s at which every vertex
-    outside some S has k neighbours in it; else n, since V itself
-    k-dominates.  A set smaller than k gives no outside vertex k
-    neighbours, so no smaller size works unless S = V.  Reads nothing of
-    g but g.adj, and shares no search with gamma_k_exact, which it checks;
-    `bounds.solve_all` takes gamma_k's value from it.
-    """
-    check_k(k)
-    adj = g.adj
-    n = len(adj)
-    check_order("gamma_k oracle", n, max_n, DEFAULT_ORACLE_LIMIT)
-    bits = [1 << v for v in range(n)]
-    pairs = list(zip(bits, adj))
-    for size in range(min(k, n), n):
-        for s in map(sum, combinations(bits, size)):
-            for bit, row in pairs:
-                if not bit & s and (row & s).bit_count() < k:
-                    break
-            else:
-                return size
-    return n
-
 
 def gamma_kr_exact(g: Graph, k: int,
                    max_n: int | None = None) -> SolveResult:

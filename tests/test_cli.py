@@ -106,6 +106,21 @@ class TestGen:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (["gen", "--family", "complete", "--n", "3"], 0, "Bw\n"),
+    (["gen", "--family", "complete", "--n", "65"], 3, ""),
+])
+def test_entry_exits_with_the_code_of_main(capsys, monkeypatch, argv, code,
+                                           out):
+    # the console script's entry point reads sys.argv and exits with
+    # main's return code
+    import rkdom.cli as cli
+    monkeypatch.setattr(sys, "argv", ["rkdom", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code and capsys.readouterr().out == out
+
+
 def test_import_leaves_csv_unloaded():
     # csv is imported by verify --output csv alone, not at start-up
     src = os.path.dirname(os.path.dirname(rkdom.__file__))
@@ -144,16 +159,20 @@ BASE = ["rkdom", "rkdom.cli", "rkdom.graphs"]
       "--seed", "1"], BASE),
     (["compute", "--graph", "-", "--k", "2", "--quantity", "gamma-kr"],
      sorted(BASE + ["rkdom.roman"])),
+    (["compute", "--graph", "-", "--k", "2", "--quantity", "gamma-k"],
+     sorted(BASE + ["rkdom.roman"])),
+    (["compute", "--graph", "-", "--k", "2", "--quantity", "gamma-kr",
+      "--oracle"], sorted(BASE + ["rkdom.oracles", "rkdom.roman"])),
     (["compute", "--graph", "-", "--k", "2", "--quantity", "d-rk"],
      sorted(BASE + ["rkdom.domatic", "rkdom.roman"])),
     (["verify", "--graph", "-", "--k", "1", "--nordhaus-gaddum"],
      ["rkdom", "rkdom.bounds", "rkdom.cli", "rkdom.domatic", "rkdom.graphs",
-      "rkdom.roman"]),
+      "rkdom.oracles", "rkdom.roman"]),
     (["construct", "--name", "complete", "--k", "1", "--n", "3"],
      ["rkdom", "rkdom.cli", "rkdom.constructions", "rkdom.domatic",
       "rkdom.graphs", "rkdom.roman"]),
-], ids=["import", "gen", "compute-gamma-kr", "compute-d-rk", "verify",
-        "construct"])
+], ids=["import", "gen", "compute-gamma-kr", "compute-gamma-k",
+        "compute-gamma-kr-oracle", "compute-d-rk", "verify", "construct"])
 def test_subcommands_load_only_what_they_run(argv, loaded):
     # every module but graphs is imported by the subcommands that use
     # it, and no module of the package uses dataclasses
@@ -248,9 +267,10 @@ class TestLazyPackage:
         import rkdom.constructions
         import rkdom.domatic
         import rkdom.graphs
+        import rkdom.oracles
         import rkdom.roman
         modules = (rkdom.bounds, rkdom.constructions, rkdom.domatic,
-                   rkdom.graphs, rkdom.roman)
+                   rkdom.graphs, rkdom.oracles, rkdom.roman)
         for name in rkdom.__all__:
             value = getattr(rkdom, name)
             assert any(getattr(m, name, None) is value for m in modules), name
@@ -440,18 +460,20 @@ class TestCompute:
 
     def test_solvers_are_looked_up_when_called(self, capsys, monkeypatch):
         # the benchmark tracer wraps solvers by rebinding their names in
-        # the module that defines them, rkdom.roman or rkdom.domatic, and
-        # the CLI reads every solver from there when it runs, so that is
-        # the one place to patch; a table that held the functions would
-        # bypass it
+        # the module that defines them, rkdom.roman, rkdom.domatic or
+        # rkdom.oracles, and the CLI reads every solver from there when it
+        # runs, so that is the one place to patch; a table that held the
+        # functions would bypass it
         import rkdom.domatic
+        import rkdom.oracles
         import rkdom.roman
         called = []
         names = ("gamma_k_exact", "gamma_kr_exact", "d_k_exact",
                  "d_rk_exact", "gamma_k_oracle", "gamma_kr_oracle",
                  "d_rk_oracle")
         for name in names:
-            module = rkdom.domatic if name.startswith("d_") else rkdom.roman
+            module = (rkdom.oracles if name.endswith("_oracle") else
+                      rkdom.domatic if name.startswith("d_") else rkdom.roman)
             solver = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _name=name, _solver=solver, **kw:
@@ -472,14 +494,12 @@ class TestCompute:
         assert code == 2 and "no oracle" in err
         # all --oracle is refused before any oracle runs: none is called,
         # and on 11 vertices no oracle guard or k check speaks first.  The
-        # CLI reads each oracle from its defining module, rkdom.roman or
-        # rkdom.domatic, the one place to patch.
-        import rkdom.domatic as domatic
-        import rkdom.roman as roman
+        # CLI reads each oracle from its defining module, rkdom.oracles,
+        # the one place to patch.
+        import rkdom.oracles as oracles
         monkeypatch.delenv("RKDOM_MAX_N", raising=False)
-        for name in ("gamma_k_oracle", "gamma_kr_oracle"):
-            monkeypatch.setattr(roman, name, None)
-        monkeypatch.setattr(domatic, "d_rk_oracle", None)
+        for name in ("gamma_k_oracle", "gamma_kr_oracle", "d_rk_oracle"):
+            monkeypatch.setattr(oracles, name, None)
         for k in ("1", "0"):
             code, out, err = run(capsys, ["compute", "--graph", "-", "--k", k,
                                           "--quantity", "all", "--oracle"],

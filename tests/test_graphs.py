@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import count, permutations
 
 import pytest
@@ -16,17 +19,37 @@ from rkdom import (FamilySpec, Graph, GuardError, ParseError, complement,
                    generate, parse_edge_list, parse_graph6)
 from rkdom import (d_k_exact, d_rk_exact, d_rk_oracle, enumerate_rkdfs,
                    gamma_k_exact, gamma_kr_exact, gamma_kr_oracle, graphs,
-                   roman)
-from rkdom.domatic import (DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT,
-                           DEFAULT_DRK_ORACLE_N_LIMIT)
+                   oracles)
+from rkdom.domatic import DEFAULT_DK_LIMIT, DEFAULT_DRK_N_LIMIT
 from rkdom.graphs import (MAX_VERTICES, kdelta_copy_order, kdelta_order,
                           vertex_mask)
+from rkdom.oracles import DEFAULT_DRK_ORACLE_N_LIMIT, DEFAULT_ORACLE_LIMIT
 from rkdom.roman import (DEFAULT_ENUM_LIMIT, DEFAULT_GAMMA_K_LIMIT,
-                         DEFAULT_GAMMA_KR_LIMIT, DEFAULT_ORACLE_LIMIT)
+                         DEFAULT_GAMMA_KR_LIMIT)
 
 # The random-graph properties run every order in each example: a strategy
 # over the orders, under the derandomized profile, skips some of them.
 ORDERS = range(1, 13)
+
+# Encodes a graph and generates one of the order given, under a 1 GiB
+# address-space cap, and prints how each call ended and whether it took
+# under 0.1 s.  An order check that comes after the order's work fails
+# here with MemoryError, not by exhausting the machine.
+REFUSE_ORDER = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS,
+                   (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from rkdom.graphs import FamilySpec, Graph, encode_graph6, generate
+n = int(sys.argv[1])
+for call in (lambda: encode_graph6(Graph(n)),
+             lambda: generate(FamilySpec("random-gnp", n=n, prob=0.5,
+                                         seed=1), max_n=n)):
+    start = time.perf_counter()
+    try:
+        call()
+    except ValueError as exc:
+        print(type(exc).__name__, exc, time.perf_counter() - start < 0.1)
+"""
 
 
 class TestGraphBasics:
@@ -145,6 +168,25 @@ class TestGraph6:
             g = Graph(n, [(0, n - 1), (1, 2)])
             assert parse_graph6(encode_graph6(g), max_n=n) == g
 
+    def test_orders_above_the_header_are_refused_before_any_work(self):
+        # one order above the longest graph6 header: encode_graph6 would
+        # otherwise build a 2^(n(n-1)/2) mask and the generator n(n-1)/2
+        # lanes before refusing it
+        n = 258048
+        message = "graph6 header supports n <= 258047"
+        src = os.path.dirname(os.path.dirname(graphs.__file__))
+        done = subprocess.run([sys.executable, "-c", REFUSE_ORDER, str(n)],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stdout) == \
+            (0, f"ValueError {message} True\n" * 2), done.stderr
+        # both refuse at once, so they are safe to call here as well
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            encode_graph6(Graph(n))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(FamilySpec("random-gnp", n=n, prob=0.5, seed=1),
+                     max_n=n)
+
     def test_guard_refusal(self):
         g = Graph(65, [(0, 1)])
         with pytest.raises(GuardError):
@@ -262,9 +304,11 @@ class TestGraph6AgainstNaiveCodec:
             # built afresh, the graph encodes to the same canonical text
             assert encode_graph6(Graph(n, parsed.edges())) == text
 
-    def test_unchecked_rows_pass_the_from_rows_checks(self):
-        # parse_graph6 and complement skip from_rows's row checks, so the
-        # rows they build must pass them, and be the rows of the graph
+    def test_decoded_and_complement_rows_pass_the_from_rows_checks(self):
+        # a parsed graph's rows are decoded from its pair mask on the first
+        # adj read, and complement hands over rows it built itself without
+        # from_rows's checks; both kinds must pass those checks and be the
+        # rows of the graph
         rng = random.Random(37)
         for n in [*range(1, 65), *(rng.randrange(1, 65) for _ in range(40))]:
             text = _random_graph6(rng, n)
@@ -816,7 +860,7 @@ GUARDED = [
 def test_max_n_none_keeps_the_default_limit(monkeypatch, search, default):
     # the oracle's 3^n filter takes seconds at n = 11; the all-1 labeling
     # alone shows the guard let the graph through
-    monkeypatch.setattr(roman, "naive_rkdfs", lambda g, k: [(1,) * g.n])
+    monkeypatch.setattr(oracles, "naive_rkdfs", lambda g, k: [(1,) * g.n])
     over = Graph(default + 1)   # edgeless; empty() is itself guarded
     for kw in ({}, {"max_n": None}):
         with pytest.raises(GuardError, match=f"guard is n <= {default}, "
