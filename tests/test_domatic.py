@@ -75,6 +75,36 @@ class TestDrkOracle:
         with pytest.raises(GuardError):
             d_rk_oracle(empty(2), 4)
 
+    def test_independent_of_the_solver_enumerator(self, monkeypatch):
+        import rkdom.domatic
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle must not use enumerate_rkdfs")
+
+        monkeypatch.setattr(rkdom.domatic, "enumerate_rkdfs", broken)
+        assert d_rk_oracle(complete(3), 1) == 3
+
+    def test_independent_of_the_solver_packing(self, monkeypatch):
+        import rkdom.domatic
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle must not pack capacities")
+
+        want = d_rk_exact(cycle(5), 2).value
+        # the solver's packing helpers: the word table of its capacities
+        # and the key decoder of its family; its candidates arrive packed
+        # as the enumerator's keys, which the test above keeps from the
+        # oracle
+        for helper in ("_multiples", "_decode"):
+            with monkeypatch.context() as m:
+                m.setattr(rkdom.domatic, helper, broken)
+                with pytest.raises(AssertionError):
+                    d_rk_exact(cycle(5), 2)   # the patch reaches the solver
+        monkeypatch.setattr(rkdom.domatic, "_multiples", broken)
+        monkeypatch.setattr(rkdom.domatic, "_decode", broken)
+        assert d_rk_oracle(complete(3), 1) == 3
+        assert d_rk_oracle(cycle(5), 2) == want
+
 
 class TestDrkExact:
     @pytest.mark.parametrize("g,k,expect", [

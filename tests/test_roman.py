@@ -671,6 +671,19 @@ class TestGammaKOracle:
         assert gamma_k_oracle(empty(11), 1, max_n=11) == 11
         assert gamma_k_oracle(complete(11), 3, max_n=11) == 3
 
+    def test_independent_of_the_solvers(self, monkeypatch):
+        cases = [(g, k) for g in (cycle(7), gnp(8, 0.5, 3), gnp(10, 0.3, 4))
+                 for k in (1, 2, 3)]
+        expect = [gamma_k_exact(g, k).value for g, k in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called a solver helper")
+
+        for name in ("_roman_bb", "_packed_rows", "enumerate_rkdfs"):
+            monkeypatch.setattr(roman, name, refuse)
+        assert [gamma_k_oracle(SimpleNamespace(adj=g.adj), k)
+                for g, k in cases] == expect
+
 
 def _root_top(g):
     """The largest number of neighbours a vertex after the first position
