@@ -67,6 +67,17 @@ def closed_form_d_rk(spec: FamilySpec, k: int) -> int | None:
 # Families
 # ---------------------------------------------------------------------------
 
+def _labeling(n: int, rest: int,
+              *marks: tuple[int, Iterable[int]]) -> Labeling:
+    """The labeling of order n that is rest everywhere except on the
+    vertices of each (value, vertices) mark."""
+    vals = [rest] * n
+    for value, vertices in marks:
+        for v in vertices:
+            vals[v] = value
+    return tuple(vals)
+
+
 def family_complete(n: int, k: int) -> tuple[Graph, Family]:
     """K_n together with the n rotations of k consecutive 2s (indices mod n).
 
@@ -79,13 +90,8 @@ def family_complete(n: int, k: int) -> tuple[Graph, Family]:
         raise ConstructionError(f"cyclic complete-graph family needs n >= 2k, "
                                 f"got n={n}, k={k}")
     g = generate(FamilySpec("complete", n=n))
-    members = []
-    for i in range(n):
-        vals = [0] * n
-        for t in range(k):
-            vals[(i + t) % n] = 2
-        members.append(tuple(vals))
-    return g, tuple(members)
+    return g, tuple(_labeling(n, 0, (2, [(i + t) % n for t in range(k)]))
+                    for i in range(n))
 
 
 def family_balanced_bipartite(t: int, k: int) -> tuple[Graph, Family]:
@@ -100,15 +106,10 @@ def family_balanced_bipartite(t: int, k: int) -> tuple[Graph, Family]:
         raise ConstructionError(f"balanced bipartite family needs t >= 3, got {t}")
     p = t * k
     g = generate(FamilySpec("complete-bipartite", p=p, q=p))
-    members = []
-    for i in range(p):
-        vals = [0] * (2 * p)
-        for s in range(k):
-            j = (i + s) % p
-            vals[j] = 2
-            vals[p + j] = 2
-        members.append(tuple(vals))
-    return g, tuple(members)
+    return g, tuple(
+        _labeling(2 * p, 0, (2, [side + (i + s) % p for s in range(k)
+                                 for side in (0, p)]))
+        for i in range(p))
 
 
 def family_near_order(g: Graph, k: int) -> Family:
@@ -125,13 +126,8 @@ def family_near_order(g: Graph, k: int) -> Family:
     if g.n < 2 * k - 2:
         raise ConstructionError(f"near-order family needs n >= 2k-2 = "
                                 f"{2 * k - 2}, got n={g.n}")
-    members = []
-    for j in range(2 * k - 2):
-        vals = [1] * g.n
-        vals[j] = 2
-        members.append(tuple(vals))
-    members.append((1,) * g.n)
-    return tuple(members)
+    return tuple(_labeling(g.n, 1, (2, [j])) for j in range(2 * k - 2)) \
+        + (_labeling(g.n, 1),)
 
 
 def family_nontrivial(g: Graph, k: int) -> Family:
@@ -145,10 +141,8 @@ def family_nontrivial(g: Graph, k: int) -> Family:
         raise ConstructionError(f"nontrivial family needs k >= 2, got {k}")
     if g.n < 2:
         raise ConstructionError("nontrivial family needs n >= 2")
-    f = tuple(1 if v == 0 else 2 for v in range(g.n))
-    h = tuple(2 if v == 0 else 1 for v in range(g.n))
-    ones = (1,) * g.n
-    return f, h, ones
+    return (_labeling(g.n, 2, (1, [0])), _labeling(g.n, 1, (2, [0])),
+            _labeling(g.n, 1))
 
 
 def family_kdelta_sharpness(k: int,
@@ -160,37 +154,30 @@ def family_kdelta_sharpness(k: int,
     the family of k^2 + 2k functions attaining the bound: the f-type
     functions put 2 on the k attachment vertices of their own copy and on
     one k-block of every other copy; the h-type functions label the apex 1
-    and put 2 on one k-block near the top of every copy.
+    and put 2 on one k-block near the top of every copy.  Copy c holds
+    vertices c*m to c*m + m - 1 and the apex is k*m; block(c, start) is
+    the k vertices of copy c from offset start on.  f-type member (i, s)
+    puts 2 on block(i, 0) and on block(j, (i*k + s + 1)*k) for every
+    j != i; h-type member l, for l from 1 to 2k, puts 1 on the apex and
+    2 on block(i, k^3 + l*k) for every i.
     """
     check_k(k, "kdelta sharpness", max_k)
     m = kdelta_copy_order(k)
     n = k * m + 1
     g = generate(FamilySpec("kdelta-sharpness", k=k), max_n=max(n, 64))
-    apex = k * m
 
-    members: list[Labeling] = []
-    for i in range(1, k + 1):
-        for s in range(k):
-            vals = [0] * n
-            for t in range(1, k + 1):
-                vals[(i - 1) * m + (t - 1)] = 2
-            for j in range(1, k + 1):
-                if j == i:
-                    continue
-                for t in range(1, k + 1):
-                    idx = (i - 1) * k * k + (s + 1) * k + t  # 1-based in copy j
-                    vals[(j - 1) * m + (idx - 1)] = 2
-            members.append(tuple(vals))
-    for l in range(1, 2 * k + 1):
-        vals = [0] * n
-        vals[apex] = 1
-        for i in range(1, k + 1):
-            for t in range(1, k + 1):
-                idx = k ** 3 + l * k + t  # 1-based in copy i
-                assert idx <= m, "block index escapes the clique copy"
-                vals[(i - 1) * m + (idx - 1)] = 2
-        members.append(tuple(vals))
-    return g, tuple(members)
+    def block(c: int, start: int) -> range:
+        """k vertices of clique copy c from offset start on."""
+        assert start + k <= m, "block index escapes the clique copy"
+        return range(c * m + start, c * m + start + k)
+
+    f = [_labeling(n, 0, (2, [v for j in range(k) for v in
+                              block(j, 0 if j == i else (i * k + s + 1) * k)]))
+         for i in range(k) for s in range(k)]
+    h = [_labeling(n, 0, (1, [k * m]),
+                   (2, [v for i in range(k) for v in block(i, k ** 3 + l * k)]))
+         for l in range(1, 2 * k + 1)]
+    return g, tuple(f + h)
 
 
 def family_from_balanced_subgraphs(
@@ -239,17 +226,9 @@ def family_from_balanced_subgraphs(
                 f"vertex {u} is in {in_x} X-sides but {in_y} Y-sides, "
                 f"counts must balance")
 
-    members = []
-    for x, y in pairs:
-        vals = [1] * g.n
-        for v in x:
-            vals[v] = 0
-        for v in y:
-            vals[v] = 2
-        members.append(tuple(vals))
+    members = [_labeling(g.n, 1, (0, x), (2, y)) for x, y in pairs]
     if d == 2 * k - 1:
-        members.append((1,) * g.n)
-    labels = set(members)
-    if len(labels) != len(members):
+        members.append(_labeling(g.n, 1))
+    if len(set(members)) != len(members):
         raise ConstructionError("subgraphs induce duplicate functions")
     return tuple(members)

@@ -101,7 +101,9 @@ def d_rk_exact(g: Graph, k: int, max_n: int | None = None,
     # the enumerator runs under the same limit, so max_n lifts both guards
     limit = check_drk(n, k, max_n)
 
-    packed = enumerate_rkdfs(g, k, min(n, 2 * k), n + 1, limit, by_key).keys
+    # the window starts at 0, not at min(n, 2k), the least weight an RkDF
+    # can have, so that a lighter level would show in gamma_kR (verify's V0)
+    packed = enumerate_rkdfs(g, k, 0, n + 1, limit, by_key).keys
     # a key's bytes are its labels and 256 = 1 (mod 255), so key % 255 is
     # its weight while that is below 255, as every level up to 2n is for
     # n < 128
@@ -194,8 +196,8 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
     placed last charges each of the d - used empty blocks k neighbours
     among the n - pos unassigned vertices, so used + (n - pos) >= d holds
     at every node (at the root, d <= min-degree//k + 1 <= n).  So no cut
-    for blocks left empty is needed; the leaf's used == d test only
-    guards this argument.
+    for blocks left empty is needed, and the leaf asserts used == d, so a
+    break in this argument fails loudly rather than searching on.
     """
     check_k(k)
     n = g.n
@@ -229,7 +231,8 @@ def d_k_exact(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
         nonlocal nodes
         nodes += 1
         if pos == n:
-            return used == d
+            assert used == d
+            return True
         bit = 1 << pos
         rest = unassigned ^ bit
         for c in range(min(used + 1, d)):

@@ -192,17 +192,18 @@ def enumerate_rkdfs(g: Graph, k: int, lo: int, hi: int,
     """The lightest non-empty weight level of RkDFs in [lo, hi], then the
     level one weight above it when that weight is at most hi.
 
-    Both are empty when no RkDF weighs between lo and hi.  No RkDF weighs
-    less than min(n, 2k), and the all-1 labeling weighs n, so [min(n,
-    2k), n + 1] gives the gamma_kR and gamma_kR + 1 levels, and [w, w]
-    gives level w alone.  Each labeling comes as its key (see
-    `_packed_rows`), so keys sort in the order of their labelings.  With
-    by_key each level is sorted, in lexicographic order of value
-    sequences; without it each level is in the order the walk below
-    reaches it (supports by size, smallest first, then in `combinations`
-    order), which is as deterministic and skips the sort.  Only the keys
-    and n are returned; the result decodes the labelings when they are
-    read.
+    Both are empty when no RkDF weighs between lo and hi.  The all-1
+    labeling weighs n, so [0, n + 1] gives the gamma_kR and gamma_kR + 1
+    levels, and [w, w] gives level w alone.  No RkDF weighs less than
+    min(n, 2k), yet d_rk_exact starts its window at 0, so that a lighter
+    level, which only a broken walk could give, shows in gamma_kR.  Each
+    labeling comes as its key (see `_packed_rows`), so keys sort in the
+    order of their labelings.  With by_key each level is sorted, in
+    lexicographic order of value sequences; without it each level is in
+    the order the walk below reaches it (supports by size, smallest
+    first, then in `combinations` order), which is as deterministic and
+    skips the sort.  Only the keys and n are returned; the result
+    decodes the labelings when they are read.
 
     An RkDF is fixed by its support S, the vertices labelled 2, and by
     the vertices of C(S) it labels 0, where C(S) is the vertices outside

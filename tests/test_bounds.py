@@ -106,6 +106,26 @@ class TestCheckGraph:
         assert not recs["mapping"].applicable
         assert not recs["obs2"].applicable
 
+    def test_v0_sees_a_level_below_its_floor(self, monkeypatch):
+        # d_rk_exact opens its first enumerator window at 0, so a broken
+        # walk that returns a level lighter than min(n, 2k) shows in
+        # gamma_kR and fails V0; a window opened at min(n, 2k) hid it
+        import rkdom.domatic
+        real = rkdom.domatic.enumerate_rkdfs
+
+        def lighter(g, k, lo, hi, *args):
+            res = real(g, k, lo, hi, *args)
+            if lo <= 2:     # prepend (2, 0, ..., 0), weight 2
+                return res._replace(keys=[2 << 8 * (g.n - 1)] + res.keys)
+            return res
+
+        monkeypatch.setattr(rkdom.domatic, "enumerate_rkdfs", lighter)
+        g = cycle(6)
+        vals = solve_all(g, 2)
+        assert vals.gamma_kr == 2
+        v0 = _by_id(check_graph(g, 2, vals))["V0"]
+        assert (v0.lhs, v0.rhs, v0.holds) == (4, 2, False)
+
 
 class TestSurplusWitness:
     def test_k3_witness_is_lex_least(self):

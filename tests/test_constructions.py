@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
 
 from conftest import complete, cycle, empty, path
-from rkdom import (ConstructionError, FamilySpec, GuardError,
+from rkdom import (ConstructionError, FamilySpec, Graph, GuardError,
                    closed_form_d_rk, closed_form_gamma_kr, d_rk_exact,
+                   encode_graph6,
                    family_balanced_bipartite, family_complete,
                    family_from_balanced_subgraphs, family_kdelta_sharpness,
                    family_near_order, family_nontrivial, gamma_kr_exact,
@@ -310,3 +312,51 @@ class TestFamilyFromBalancedSubgraphs:
     def test_refusal_messages(self, n, k, subgraphs, message):
         with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
             family_from_balanced_subgraphs(complete(n), k, subgraphs)
+
+
+def _family_grid():
+    """(builder, args) over a grid that reaches every builder's refusals
+    next to its members."""
+    for k in range(1, 7):
+        for n in range(2, 13):
+            yield family_complete, (n, k)
+    for t in range(3, 7):
+        for k in range(1, 5):
+            yield family_balanced_bipartite, (t, k)
+    for g in [complete(1), complete(2)] + [cycle(n) for n in range(3, 11)]:
+        for k in range(1, 6):
+            yield family_near_order, (g, k)
+            yield family_nontrivial, (g, k)
+    for k in (1, 2, 3):
+        yield family_kdelta_sharpness, (k, 3)
+    A, B, C = [0, 1, 2], [3, 4, 5], [6, 7, 8]
+    for g, k, pairs in [
+            (complete(2), 1, [([0], [1]), ([1], [0])]),
+            (cycle(4), 1, [([0, 1], [2, 3]), ([2, 3], [0, 1])]),
+            (complete(6), 2, [([0, 1], [2, 3]), ([2, 3], [4, 5]),
+                              ([4, 5], [0, 1])]),
+            (complete(6), 2, [([0, 1], [2, 3]), ([2, 3], [4, 5]),
+                              ([4, 5], [0, 1]), ([3, 2], [1, 0])]),
+            (complete(9), 3, [(A, B), (B, C), (C, A), (A, B), (B, A)])]:
+        yield family_from_balanced_subgraphs, (g, k, pairs)
+
+
+# sha256 over every member, in order, and every refusal of _family_grid,
+# recorded before the builders shared one labeling helper.
+FAMILY_GRID_PIN = ("2a1127954b42317bbee0d65bd411dc66"
+                   "19fed790db6e21f60bbdfab7e597a9ac")
+
+
+def test_family_grid_pin():
+    digest = hashlib.sha256()
+    for build, args in _family_grid():
+        try:
+            out = build(*args)
+        except ConstructionError as exc:
+            out = f"refused: {exc}"
+        if isinstance(out[0], Graph):
+            out = out[1]
+        args = tuple(encode_graph6(a) if isinstance(a, Graph) else a
+                     for a in args)
+        digest.update(repr((build.__name__, args, out)).encode())
+    assert digest.hexdigest() == FAMILY_GRID_PIN

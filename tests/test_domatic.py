@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import math
 import random
 
 import pytest
@@ -638,3 +639,56 @@ def test_solves_leave_no_cyclic_garbage(solve):
     finally:
         if enabled:
             gc.enable()
+
+
+def fewest_twos(n: int, d: int) -> int:
+    """T(d): the fewest 2s that d distinct vectors of {1,2}^n hold, which
+    is every vector with fewer than j 2s and then the rest with j."""
+    total = 0
+    for j in range(n + 1):
+        take = min(d, math.comb(n, j))
+        total += take * j
+        d -= take
+    return total
+
+
+def drk_floor(n: int, k: int) -> int:
+    """F(n, k) = max{d <= 2^n : d + ceil(T(d)/n) <= 2k}.
+
+    A {1,2}-labeling has no 0, so it is an RkDF of every graph.  d of
+    them with their 2s spread evenly load no vertex above d + ceil(T(d)/n),
+    so F(n, k) <= d_R^k of every graph of order n.  When Delta < k no 0
+    has k neighbours labelled 2, the RkDFs are exactly {1,2}^n, and the
+    loads summed over the vertices give equality."""
+    return max(d for d in range(1, 2 ** n + 1)
+               if d + -(-fewest_twos(n, d) // n) <= 2 * k)
+
+
+class TestLowDegreeFloor:
+    def test_floor_table(self):
+        # n 1-10 (rows) at k 1-8 (columns)
+        assert [[drk_floor(n, k) for k in range(1, 9)]
+                for n in range(1, 11)] == [
+            [1, 2, 2, 2, 2, 2, 2, 2], [1, 3, 4, 4, 4, 4, 4, 4],
+            [1, 3, 4, 5, 7, 8, 8, 8], [1, 3, 5, 6, 7, 9, 10, 11],
+            [1, 3, 5, 6, 8, 9, 11, 12], [1, 3, 5, 7, 8, 10, 11, 13],
+            [1, 3, 5, 7, 8, 10, 11, 13], [1, 3, 5, 7, 9, 10, 12, 13],
+            [1, 3, 5, 7, 9, 10, 12, 14], [1, 3, 5, 7, 9, 11, 12, 14]]
+
+    def test_floor_holds_and_is_tight_below_k(self):
+        rng = random.Random(2020)
+        below = 0
+        for seed in range(300):
+            n, k = rng.randint(2, 7), rng.randint(1, 3)
+            g = gnp(n, rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)), seed)
+            value = d_rk_exact(g, k).value
+            assert drk_floor(n, k) <= value, (g.adj, k)
+            if g.max_degree() < k:
+                below += 1
+                assert drk_floor(n, k) == value, (g.adj, k)
+        assert below == 129
+
+    def test_floor_is_the_value_on_empty_graphs(self):
+        for n in range(1, 9):
+            for k in range(1, 5):
+                assert drk_floor(n, k) == d_rk_exact(empty(n), k).value

@@ -221,8 +221,9 @@ class TestEnumerate:
         assert res.labelings == sorted(weight_2) + sorted(weight_3)
 
     def test_lightest_level_is_gamma_kr(self):
-        # d_rk_exact walks [min(n, 2k), n + 1] and takes the first level
-        # as gamma_kR; k 1-3 puts n on both sides of 2k
+        # d_rk_exact walks [0, n + 1] and takes the first level as
+        # gamma_kR, which no level below min(n, 2k) may undercut; k 1-3
+        # puts n on both sides of 2k
         graphs = [g for n in range(1, 5) for g in all_graphs(n)]
         graphs += [gnp(n, p, seed) for n in (6, 7, 8) for p in (0.3, 0.6)
                    for seed in (1, 2)]
@@ -237,6 +238,8 @@ class TestEnumerate:
                 assert lightest == gkr, (g.label, k)
                 first = enumerate_rkdfs(g, k, start, g.n + 1).labelings[0]
                 assert sum(first) == gkr, (g.label, k)
+                assert enumerate_rkdfs(g, k, 0, g.n + 1).labelings[0] \
+                    == first, (g.label, k)
 
     def test_every_level_from_gamma_kr_to_2n_is_non_empty(self):
         # raising one label by one keeps an RkDF an RkDF, which is what
