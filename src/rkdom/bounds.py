@@ -11,6 +11,7 @@ exact integer arithmetic; rational bounds are cross-multiplied or floored.
 from __future__ import annotations
 
 import functools
+import json
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -80,13 +81,10 @@ def solve_all(g: Graph, k: int, max_n: int | None = None) -> SolvedValues:
     2kn, so each weighs exactly gamma_kR and every capacity is full.
     """
     drk = d_rk_exact(g, k, by_key=False, max_n=max_n)
-    return SolvedValues(
-        gamma_k=gamma_k_oracle(g, k, max_n=max_n),
-        gamma_kr=drk.gamma_kr,
-        d_k=d_k_exact(g, k, max_n=max_n).value,
-        d_rk=drk.value,
-        d_rk_family=drk.witness,
-    )
+    return SolvedValues(gamma_k=gamma_k_oracle(g, k, max_n=max_n),
+                        gamma_kr=drk.gamma_kr, d_rk=drk.value,
+                        d_k=d_k_exact(g, k, max_n=max_n).value,
+                        d_rk_family=drk.witness)
 
 
 @functools.cache
@@ -123,11 +121,18 @@ def surplus_bipartite_witness(g: Graph, k: int) -> BipartiteWitness | None:
 
 
 def _rec(theorem_id: str, applicable: bool, lhs: int, rhs: int,
-         relation: str = "<=", notes: str = "") -> BoundRecord:
+         relation: str = "<=", notes: str = "",
+         needs: str = "") -> BoundRecord:
+    """One record; needs, the unmet hypothesis, is the notes of a record
+    that does not apply."""
     holds = lhs <= rhs if relation == "<=" else lhs == rhs
     # the tuple BoundRecord(...) builds, minus its Python-level __new__
     return tuple.__new__(BoundRecord, (theorem_id, applicable, lhs, rhs,
-                                       holds, lhs == rhs, notes))
+                                       holds, lhs == rhs,
+                                       notes if applicable else needs))
+
+
+_BICONDITIONAL = "biconditional as 0/1 indicators"
 
 
 def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
@@ -141,10 +146,9 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
     delta, Delta = g.min_degree(), g.max_degree()
     gk, gkr, dk, drk = vals.gamma_k, vals.gamma_kr, vals.d_k, vals.d_rk
 
-    app_1dn = k == 1 and n >= 2
     complete = g.is_complete()
-    notes_1dn = "biconditional as 0/1 indicators"
-    if app_1dn and complete:
+    notes_1dn = _BICONDITIONAL
+    if complete:
         notes_1dn += ("; consistent reading d_rk(K_n) = n adopted over the "
                       "superseded transcription d_rk(K_n) = 1")
 
@@ -161,23 +165,22 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
             cases.append(("k<=p<=3k", 2 * k * (p + q) // (k + p)))
         if p >= 3 * k:
             cases.append(("p>=3k", (p + q) // 2))
-        bound = min(b for _, b in cases)
-        kpq = _rec("Kpq", True, drk, bound,
+        kpq = _rec("Kpq", True, drk, min(b for _, b in cases),
                    notes="cases: " + ", ".join(c for c, _ in cases))
 
     if n <= DEFAULT_WITNESS_LIMIT:
         witness = surplus_bipartite_witness(g, k)
-        th2_app = n >= 2 and gkr == n and drk == 2 * k
-        th2 = _rec("Th2", th2_app, int(witness is None), 1, relation="==",
+        th2 = _rec("Th2", n >= 2 and gkr == n and drk == 2 * k,
+                   int(witness is None), 1, relation="==",
                    notes="gamma_kr = n and d_rk = 2k exclude a surplus "
-                         "witness" if th2_app
-                   else "hypotheses gamma_kr = n, d_rk = 2k not met")
+                         "witness",
+                   needs="hypotheses gamma_kr = n, d_rk = 2k not met")
         v1 = _rec("V1", True, int(gkr < n), int(witness is not None),
-                  relation="==", notes="biconditional as 0/1 indicators")
+                  relation="==", notes=_BICONDITIONAL)
     else:
         guard = f"witness search guard is n <= {DEFAULT_WITNESS_LIMIT}"
-        th2 = BoundRecord("Th2", False, 0, 0, True, True, guard)
-        v1 = BoundRecord("V1", False, 0, 0, True, True, guard)
+        th2, v1 = (BoundRecord(theorem_id, False, 0, 0, True, True, guard)
+                   for theorem_id in ("Th2", "V1"))
 
     if n <= 2 * k:
         v0 = _rec("V0", True, gkr, n, relation="==",
@@ -206,26 +209,24 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
 
     ceil_bound = -(-2 * n * k // (Delta + k)) if Delta >= k else 0
     obs2_app = k >= 2 and n >= 2 * k - 2
-    cor_app = obs2_app and k >= Delta + 1
     return [    # in theorem_id order
-        _rec("1d=n", app_1dn, int(drk == n), int(complete), relation="==",
-             notes=notes_1dn if app_1dn
-             else "stated for k = 1 and n >= 2 only"),
+        _rec("1d=n", k == 1 and n >= 2, int(drk == n), int(complete),
+             relation="==", notes=notes_1dn,
+             needs="stated for k = 1 and n >= 2 only"),
         _rec("Delta", Delta >= k, ceil_bound, gkr,
-             notes="ceil(2nk/(Delta+k)) <= gamma_kr"
-             if Delta >= k else "needs Delta >= k"),
+             notes="ceil(2nk/(Delta+k)) <= gamma_kr",
+             needs="needs Delta >= k"),
         _rec("Delta1", True, drk, max(Delta, k - 1) + k),
         kpq,
         _rec("SV", k == 1, int(drk == 1), int(g.is_empty()), relation="==",
-             notes="biconditional as 0/1 indicators"
-             if k == 1 else "stated for k = 1 only"),
+             notes=_BICONDITIONAL, needs="stated for k = 1 only"),
         th2,
         v0,
         v1,
-        _rec("c1", n >= 2, gkr + drk, n + 2 * k,
-             notes="" if n >= 2 else "needs n >= 2"),
+        _rec("c1", n >= 2, gkr + drk, n + 2 * k, needs="needs n >= 2"),
+        # the one record that keeps its notes when it does not apply
         _rec("c1-eq", n >= 2, int(sum_eq), int(split_eq), relation="==",
-             notes="biconditional as 0/1 indicators"),
+             notes=_BICONDITIONAL, needs=_BICONDITIONAL),
         _rec("cor1-hi", True, drk * min(n, gk + k), 2 * k * n,
              notes="cross-multiplied rational bound"),
         _rec("cor1-lo", True, dk, drk),
@@ -237,16 +238,15 @@ def check_graph(g: Graph, k: int, vals: SolvedValues) -> list[BoundRecord]:
         gammast_rec,
         _rec("kdelta", True, drk, delta + 2 * k),
         _rec("mapping", k >= 2 ** n, drk, 2 ** n, relation="==",
-             notes="" if k >= 2 ** n else "needs k >= 2^n"),
+             needs="needs k >= 2^n"),
         _rec("obs", k >= Delta + 1, drk, 2 * k - 1,
-             notes="" if k >= Delta + 1 else "needs k >= Delta+1"),
+             needs="needs k >= Delta+1"),
         _rec("obs2", obs2_app, 2 * k - 1, drk,
-             notes="" if obs2_app else "needs k >= 2, n >= 2k-2"),
-        _rec("obs2-cor", cor_app, drk, 2 * k - 1, relation="==",
-             notes="" if cor_app
-             else "needs k >= 2, n >= 2k-2, k >= Delta+1"),
+             needs="needs k >= 2, n >= 2k-2"),
+        _rec("obs2-cor", obs2_app and k >= Delta + 1, drk, 2 * k - 1,
+             relation="==", needs="needs k >= 2, n >= 2k-2, k >= Delta+1"),
         _rec("reg", delta == Delta, drk, max(2 * k - 1, delta + k),
-             notes="" if delta == Delta else "graph not regular"),
+             needs="graph not regular"),
     ]
 
 
@@ -266,23 +266,19 @@ def check_nordhaus_gaddum(g: Graph, k: int,
     delta, Delta = g.min_degree(), g.max_degree()
     drk_co = d_rk_exact(complement(g), k, by_key=False, max_n=max_n).value
     total = vals.d_rk + drk_co
-    at_equality = total == n + 4 * k - 2
     regular = delta == Delta
-    reg_bound = max(4 * k - 2, n + 2 * k - 1, n + 3 * k - 2 - delta,
-                    3 * k + delta - 1)
-    fc_app = regular and k >= 2 and n >= 2
     return [
-        _rec("final-cor", fc_app, total, n + 4 * k - 4,
-             notes="" if fc_app
-             else "needs a regular graph, k >= 2 and n >= 2"),
+        _rec("final-cor", regular and k >= 2 and n >= 2, total, n + 4 * k - 4,
+             needs="needs a regular graph, k >= 2 and n >= 2"),
         _rec("knord", True, total, n + 4 * k - 2),
-        _rec("knord-eq", at_equality, Delta - delta, 1, relation="==",
-             notes="equality requires Delta - delta = 1"
-             if at_equality else "sum below the ceiling"),
+        _rec("knord-eq", total == n + 4 * k - 2, Delta - delta, 1,
+             relation="==", notes="equality requires Delta - delta = 1",
+             needs="sum below the ceiling"),
         _rec("knord-k1", k == 1, total, n + 2,
-             notes="" if k == 1 else "stated for k = 1 only"),
-        _rec("regnord", regular, total, reg_bound,
-             notes="" if regular else "graph not regular"),
+             needs="stated for k = 1 only"),
+        _rec("regnord", regular, total,
+             max(4 * k - 2, n + 2 * k - 1, n + 3 * k - 2 - delta,
+                 3 * k + delta - 1), needs="graph not regular"),
     ]
 
 
@@ -295,63 +291,45 @@ def violations(records: list[BoundRecord]) -> list[BoundRecord]:
 # Report serialization
 # ---------------------------------------------------------------------------
 
+GRAPH_FIELDS = ("name", "graph6", "n", "delta", "Delta", "regular")
+VALUE_FIELDS = SolvedValues._fields[:4]
+CSV_COLUMNS = [*GRAPH_FIELDS, "k", *VALUE_FIELDS, *BoundRecord._fields]
+
+
+def graph_fields(g: Graph) -> tuple:
+    """The GRAPH_FIELDS of g, in that order."""
+    return (g.label or "", encode_graph6(g), g.n, g.min_degree(),
+            g.max_degree(), g.is_regular())
+
+
+def _report(graph, k, values, records) -> dict:
+    """The report schema: its keys, nesting and order."""
+    return {"schema": "1", "graph": dict(zip(GRAPH_FIELDS, graph)), "k": k,
+            "values": dict(zip(VALUE_FIELDS, values)), "records": records}
+
+
 def report_dict(g: Graph, k: int, vals: SolvedValues,
                 records: list[BoundRecord]) -> dict:
     """One (graph, k) report matching the documented JSON schema."""
-    return {
-        "schema": "1",
-        "graph": {
-            "name": g.label or "",
-            "graph6": encode_graph6(g),
-            "n": g.n,
-            "delta": g.min_degree(),
-            "Delta": g.max_degree(),
-            "regular": g.is_regular(),
-        },
-        "k": k,
-        "values": {
-            "gamma_k": vals.gamma_k,
-            "gamma_kr": vals.gamma_kr,
-            "d_k": vals.d_k,
-            "d_rk": vals.d_rk,
-        },
-        "records": [r._asdict() for r in records],
-    }
+    return _report(graph_fields(g), k, vals, [r._asdict() for r in records])
 
 
 # report_json formats the text json.dumps(report_dict(...), indent=2)
 # prints, without the pure-Python encoder that any indent selects.
 _JSON_BOOL = {False: "false", True: "true"}
 
-_REPORT_TEMPLATE = """{
-  "schema": "1",
-  "graph": {
-    "name": %s,
-    "graph6": %s,
-    "n": %d,
-    "delta": %d,
-    "Delta": %d,
-    "regular": %s
-  },
-  "k": %d,
-  "values": {
-    "gamma_k": %d,
-    "gamma_kr": %d,
-    "d_k": %d,
-    "d_rk": %d
-  },
-  "records": %s
-}"""
 
-_RECORD_TEMPLATE = """    {
-      "theorem_id": %s,
-      "applicable": %s,
-      "lhs": %d,
-      "rhs": %d,
-      "holds": %s,
-      "equality": %s,
-      "notes": %s
-    }"""
+def _slotted(shape: dict) -> str:
+    """shape as json.dumps(..., indent=2) prints it, each "%s" value
+    unquoted into a %-format slot."""
+    return json.dumps(shape, indent=2).replace('"%s"', "%s")
+
+
+_REPORT_TEMPLATE = _slotted(_report(["%s"] * len(GRAPH_FIELDS), "%s",
+                                    ["%s"] * len(VALUE_FIELDS), "%s"))
+# a record's lines sit four spaces deeper, inside the "records" list
+_RECORD_TEMPLATE = "    " + _slotted(
+    dict.fromkeys(BoundRecord._fields, "%s")).replace("\n", "\n    ")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -374,22 +352,16 @@ def report_json(g: Graph, k: int, vals: SolvedValues,
     table would print a flag of 1 as true where json.dumps prints 1.
     """
     esc, flag = encode_basestring_ascii, _JSON_BOOL
+    name, graph6, n, delta, Delta, regular = graph_fields(g)
     body = ",\n".join(map(_record_json, records))
     return _REPORT_TEMPLATE % (
-        esc(g.label or ""), esc(encode_graph6(g)), g.n, g.min_degree(),
-        g.max_degree(), flag[g.is_regular()], k, vals.gamma_k, vals.gamma_kr,
-        vals.d_k, vals.d_rk, f"[\n{body}\n  ]" if records else "[]")
-
-
-CSV_COLUMNS = ["name", "graph6", "n", "delta", "Delta", "regular", "k",
-               "gamma_k", "gamma_kr", "d_k", "d_rk", "theorem_id",
-               "applicable", "lhs", "rhs", "holds", "equality", "notes"]
+        esc(name), esc(graph6), n, delta, Delta, flag[regular], k,
+        *vals[:4], f"[\n{body}\n  ]" if records else "[]")
 
 
 def report_csv_rows(g: Graph, k: int, vals: SolvedValues,
                     records: list[BoundRecord]) -> list[list]:
-    """Flatten one report into CSV rows (one per record), its columns in
-    report_dict's order."""
-    report = report_dict(g, k, vals, [])
-    head = [*report["graph"].values(), k, *report["values"].values()]
+    """Flatten one report into CSV rows (one per record), in the order
+    of CSV_COLUMNS."""
+    head = [*graph_fields(g), k, *vals[:4]]
     return [head + list(r) for r in records]

@@ -7,8 +7,9 @@ plus exhaustive corpus of bound reports).
 
 Exit codes: 0 success / all bounds hold, 1 verification violation, 2 usage
 error, 3 guard refusal, 4 I/O or parse error, 70 internal error (a
-construction failed its own validator).  Diagnostics go to stderr; stdout
-carries only data and is byte-identical across identical invocations.
+construction or a compute witness failed its own validator).  Diagnostics
+go to stderr; stdout carries only data and is byte-identical across
+identical invocations.
 """
 
 from __future__ import annotations
@@ -51,8 +52,13 @@ def _module(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"rkdom: error: {message}", file=sys.stderr)
+class InternalError(Exception):
+    """A result that failed its own validator; each arg is one line."""
+
+
+def _fail(code: int, *lines: str, kind: str = "error") -> int:
+    for line in lines:
+        print(f"rkdom: {kind}: {line}", file=sys.stderr)
     return code
 
 
@@ -147,22 +153,38 @@ def _labeling_json(f) -> str:
     return f'"{_module("roman").labeling_to_string(f)}"'
 
 
-# quantity -> (exact solve, witness renderer, oracle solve or None).  A
-# solve is named "module.function" and called as function(graph, k,
-# max_n=...), looked up through _module when it runs, so rebinding it in
-# its module takes effect.  A renderer gives the witness's text in the
-# compute payload.
+def _set_check(g: Graph, k: int, mask) -> tuple:
+    """The gamma_k witness check: the size of the set a 0/1 mask holds,
+    and a violation unless the set k-dominates."""
+    members = [v for v, x in enumerate(mask) if x]
+    roman = _module("roman")
+    return len(members), [] if roman.is_k_dominating(g, k, members) else [
+        roman.Violation("undominated", detail=f"set is not {k}-dominating")]
+
+
+# quantity -> (exact solve, witness renderer, witness check, oracle solve
+# or None).  A solve is named "module.function" and called as
+# function(graph, k, max_n=...), looked up through _module when it runs,
+# so rebinding it in its module takes effect.  A renderer gives the
+# witness's text in the compute payload; a check gives the witness's size
+# and what the package validator for its quantity finds wrong with it.
 _SOLVERS = {
-    "gamma-k": ("roman.gamma_k_exact", _labeling_json,
+    "gamma-k": ("roman.gamma_k_exact", _labeling_json, _set_check,
                 "oracles.gamma_k_oracle"),
     "gamma-kr": ("roman.gamma_kr_exact", _labeling_json,
+                 lambda g, k, f: (
+                     sum(f), _module("roman").validate_rkdf(g, k, f)),
                  "oracles.gamma_kr_oracle"),
     "d-k": ("domatic.d_k_exact",
             lambda blocks: _json_list(
                 [_json_list(map(str, b), 10) for b in blocks], 8),
+            lambda g, k, b: (
+                len(b), _module("domatic").validate_partition(g, k, b)),
             None),
     "d-rk": ("domatic.d_rk_exact",
              lambda fam: _json_list(map(_labeling_json, fam), 8),
+             lambda g, k, fam: (
+                 len(fam), _module("domatic").validate_family(g, k, fam)),
              "oracles.d_rk_oracle"),
 }
 
@@ -192,12 +214,17 @@ _RESULT_TEMPLATE = """    {
 def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
                  max_n: int | None) -> str:
     """The text of one result in the compute payload."""
-    exact, show, check = _SOLVERS[quantity]
-    module, _, name = (check if oracle else exact).partition(".")
+    exact, show, check, by_oracle = _SOLVERS[quantity]
+    module, _, name = (by_oracle if oracle else exact).partition(".")
     res = getattr(_module(module), name)(g, k, max_n=max_n)
     if oracle:
         return _RESULT_TEMPLATE % (quantity.replace("-", "_"), "oracle",
                                    res, "null", "null")
+    size, problems = check(g, k, res.witness)
+    if problems or size != res.value:
+        raise InternalError(f"{res.quantity} = {res.value} is not certified "
+                            f"by its witness of size {size}",
+                            *(f"{p.kind}: {p.detail}" for p in problems))
     return _RESULT_TEMPLATE % (res.quantity, "exact", res.value,
                                show(res.witness), res.nodes_explored)
 
@@ -205,11 +232,10 @@ def _compute_one(g: Graph, k: int, quantity: str, oracle: bool,
 def _cmd_compute(args) -> int:
     g, max_n = _read_graph(args)
     wanted = _SOLVERS if args.quantity == "all" else (args.quantity,)
-    if args.oracle:
-        # refused before any solve, not after the ones listed before it
-        for q in wanted:
-            if _SOLVERS[q][2] is None:
-                raise ValueError(f"no oracle for quantity {q}")
+    # refused before any solve, not after the ones listed before it
+    for q in wanted if args.oracle else ():
+        if _SOLVERS[q][3] is None:
+            raise ValueError(f"no oracle for quantity {q}")
     results = [_compute_one(g, args.k, q, args.oracle, max_n) for q in wanted]
     print(_COMPUTE_TEMPLATE % (encode_basestring_ascii(encode_graph6(g)), g.n,
                                args.k, ",\n".join(results)))
@@ -227,12 +253,11 @@ def _parse_subgraphs(text: str) -> list[tuple[list[int], list[int]]]:
         if len(sides) != 2:
             raise ValueError(f"subgraph {part!r} must be 'X:Y'")
         try:
-            x = [int(t) for t in sides[0].split(",") if t.strip() != ""]
-            y = [int(t) for t in sides[1].split(",") if t.strip() != ""]
+            pairs.append(tuple([int(t) for t in side.split(",") if t.strip()]
+                               for side in sides))
         except ValueError:
             raise ValueError(f"subgraph {part!r} has non-integer vertices") \
                 from None
-        pairs.append((x, y))
     if not pairs:
         raise ValueError("no subgraphs given")
     return pairs
@@ -267,9 +292,7 @@ def _cmd_construct(args) -> int:
 
     problems = _module("domatic").validate_family(g, args.k, fam)
     if problems:
-        for p in problems:
-            print(f"rkdom: internal: {p.kind}: {p.detail}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise InternalError(*(f"{p.kind}: {p.detail}" for p in problems))
     print(encode_graph6(g))
     for f in fam:
         print(_module("roman").labeling_to_string(f))
@@ -463,12 +486,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = argparse.Namespace(**vars(parsed))
     try:
         return args.func(args)
+    except InternalError as exc:
+        return _fail(EXIT_INTERNAL, *exc.args, kind="internal")
     except (GuardError, ConstructionError) as exc:
-        return _fail(str(exc), EXIT_GUARD)
+        return _fail(EXIT_GUARD, str(exc))
     except (ParseError, OSError) as exc:
-        return _fail(str(exc), EXIT_IO)
+        return _fail(EXIT_IO, str(exc))
     except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        return _fail(EXIT_USAGE, str(exc))
 
 
 def entry() -> None:

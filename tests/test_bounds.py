@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import hashlib
+import io
 import json
 from itertools import combinations
 
@@ -13,6 +16,7 @@ from rkdom import (Graph, GuardError, SolvedValues, check_graph,
                    check_nordhaus_gaddum, complement, d_rk_exact, d_rk_oracle,
                    gamma_kr_exact, report_csv_rows, report_dict, report_json,
                    solve_all, surplus_bipartite_witness, violations)
+from rkdom.bounds import CSV_COLUMNS
 
 
 def _by_id(records):
@@ -409,3 +413,25 @@ class TestReportJson:
                 assert type(r.holds) is bool, r
                 assert type(r.equality) is bool, r
                 assert type(r.lhs) is int and type(r.rhs) is int, r
+
+
+# One SHA-256 over every report of _report_corpus in the three forms the
+# CLI prints: report_json's text (verify), the CSV header and rows
+# (verify --output csv) and the compact report_dict line (sweep).
+# Recorded while report_dict, the two JSON templates and CSV_COLUMNS each
+# spelled out the schema, and each record wrote its hypothesis twice.
+REPORT_TEXT_PIN = \
+    "7470dc82ac8a8475461269f2b9253f35c0a55261bb68af5181accdc0a7930b3a"
+
+
+def test_report_text_pin():
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for g, k, vals, records in _report_corpus():
+        out.write(report_json(g, k, vals, records) + "\n")
+        writer.writerows(report_csv_rows(g, k, vals, records))
+        out.write(json.dumps(report_dict(g, k, vals, records),
+                             separators=(",", ":")) + "\n")
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == REPORT_TEXT_PIN

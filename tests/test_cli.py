@@ -611,6 +611,38 @@ class TestCompute:
                            stdin=K3, monkeypatch=monkeypatch)
         assert code == 0 and json.loads(out)["results"][0]["value"] == 2
 
+    # On the path 0-1-2 at k = 1, each exact solver's result with its
+    # value one too high, and with a witness of the right size that its
+    # quantity's validator rejects (vertex 2 is left undominated).
+    @pytest.mark.parametrize("quantity, solver, bad", [
+        ("gamma-k", "roman.gamma_k_exact", {"value": 2}),
+        ("gamma-k", "roman.gamma_k_exact", {"witness": (1, 0, 0)}),
+        ("gamma-kr", "roman.gamma_kr_exact", {"value": 3}),
+        ("gamma-kr", "roman.gamma_kr_exact", {"witness": (2, 0, 0)}),
+        ("d-k", "domatic.d_k_exact", {"value": 3}),
+        ("d-k", "domatic.d_k_exact", {"witness": ((0,), (1, 2))}),
+        ("d-rk", "domatic.d_rk_exact", {"value": 3}),
+        ("d-rk", "domatic.d_rk_exact",
+         {"witness": ((0, 2, 0), (2, 0, 0))})])
+    def test_uncertified_witness_is_internal_error(self, capsys, monkeypatch,
+                                                   quantity, solver, bad):
+        import importlib
+        module, _, name = solver.partition(".")
+        module = importlib.import_module(f"rkdom.{module}")
+        argv = ["compute", "--graph", "-", "--k", "1", "--quantity", quantity]
+        code, out, _ = run(capsys, argv, stdin="Bg\n",
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == \
+            {"gamma-k": 1, "gamma-kr": 2, "d-k": 2, "d-rk": 2}[quantity]
+        solve = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: solve(
+            *args, **kwargs)._replace(**bad))
+        code, out, err = run(capsys, argv, stdin="Bg\n",
+                             monkeypatch=monkeypatch)
+        assert (code, out) == (70, "")
+        assert err.startswith("rkdom: internal: ")
+
 
 class TestConstruct:
     def test_complete_family_output(self, capsys):
